@@ -26,11 +26,10 @@ from repro.regex.classify import (
 
 def is_simple_dtd(dtd: DTD, *, reachable_only: bool = True) -> bool:
     """Whether every production uses a simple regular expression."""
-    elements = dtd.reachable_types if reachable_only else dtd.element_types
-    return all(
-        isinstance(dtd.content(element), PCData)
-        or is_simple(dtd.content(element))
-        for element in elements)
+    if reachable_only:
+        return dtd.is_simple
+    return all(is_simple(dtd.content(element))
+               for element in dtd.element_types)
 
 
 def is_disjunctive_dtd(dtd: DTD, *, reachable_only: bool = True) -> bool:

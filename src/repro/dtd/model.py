@@ -20,10 +20,12 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import InvalidDTDError, RecursionLimitError
-from repro.regex.analysis import Multiplicity, symbol_multiplicities
+from repro.regex.analysis import Multiplicity
 from repro.regex.ast import EPSILON, PCData, Regex
+from repro.regex.classify import is_simple
 from repro.regex.parser import parse_content_model
 from repro.dtd.paths import TEXT_STEP, Path
+from repro.dtd.table import PathTable
 
 #: Default bound for path enumeration over recursive DTDs.
 DEFAULT_DEPTH_LIMIT = 12
@@ -199,6 +201,12 @@ class DTD:
 
         return visit(self.root)
 
+    @cached_property
+    def is_simple(self) -> bool:
+        """Whether every reachable production is a simple regex (§7)."""
+        return all(is_simple(self.content(element))
+                   for element in self.reachable_types)
+
     # -- paths ---------------------------------------------------------------
 
     def iter_paths(self, max_depth: int | None = None) -> Iterator[Path]:
@@ -233,6 +241,15 @@ class DTD:
         return frozenset(self.iter_paths())
 
     @cached_property
+    def path_table(self) -> PathTable:
+        """The interned-path table the FD engines run on (cached)."""
+        # setdefault, not a plain return: from Python 3.12 on
+        # cached_property no longer locks, and two racing threads must
+        # still end up sharing one table.
+        return self.__dict__.setdefault(
+            "path_table", PathTable(self.productions, self.attributes))
+
+    @cached_property
     def epaths(self) -> frozenset[Path]:
         """``EPaths(D)``: paths ending in an element type."""
         return frozenset(p for p in self.paths if p.is_element)
@@ -253,8 +270,8 @@ class DTD:
             if step == TEXT_STEP:
                 return (index == len(path.steps) - 1
                         and self.has_text(parent))
-            if step not in self.child_element_types(parent):
-                return False
+            if step not in self.path_table.child_classes(parent):
+                return False  # not in the production's alphabet
         return True
 
     def check_path(self, path: Path) -> Path:
@@ -272,20 +289,10 @@ class DTD:
         For non-simple productions the exact class may not exist; we
         then return the sound coarsening by exact occurrence bounds
         (``PLUS`` if forced, else ``STAR``), which is all the FD engines
-        rely on (forcedness and at-most-one-ness).
+        rely on (forcedness and at-most-one-ness).  Read from the path
+        table's per-production maps.
         """
-        production = self.content(element)
-        classes = symbol_multiplicities(production)
-        cls = classes.get(child)
-        if cls is not None:
-            return cls
-        from repro.regex.analysis import occurrence_bounds
-        low, high = occurrence_bounds(production, child)
-        if high == 0:
-            return Multiplicity.ZERO
-        if low >= 1:
-            return Multiplicity.PLUS if high > 1 else Multiplicity.ONE
-        return Multiplicity.STAR if high > 1 else Multiplicity.OPT
+        return self.path_table.child_multiplicity(element, child)
 
     def path_multiplicity(self, path: Path) -> Multiplicity:
         """Occurrence class of the final step of an element path below

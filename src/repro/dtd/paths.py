@@ -60,6 +60,15 @@ class Path:
         """The length-one path consisting of the root element type."""
         return cls((element,))
 
+    @classmethod
+    def _prefix_of_valid(cls, steps: tuple[str, ...]) -> "Path":
+        """A prefix of an already-validated path, built without
+        re-validating its steps (every prefix of a path is a path)."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "_steps", steps)
+        object.__setattr__(path, "_hash", hash(steps))
+        return path
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -96,7 +105,7 @@ class Path:
         """The path with the final step removed."""
         if len(self._steps) == 1:
             raise InvalidPathError(f"path {self} has no parent")
-        return Path(self._steps[:-1])
+        return Path._prefix_of_valid(self._steps[:-1])
 
     @property
     def element_prefix(self) -> "Path":
@@ -125,9 +134,10 @@ class Path:
     def prefixes(self, *, proper: bool = False) -> Iterator["Path"]:
         """All prefixes, shortest first; ``proper`` excludes the path
         itself."""
-        end = len(self._steps) - (1 if proper else 0)
-        for length in range(1, end + 1):
-            yield Path(self._steps[:length])
+        for length in range(1, len(self._steps)):
+            yield Path._prefix_of_valid(self._steps[:length])
+        if not proper:
+            yield self
 
     def is_prefix_of(self, other: "Path", *, proper: bool = False) -> bool:
         """Whether this path is a prefix of ``other``."""

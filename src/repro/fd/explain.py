@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.dtd.classify import is_simple_dtd
-from repro.dtd.paths import Path
 from repro.dtd.model import DTD
-from repro.fd.closure import SPLIT_DEPTH, _relevant_sigma, _Solver
+from repro.fd.closure import SPLIT_DEPTH, SigmaIndex
 from repro.fd.model import FD
 
 
@@ -23,24 +22,22 @@ def closure_derivation(dtd: DTD, sigma: Iterable[FD], fd: FD,
     """(derivable?, derivation lines) for a single-RHS FD."""
     sigma = list(sigma)
     target = fd.single_rhs
-    relevant = _relevant_sigma(sigma, fd)
-    solver = _Solver(dtd, relevant, fd.lhs,
-                     extra=frozenset({target}))
+    solver = SigmaIndex(dtd, sigma).solver(fd.lhs, (target,), prune=True)
     solver.events = []
-    eq, _nn = solver.solve(frozenset(), frozenset(), SPLIT_DEPTH)
-    derived = target in eq
+    eq, _nn = solver.solve(0, 0, SPLIT_DEPTH)
+    derived = bool(eq >> solver.extra[0] & 1)
 
     lines = [
         "hypothesis: two maximal tuples agree (non-null) on "
         + ", ".join(str(p) for p in sorted(fd.lhs, key=str)),
         f"goal: they agree on {target}",
     ]
-    if len(relevant) != len(sigma):
+    if len(solver.rules) != len(sigma):
         lines.append(
-            f"(pruned {len(sigma) - len(relevant)} FD(s) not connected "
-            "to the goal)")
-    assert solver.events is not None
-    for kind, path, reason in solver.events:
+            f"(pruned {len(sigma) - len(solver.rules)} FD(s) not "
+            "connected to the goal)")
+    for kind, pid, reason in solver.events:
+        path = solver.table.path(pid)
         lines.append(f"derive {kind}({path}): {reason}")
         if kind == "EQ" and path == target:
             break

@@ -48,7 +48,7 @@ from repro.dtd.classify import is_simple_dtd
 from repro.dtd.model import DTD
 from repro.fd.brute import brute_implies
 from repro.fd.chase import chase_implies
-from repro.fd.closure import closure_implies
+from repro.fd.closure import SigmaIndex, closure_implies
 from repro.fd.model import FD
 from repro.obs import metrics as _obs
 
@@ -116,6 +116,10 @@ class ImplicationEngine:
         self._cache: dict[CacheKey, bool] = {}
         self._hits = 0
         self._misses = 0
+        #: Σ compiled for the closure, and the Σ=∅ engine behind
+        #: :meth:`is_trivial`; both built on first use.
+        self._index: SigmaIndex | None = None
+        self._trivial: ImplicationEngine | None = None
         _live_engines.add(self)
 
     @staticmethod
@@ -213,10 +217,13 @@ class ImplicationEngine:
                          len(self._cache))
 
     def cache_clear(self) -> None:
-        """Drop every cached answer and zero the statistics."""
+        """Drop every cached answer (triviality answers included) and
+        zero the statistics."""
         self._cache.clear()
         self._hits = 0
         self._misses = 0
+        if self._trivial is not None:
+            self._trivial.cache_clear()
 
     @classmethod
     def clear_all_caches(cls) -> int:
@@ -239,14 +246,26 @@ class ImplicationEngine:
         return self._hits + self._misses
 
     def is_trivial(self, fd: FD) -> bool:
-        """``(D, ∅) |- fd``: the FD holds in every conforming tree."""
-        return implies(self.dtd, [], fd, engine=self.engine)
+        """``(D, ∅) |- fd``: the FD holds in every conforming tree.
+
+        Answered by one Σ=∅ engine held for this engine's lifetime, so
+        repeated triviality checks hit its cache."""
+        if self._trivial is None:
+            self._trivial = ImplicationEngine(self.dtd, [],
+                                              engine=self.engine)
+        return self._trivial.implies(fd)
+
+    def _closure(self, fd: FD) -> bool:
+        if self._index is None:
+            self._index = SigmaIndex(self.dtd, self.sigma)
+        return closure_implies(self.dtd, self.sigma, fd,
+                               index=self._index)
 
     def _decide(self, fd: FD) -> bool:
         if self.engine == "closure":
             if _obs.enabled:
                 _obs.inc("implication.engine.closure")
-            return closure_implies(self.dtd, self.sigma, fd)
+            return self._closure(fd)
         if self.engine == "chase":
             if _obs.enabled:
                 _obs.inc("implication.engine.chase")
@@ -269,7 +288,7 @@ class ImplicationEngine:
         # DTDs), then the chase for the general case.
         if _obs.enabled:
             _obs.inc("implication.engine.closure")
-        if closure_implies(self.dtd, self.sigma, fd):
+        if self._closure(fd):
             return True
         if self._simple:
             return False

@@ -295,18 +295,23 @@ def _heartbeat_loop(conn: _mp_connection.Connection,
 def _worker_main(worker_id: int, runner: "BatchRunner",
                  conn: _mp_connection.Connection,
                  heartbeat_interval: float,
-                 trace_wire: dict | None = None) -> None:
+                 trace_wire: dict | None = None,
+                 parent_ends: tuple = ()) -> None:
     """The forked worker entrypoint: recv task, run it, send outcome.
 
-    Fork hygiene first: a fresh metrics lock + registry (the
-    inherited lock may be held by a parent thread), a reset tracing
-    module (no inherited sinks — the parent owns the trace file
-    descriptor — no inherited span stack, no inherited context), and
-    the inherited board copy replaced by the :class:`_BreakerChannel`
-    proxy (breaker state lives in the parent only).  The worker runs
-    tasks through the *same* ``runner._run_task`` retry loop as the
-    serial backend — that is what makes per-task records
-    backend-independent.
+    Fork hygiene first: close ``parent_ends`` — the parent-side ends of
+    this worker's own pipe and of every older sibling's, all inherited
+    by the fork.  While any process holds a pipe's parent end open,
+    ``recv()`` cannot see EOF, so a worker whose parent was SIGKILLed
+    would wait forever instead of taking the "parent died" exit.  Then
+    a fresh metrics lock + registry (the inherited lock may be held by
+    a parent thread), a reset tracing module (no inherited sinks — the
+    parent owns the trace file descriptor — no inherited span stack,
+    no inherited context), and the inherited board copy replaced by
+    the :class:`_BreakerChannel` proxy (breaker state lives in the
+    parent only).  The worker runs tasks through the *same*
+    ``runner._run_task`` retry loop as the serial backend — that is
+    what makes per-task records backend-independent.
 
     When the parent is tracing it passes ``trace_wire`` — the
     serialized ambient :class:`~repro.obs.trace.SpanContext` — and the
@@ -318,6 +323,8 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
     offset between the two ``perf_counter`` origins and rebases the
     shipped span timestamps with it.
     """
+    for end in parent_ends:
+        end.close()
     _obs.reinit_after_fork()
     _trace.reinit_after_fork()
     span_buffer: list[dict] = []
@@ -729,10 +736,12 @@ class PoolBackend:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             interval = self.stall_timeout / 4 \
                 if self.stall_timeout > 0 else 0.0
+            parent_ends = (parent_conn, *(worker.conn for worker
+                                          in self._live.values()))
             proc = ctx.Process(
                 target=_worker_main,
                 args=(worker_id, runner, child_conn, interval,
-                      trace_wire),
+                      trace_wire, parent_ends),
                 name=f"xnf-batch-worker-{worker_id}", daemon=True)
             proc.start()
             child_conn.close()

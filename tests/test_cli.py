@@ -112,6 +112,32 @@ class TestExplain:
         assert code == 0
         assert "not implied" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("query", [
+        "courses.course.@cno -> courses.course.title.S",
+        "{courses.course, courses.course.taken_by.student.@sno} -> "
+        "courses.course.taken_by.student.name.S",
+    ])
+    def test_explain_is_independent_of_the_hash_seed(
+            self, university_files, query):
+        """The derivation is byte-identical under two string-hash
+        seeds: the closure iterates in path-step order, never in set
+        order."""
+        import os
+        import subprocess
+        import sys
+
+        def explain(seed: str) -> bytes:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env.pop("REPRO_FAULTS", None)
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "explain",
+                 *university_files, query],
+                capture_output=True, check=True, env=env).stdout
+
+        first = explain("0")
+        assert b"goal reached" in first
+        assert explain("4242") == first
+
 
 class TestAnalyze:
     def test_analyze_with_document(self, university_files, tmp_path,

@@ -2,6 +2,10 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -350,6 +354,68 @@ class TestGracefulShutdown:
                 obs.disable()
         assert not pool._live
         child_conn.close()
+
+
+def _child_pids(pid: int) -> list[int]:
+    """Live processes whose parent is ``pid`` (from ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _read_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def _read_stat(pid: int) -> list[str] | None:
+    """``/proc/PID/stat`` fields after the command name: state, ppid,
+    ...; ``None`` once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    return text[text.rindex(")") + 2:].split()
+
+
+def _exited(pid: int) -> bool:
+    # A zombie has exited; whoever adopted it may just not reap it.
+    stat = _read_stat(pid)
+    return stat is None or stat[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestParentDeath:
+    def test_workers_exit_after_the_parent_is_sigkilled(self, tmp_path):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps(
+            corpus.generate_manifest(3000, seed=1)))
+        env = dict(os.environ)
+        env.pop("REPRO_FAULTS", None)  # faults force serial execution
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch", str(manifest),
+             "--workers", "2"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=env)
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _child_pids(parent.pid)
+            assert len(workers) == 2, workers
+            time.sleep(0.5)  # let tasks flow through both pipes
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline \
+                and not all(map(_exited, workers)):
+            time.sleep(0.05)
+        lingering = [pid for pid in workers if not _exited(pid)]
+        for pid in lingering:
+            os.kill(pid, signal.SIGKILL)
+        assert not lingering, "workers outlived their SIGKILLed parent"
 
 
 class TestSerialDelegation:
