@@ -33,10 +33,12 @@ import math
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs import metrics as _metrics
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: The exposition-format content type served on ``/metrics``.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -130,6 +132,37 @@ def prometheus_text(snapshot: dict) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def write_response(request: BaseHTTPRequestHandler, status: int,
+                   content_type: str, body: bytes, *,
+                   headers: dict[str, str] | None = None,
+                   close: bool = False) -> None:
+    """Send status line, headers and body with one ``sendall``: sent
+    apart, the body waits for the client's ~40 ms delayed ACK of the
+    headers.  ``close`` ends the connection after this response."""
+    fields = {"Server": request.version_string(),
+              "Date": request.date_time_string(),
+              "Content-Type": content_type,
+              "Content-Length": len(body), **(headers or {})}
+    if close:
+        fields["Connection"] = "close"
+        request.close_connection = True
+    lines = [f"{request.protocol_version} {status} "
+             f"{request.responses[status][0]}"]
+    lines += [f"{name}: {value}" for name, value in fields.items()]
+    try:
+        request.connection.sendall(
+            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+    except (BrokenPipeError, ConnectionResetError):
+        request.close_connection = True  # the client went away
+
+
+def write_json(request: BaseHTTPRequestHandler, status: int,
+               payload: dict, **options: Any) -> None:
+    """:func:`write_response` of ``payload`` as key-sorted JSON."""
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    write_response(request, status, "application/json", body, **options)
+
+
 class MetricsExporter:
     """A background HTTP server exposing the live metrics registry.
 
@@ -158,9 +191,14 @@ class MetricsExporter:
         """Bind the socket and start serving in a daemon thread."""
         if self._server is not None:
             raise RuntimeError("exporter already started")
+        # Imported here: http.server drags in http.client, email and
+        # ssl, which every cold CLI command would otherwise pay for.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
         exporter = self
 
         class Handler(BaseHTTPRequestHandler):
+            disable_nagle_algorithm = True
+
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 exporter._handle(self)
 
@@ -211,27 +249,15 @@ class MetricsExporter:
         if path == "/metrics":
             _metrics.inc("obs.export.scrapes")
             body = prometheus_text(self._snapshot()).encode("utf-8")
-            self._respond(request, 200, CONTENT_TYPE, body)
+            write_response(request, 200, CONTENT_TYPE, body)
         elif path == "/healthz":
-            payload = {"status": "ok",
-                       "uptime_s": round(
-                           time.monotonic() - self._started_at, 3)}
-            body = (json.dumps(payload, sort_keys=True) + "\n") \
-                .encode("utf-8")
-            self._respond(request, 200, "application/json", body)
+            write_json(request, 200, {
+                "status": "ok",
+                "uptime_s": round(time.monotonic() - self._started_at, 3)})
         else:
             body = b"not found: try /metrics or /healthz\n"
-            self._respond(request, 404, "text/plain; charset=utf-8",
-                          body)
-
-    @staticmethod
-    def _respond(request: BaseHTTPRequestHandler, status: int,
-                 content_type: str, body: bytes) -> None:
-        request.send_response(status)
-        request.send_header("Content-Type", content_type)
-        request.send_header("Content-Length", str(len(body)))
-        request.end_headers()
-        request.wfile.write(body)
+            write_response(request, 404, "text/plain; charset=utf-8",
+                           body)
 
 
 def start_exporter(port: int = 0, host: str = "127.0.0.1", *,

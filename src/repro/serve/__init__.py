@@ -24,7 +24,6 @@ See ``docs/SERVE.md`` for the wire contract.
 from repro.serve.admission import AdmissionGate, Decision
 from repro.serve.cache import SpecCache, spec_key
 from repro.serve.handlers import ENDPOINTS, BadRequest, BudgetDefaults, handle
-from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.server import MAX_BODY_BYTES, NormalizationServer, account
 
 __all__ = [
@@ -42,3 +41,12 @@ __all__ = [
     "run_load",
     "spec_key",
 ]
+
+
+def __getattr__(name: str):
+    # The load generator imports the whole batch runtime (for its
+    # corpus), which a serving process never needs: load it on use.
+    if name in ("LoadReport", "run_load"):
+        from repro.serve import loadgen
+        return getattr(loadgen, name)
+    raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")

@@ -12,11 +12,14 @@ plus latency quantiles.  Used three ways:
   accepted request is ever lost;
 * ``python -m repro.serve.loadgen URL`` — ad-hoc load from a shell.
 
-Every response is classified, never dropped silently: 2xx/4xx/5xx
-land in :attr:`LoadReport.statuses`, transport failures (connection
-refused/reset — the listener went away mid-request) in
-:attr:`LoadReport.lost`.  A clean drain must show ``lost == 0``: a
-draining server refuses with 503, it never kills an accepted request.
+Each client thread keeps one persistent HTTP/1.1 connection, as real
+clients do, and reconnects after a ``Connection: close`` reply or a
+transport error.  Every response is classified, never dropped
+silently: 2xx/4xx/5xx land in :attr:`LoadReport.statuses`, transport
+failures (connection refused/reset — the listener went away
+mid-request — or a reply torn mid-body) in :attr:`LoadReport.lost`.
+A clean drain must show ``lost == 0``: a draining server refuses with
+503, it never kills an accepted request.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ import math
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from repro.runtime.corpus import iter_tasks
 
@@ -113,7 +115,8 @@ def run_load(base_url: str, *, requests: int = 100, seed: int = 7,
     wall-clock numbers of course are not.  ``budget``, when given, is
     attached to every request body (client-side tightening).
     """
-    base = base_url.rstrip("/")
+    url = urlsplit(base_url)
+    prefix = url.path.rstrip("/")
     tasks = iter_tasks(requests, seed=seed)
     lock = threading.Lock()
     report = LoadReport()
@@ -133,33 +136,32 @@ def run_load(base_url: str, *, requests: int = 100, seed: int = 7,
                 report.accepted_latencies.append(elapsed)
 
     def worker() -> None:
-        while True:
-            task = next_task()
-            if task is None:
-                return
-            endpoint, payload = task_request(task)
-            if budget:
-                payload["budget"] = budget
-            body = json.dumps(payload).encode("utf-8")
-            http_request = urllib.request.Request(
-                base + endpoint, data=body,
-                headers={"Content-Type": "application/json"},
-                method="POST")
-            started = time.perf_counter()
-            try:
-                with urllib.request.urlopen(
-                        http_request, timeout=timeout_s) as response:
+        conn = http.client.HTTPConnection(url.netloc, timeout=timeout_s)
+        try:
+            while (task := next_task()) is not None:
+                endpoint, payload = task_request(task)
+                if budget:
+                    payload["budget"] = budget
+                body = json.dumps(payload).encode("utf-8")
+                started = time.perf_counter()
+                try:
+                    conn.request("POST", prefix + endpoint, body=body,
+                                 headers={"Content-Type":
+                                          "application/json"})
+                    response = conn.getresponse()
                     response.read()
-                    record(response.status,
-                           time.perf_counter() - started)
-            except urllib.error.HTTPError as exc:
-                exc.read()
-                record(exc.code, time.perf_counter() - started)
-            except (urllib.error.URLError, ConnectionError, OSError,
-                    http.client.HTTPException):
-                # HTTPException covers IncompleteRead: a reply torn
-                # mid-body is a lost request, not a worker crash.
-                record(None, time.perf_counter() - started)
+                except (OSError, http.client.HTTPException):
+                    # HTTPException covers IncompleteRead: a reply torn
+                    # mid-body is a lost request, not a worker crash.
+                    # The next request reconnects.
+                    conn.close()
+                    record(None, time.perf_counter() - started)
+                    continue
+                record(response.status, time.perf_counter() - started)
+                if response.will_close:
+                    conn.close()
+        finally:
+            conn.close()
 
     report.sent = requests
     threads = [threading.Thread(target=worker,

@@ -46,13 +46,11 @@ from typing import Any
 
 from repro.obs import metrics as _obs
 from repro.obs.export import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from repro.obs.export import prometheus_text
+from repro.obs.export import prometheus_text, write_json, write_response
 from repro.serve import handlers
 from repro.serve.admission import AdmissionGate, Decision
 from repro.serve.cache import SpecCache
 from repro.serve.handlers import ENDPOINTS, BudgetDefaults
-
-_JSON = "application/json"
 
 #: Default cap on request bodies; a DTD larger than this is a client
 #: error, not a workload.
@@ -126,6 +124,7 @@ class NormalizationServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
 
             def do_GET(self) -> None:   # noqa: N802 (http.server API)
                 outer._handle_get(self)
@@ -207,27 +206,25 @@ class NormalizationServer:
             if _obs.enabled:
                 _obs.inc("obs.export.scrapes")
             body = prometheus_text(_obs.snapshot()).encode("utf-8")
-            self._respond(request, 200, _PROM_CONTENT_TYPE, body)
+            write_response(request, 200, _PROM_CONTENT_TYPE, body)
         elif path == "/healthz":
             payload = {"status": "ok",
                        "draining": self.gate.draining,
                        "uptime_s": round(
                            time.monotonic() - self._started_at, 3)}
-            self._respond_json(request, 200, payload)
+            write_json(request, 200, payload)
         elif path == "/readyz":
             if self.gate.draining:
-                self._respond_json(
-                    request, 503, _refusal(
-                        503, "draining", "Draining",
-                        "server is draining"))
+                write_json(request, 503, _refusal(
+                    503, "draining", "Draining", "server is draining"))
             else:
-                self._respond_json(request, 200, {"status": "ready"})
+                write_json(request, 200, {"status": "ready"})
         elif path in ENDPOINTS:
-            self._respond_json(request, 405, _refusal(
+            write_json(request, 405, _refusal(
                 405, "usage", "MethodNotAllowed",
                 f"{path} accepts POST only"))
         else:
-            self._respond_json(request, 404, _refusal(
+            write_json(request, 404, _refusal(
                 404, "usage", "NotFound",
                 "try /v1/implication, /v1/xnf-check, /v1/normalize, "
                 "/metrics, /healthz, /readyz"))
@@ -237,10 +234,12 @@ class NormalizationServer:
     def _handle_post(self, request: BaseHTTPRequestHandler) -> None:
         endpoint = request.path.split("?", 1)[0]
         started = time.perf_counter()
+        # A response sent before the body is read closes the
+        # connection, or the body would be parsed as the next request.
         if endpoint not in ENDPOINTS:
-            self._respond_json(request, 404, _refusal(
+            write_json(request, 404, _refusal(
                 404, "usage", "NotFound",
-                f"no such endpoint: {endpoint}"))
+                f"no such endpoint: {endpoint}"), close=True)
             account(endpoint, 404, time.perf_counter() - started)
             return
         # Admission runs before the body is read: shedding an
@@ -252,13 +251,13 @@ class NormalizationServer:
         except BaseException as exc:  # noqa: BLE001 - contract boundary
             status, body = handlers.error_response(
                 exc, context=f"admission:{endpoint}")
-            self._respond_json(request, status, body, close=True)
+            write_json(request, status, body, close=True)
             account(endpoint, status, time.perf_counter() - started)
             return
         if decision is not Decision.ADMITTED:
             status, body, headers = self._refuse(decision)
-            self._respond_json(request, status, body, headers=headers,
-                               close=True)
+            write_json(request, status, body, headers=headers,
+                       close=True)
             account(endpoint, status, time.perf_counter() - started)
             return
         try:
@@ -273,7 +272,8 @@ class NormalizationServer:
             # completes only once every admitted request has put its
             # answer on the wire — releasing earlier lets the process
             # exit mid-write and tear the reply.
-            self._respond_json(request, status, body)
+            write_json(request, status, body,
+                       close=parse_error is not None)
         finally:
             self.gate.release()
         account(endpoint, status, time.perf_counter() - started)
@@ -316,39 +316,3 @@ class NormalizationServer:
             return None, (400, _refusal(
                 400, "usage", "BadRequest",
                 f"request body is not valid JSON: {exc}"))
-
-    # -- responses -----------------------------------------------------
-
-    def _respond_json(self, request: BaseHTTPRequestHandler,
-                      status: int, payload: dict, *,
-                      headers: dict[str, str] | None = None,
-                      close: bool = False) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n") \
-            .encode("utf-8")
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", _JSON)
-            request.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                request.send_header(name, value)
-            if close:
-                # The body may be unread (shed before parse); keeping
-                # the connection alive would desynchronize it.
-                request.send_header("Connection", "close")
-                request.close_connection = True
-            request.end_headers()
-            request.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing left to tell it
-
-    @staticmethod
-    def _respond(request: BaseHTTPRequestHandler, status: int,
-                 content_type: str, body: bytes) -> None:
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", content_type)
-            request.send_header("Content-Length", str(len(body)))
-            request.end_headers()
-            request.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass

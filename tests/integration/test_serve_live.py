@@ -9,10 +9,13 @@ under overload, a clean drain that loses no accepted request, exit 0.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -23,6 +26,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.obs.export import MetricsExporter
 from repro.serve import BudgetDefaults, NormalizationServer, run_load
 
 SIMPLE_DTD = ("<!ELEMENT db (row*)>\n<!ELEMENT row EMPTY>\n"
@@ -108,6 +112,90 @@ class TestWireContract:
             assert status == 400
             assert "exceeds" in body["error"]["message"]
         finally:
+            srv.stop()
+
+
+class TestWirePath:
+    """A response leaves as one write on a no-Nagle socket, so a
+    keep-alive client never waits out its own delayed-ACK timer."""
+
+    IMPLICATION = json.dumps({"dtd": SIMPLE_DTD, "fds": SIMPLE_FDS,
+                              "fd": SIMPLE_FDS}).encode("utf-8")
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(
+            self, server):
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=30)
+        latencies = []
+        try:
+            for _ in range(30):
+                started = time.perf_counter()
+                conn.request("POST", "/v1/implication",
+                             body=self.IMPLICATION,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert not response.will_close
+        finally:
+            conn.close()
+        # Two writes per response read >= 40 ms here (Linux's
+        # delayed-ACK timer); the request itself takes ~1 ms.
+        assert statistics.median(latencies) < 0.020, latencies
+
+    def test_one_sendall_per_response_on_a_no_delay_socket(
+            self, server, monkeypatch):
+        exporter = MetricsExporter(0).start()
+        ports = {server.port, exporter.port}
+        writes = []
+        real_sendall = socket.socket.sendall
+
+        def sendall(sock, data, *args):
+            if sock.getsockname()[1] in ports:
+                writes.append(sock.getsockopt(socket.IPPROTO_TCP,
+                                              socket.TCP_NODELAY))
+            return real_sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", sendall)
+        try:
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=30)
+            try:
+                for method, path, body in (
+                        ("POST", "/v1/implication", self.IMPLICATION),
+                        ("GET", "/metrics", None),
+                        ("GET", "/healthz", None),
+                        ("GET", "/readyz", None),
+                        ("GET", "/nope", None)):
+                    conn.request(method, path, body=body)
+                    conn.getresponse().read()
+            finally:
+                conn.close()
+            for path in ("/metrics", "/healthz", "/nope"):
+                status, _ = _get(exporter.url(path))
+                assert status in (200, 404)
+        finally:
+            exporter.stop()
+        assert len(writes) == 8, writes
+        assert all(writes), "accepted socket without TCP_NODELAY"
+
+    def test_responses_that_skip_the_body_close_the_connection(self):
+        """The unread body of a refused request must never be parsed
+        as the next request on a keep-alive connection."""
+        srv = NormalizationServer(0, max_body_bytes=64).start()
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+        try:
+            for path, status in (("/v1/nope", 404),
+                                 ("/v1/implication", 400)):
+                conn.request("POST", path, body=self.IMPLICATION)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == status
+                assert response.will_close
+                conn.close()
+        finally:
+            conn.close()
             srv.stop()
 
 
@@ -245,8 +333,11 @@ class TestServeProcess:
             report_box = {}
 
             def load():
+                # Far more requests than fit before the signal: once
+                # the drain starts the rest are refused (503) or find
+                # the listener gone (lost), both in well under a second.
                 report_box["report"] = run_load(
-                    url, requests=60, concurrency=4, seed=11)
+                    url, requests=3000, concurrency=4, seed=11)
 
             loader = threading.Thread(target=load)
             loader.start()
@@ -271,6 +362,9 @@ class TestServeProcess:
             # mid-request — a clean drain closes between requests).
             assert report.count(status_class=2) >= 1
             assert report.statuses.keys() <= {200, 503}
+            # A 503 "draining" can only come after the signal: the
+            # load was still running when it landed.
+            assert report.statuses.get(503, 0) >= 1, report.summary()
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -190,6 +190,26 @@ class TestMainModule:
         assert "NOT in XNF" in proc.stdout
 
 
+class TestColdImports:
+    """Start-up pins: a CLI command loads no HTTP stack, and a serving
+    process neither the load generator's urllib nor the batch
+    runtime."""
+
+    @pytest.mark.parametrize("module, unwanted", [
+        ("repro.cli", ["http.server"]),
+        ("repro.serve.server", ["urllib.request", "repro.runtime"]),
+    ])
+    def test_import_leaves_out(self, module, unwanted):
+        import os, subprocess, sys
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = (f"import sys, {module}\n"
+                f"print([m for m in {unwanted!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 HARD_DTD = """
 <!ELEMENT r ((a | b), (c | d), (e | f))>
 <!ELEMENT a EMPTY> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -128,6 +129,37 @@ class TestGaugesAndHistograms:
         assert stats["max"] == n - 1
         assert abs(stats["p50"] - n / 2) < n * 0.05
         assert abs(stats["p95"] - n * 0.95) < n * 0.05
+
+    def test_packed_samples_match_a_list_backed_reference(self):
+        """Packing changes the bytes per sample, not the results: a
+        seeded stream past the cap summarizes, dumps and merges exactly
+        as the same histogram keeping its samples in a list."""
+        rng = random.Random(2002)
+        reference = metrics._Histogram()
+        reference.samples = []
+        obs.enable()
+        for _ in range(50_000):
+            value = rng.lognormvariate(0.0, 1.0)
+            obs.observe("h", value)
+            reference.observe(value)
+        assert metrics._histograms["h"].samples.itemsize == 8
+        assert reference.stride > 1  # decimated at least once
+        assert obs.snapshot()["histograms"]["h"] == reference.as_dict()
+        dumped = metrics.dump_raw()["histograms"]["h"]
+        assert dumped == {"count": reference.count,
+                          "total": reference.total,
+                          "min": reference.min, "max": reference.max,
+                          "samples": reference.samples,
+                          "stride": reference.stride}
+
+        obs.reset()
+        merged = metrics._Histogram()
+        merged.samples = []
+        for _ in range(2):  # past the cap again: decimates in the merge
+            metrics.merge_raw({"histograms": {"h": dumped}})
+            metrics._merge_histogram(merged, dumped)
+        assert merged.stride > reference.stride
+        assert obs.snapshot()["histograms"]["h"] == merged.as_dict()
 
 
 class TestSnapshotReset:
