@@ -5,8 +5,8 @@ counters and PR-2 guard stats:
 
 * :mod:`repro.bench.registry` — the :func:`benchmark` decorator and
   :class:`Claim` (a paper complexity bound asserted on fitted growth);
-* :mod:`repro.bench.suites` — the standard suite, absorbing the old
-  ad-hoc ``benchmarks/bench_*.py`` scripts;
+* :mod:`repro.bench.suites` — the standard suite, one group per
+  subsystem;
 * :mod:`repro.bench.runner` — isolated execution: best-of-N wall
   time, deterministic operation-counter snapshots, tracemalloc peak;
 * :mod:`repro.bench.schema` — the versioned ``BENCH_core.json`` shape;
@@ -14,7 +14,9 @@ counters and PR-2 guard stats:
   (wall time advisory-only);
 * :mod:`repro.bench.slopes` — log-log / log-linear growth fitting;
 * :mod:`repro.bench.cli` — ``python -m repro.bench`` and the main
-  CLI's ``bench`` subcommand.
+  CLI's ``bench`` subcommand;
+* :mod:`repro.bench.seams` — ``python -m repro.bench.seams``, the
+  <1 % disabled-seam gates of every opt-in mechanism.
 
 Usage::
 

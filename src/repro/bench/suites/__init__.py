@@ -3,7 +3,8 @@
 Each submodule registers its benchmarks with the
 :func:`repro.bench.benchmark` decorator at import time;
 :func:`load_all` imports every group (idempotent).  The groups mirror
-the original ad-hoc ``benchmarks/bench_*.py`` scripts they absorbed:
+the subsystems they measure; ``python -m repro.bench run --only
+<group>.`` runs one of them:
 
 ====================  =============================================
 module                measures

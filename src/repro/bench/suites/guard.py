@@ -1,12 +1,13 @@
-"""Resource-governor overhead benchmarks, sharing the workload of the
-``benchmarks/bench_guard.py`` gate script.
+"""Resource-governor benchmarks, sharing their workload with the
+``guard`` gate of ``python -m repro.bench.seams``.
 
 Two entries run the same seeded implication workload — once with no
 budget installed (the default fast path) and once under a generous,
-never-tripping budget — so the bench trajectory records both sides of
-the <1 % overhead contract of ``docs/ROBUSTNESS.md``.  The
-``guard.*`` counters of the guarded run additionally pin the governor's
-own bookkeeping.
+never-tripping budget — so the bench trajectory records both sides in
+full.  The <1 % disabled-overhead contract of ``docs/ROBUSTNESS.md``
+is the seam gate's: it times the unset guard's own checks against
+this workload.  The ``guard.*`` counters of the guarded run
+additionally pin the governor's own bookkeeping.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Implication-engine benchmarks (Section 7 workloads).
 
-Mirrors the series of the former ``benchmarks/bench_implication.py``:
-the Theorem 3 simple-DTD scaling, the Theorem 4 bounded-disjunction
+The Theorem 3 simple-DTD scaling, the Theorem 4 bounded-disjunction
 series, the Theorem 5 hard-disjunction series, and the auto-engine
-anomaly-detection workload.  The *asserted* complexity claims over
+anomaly-detection workload (``python -m repro.bench run --only
+implication.``).  The *asserted* complexity claims over
 these shapes live in :mod:`repro.bench.suites.complexity`; the entries
 here record the raw trajectories.
 """

@@ -1,6 +1,6 @@
-"""Section 8 MVD-extension benchmarks, from the former
-``benchmarks/bench_mvd.py``: satisfaction scaling, tree-induced MVD
-enumeration, and the XNF4-over-XNF ablation."""
+"""Section 8 MVD-extension benchmarks: satisfaction scaling,
+tree-induced MVD enumeration, and the XNF4-over-XNF ablation
+(``python -m repro.bench run --only mvd.``)."""
 
 from __future__ import annotations
 

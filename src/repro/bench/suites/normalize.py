@@ -1,7 +1,7 @@
-"""Decomposition-algorithm benchmarks (Figure 4 / Theorem 2), from the
-former ``benchmarks/bench_normalize.py``: the paper's two running
-redesigns, the scaled multi-anomaly workload, the Proposition 7
-implication-free variant, and the progress-check ablation."""
+"""Decomposition-algorithm benchmarks (Figure 4 / Theorem 2): the
+paper's two running redesigns, the scaled multi-anomaly workload, the
+Proposition 7 implication-free variant, and the progress-check
+ablation (``python -m repro.bench run --only normalize.``)."""
 
 from __future__ import annotations
 

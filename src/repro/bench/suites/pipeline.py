@@ -1,7 +1,7 @@
-"""End-to-end pipeline benchmarks (the paper's figures as workloads),
-from the former ``benchmarks/bench_examples.py``: the Figure 1 story,
-the Example 1.2 DBLP redesign, migration scaling, and the
-Proposition 8 lossless verification."""
+"""End-to-end pipeline benchmarks (the paper's figures as workloads):
+the Figure 1 story, the Example 1.2 DBLP redesign, migration scaling,
+and the Proposition 8 lossless verification (``python -m repro.bench
+run --only pipeline.``)."""
 
 from __future__ import annotations
 

@@ -1,14 +1,15 @@
-"""Batch-runtime overhead benchmarks, sharing the workload of the
-``benchmarks/bench_runtime.py`` gate script.
+"""Batch-runtime benchmarks, sharing their corpus workload with the
+task-level gates of ``python -m repro.bench.seams``.
 
 The runtime layer's contract (docs/ROBUSTNESS.md) mirrors the
 governor's: with no faults installed and the ensemble ``off``, running
 tasks through :class:`~repro.runtime.batch.BatchRunner` must cost
 within 1 % of executing the same specs directly — the per-task
 isolation (span, budget, session) and outcome bookkeeping may not tax
-the happy path.  Two entries record both sides of that contract in the
-bench trajectory; a third tracks the (deliberately expensive)
-``check``-mode ensemble so its cost stays visible, not gated.
+the happy path.  The ``runtime`` seam gate holds that bound; the two
+entries here record both sides in full in the bench trajectory, and a
+third tracks the (deliberately expensive) ``check``-mode ensemble so
+its cost stays visible, not gated.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Tree-tuple machinery benchmarks (Section 3), from the former
-``benchmarks/bench_tuples.py``: extraction scaling (long and wide
-documents), the Theorem 1 round-trip, and FD satisfaction."""
+"""Tree-tuple machinery benchmarks (Section 3): extraction scaling
+(long and wide documents), the Theorem 1 round-trip, and FD
+satisfaction (``python -m repro.bench run --only tuples.``)."""
 
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
-"""XNF-test benchmarks (Corollary 1), from the former
-``benchmarks/bench_xnf.py``: the scaling series, the violation
-listing, the real-world ebXML schema, and the already-normalized fast
-path."""
+"""XNF-test benchmarks (Corollary 1): the scaling series, the
+violation listing, the real-world ebXML schema, and the
+already-normalized fast path (``python -m repro.bench run --only
+xnf.``)."""
 
 from __future__ import annotations
 

@@ -39,8 +39,9 @@ whole pipeline:
 
 Hot-path contract (same as obs and guard): while no plan is installed,
 an instrumented site performs one module-attribute read
-(``faults.active``) and nothing else; ``benchmarks/bench_guard.py``
-keeps the combined disabled overhead under 1%.
+(``faults.active``) and nothing else — the shape of the guard's
+engine-entry check, which the ``guard`` gate of ``python -m
+repro.bench.seams`` holds under 1%.
 
 When :mod:`repro.obs` is enabled every fired fault increments
 ``faults.injected`` and ``faults.injected.<kind>``.

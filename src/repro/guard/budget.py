@@ -39,8 +39,9 @@ convenience) so the existing engine signatures stay unchanged::
 Hot-path contract (mirrors :mod:`repro.obs.metrics`): while no budget
 is installed, an instrumented site performs one module-attribute read
 (``budget.active``) — or, inside engine loops, one ``is None`` test on
-a captured local — and nothing else.  ``benchmarks/bench_guard.py``
-verifies the disabled overhead stays under 1%.
+a captured local — and nothing else.  The ``guard`` gate of
+``python -m repro.bench.seams`` verifies the disabled overhead stays
+under 1%.
 
 Budgets install at one of two scopes.  The default (``scope=
 "process"``) matches the obs registry: a budget installed in one
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from typing import Callable, Iterator
 
 from repro.errors import ResourceExhausted
@@ -302,19 +303,34 @@ def teardown() -> int:
     return removed
 
 
-@contextmanager
+class _NoLimits:
+    """The shared do-nothing context :func:`limits` returns when no
+    limit is set, so an unlimited call allocates nothing (mirrors
+    ``repro.obs.trace._NULL_SCOPE``)."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+_NO_LIMITS = _NoLimits()
+
+
 def limits(*, deadline: float | None = None, max_steps: int | None = None,
            max_branches: int | None = None, max_nodes: int | None = None,
            clock: Callable[[], float] = time.monotonic,
-           scope: str = "process") -> Iterator[Budget | None]:
-    """``use(Budget(...))`` in one call; a no-op when every limit is
-    ``None`` (so callers can thread optional CLI flags through
-    unconditionally)."""
+           scope: str = "process",
+           ) -> AbstractContextManager[Budget | None]:
+    """``use(Budget(...))`` in one call; a shared no-op context
+    (entering as ``None``) when every limit is ``None``, so callers can
+    thread optional CLI flags through unconditionally."""
     if (deadline is None and max_steps is None and max_branches is None
             and max_nodes is None):
-        yield None
-        return
-    with use(Budget(deadline=deadline, max_steps=max_steps,
-                    max_branches=max_branches, max_nodes=max_nodes,
-                    clock=clock), scope=scope) as budget:
-        yield budget
+        return _NO_LIMITS
+    return use(Budget(deadline=deadline, max_steps=max_steps,
+                      max_branches=max_branches, max_nodes=max_nodes,
+                      clock=clock), scope=scope)

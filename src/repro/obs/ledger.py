@@ -40,6 +40,7 @@ siblings does.  ``--absolute`` compares raw wall times instead.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -74,6 +75,34 @@ def fingerprint(text: str | None) -> str | None:
     if text is None:
         return None
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def spec_fingerprints(task) -> tuple[str | None, str | None]:
+    """``(dtd_sha, fds_sha)`` of a task's spec texts, each ``None``
+    when its file cannot be read (the task dead-letters on that)."""
+    shas = []
+    for load in (task.load_dtd_text, task.load_fds_text):
+        try:
+            shas.append(fingerprint(load()))
+        except (ReproError, OSError):
+            shas.append(None)
+    return shas[0], shas[1]
+
+
+def append_line(stream: IO[str], line: str, *, fsync: bool) -> None:
+    """Append one full line in a single write, flush, and optionally
+    fsync it.  A failed append closes ``stream`` (its buffer would only
+    fail again on close) and raises :class:`ReproError`."""
+    try:
+        stream.write(line)
+        stream.flush()
+        if fsync:
+            os.fsync(stream.fileno())
+    except OSError as error:
+        with contextlib.suppress(OSError):
+            stream.close()
+        name = getattr(stream, "name", "<stream>")
+        raise ReproError(f"cannot append to {name}: {error}") from error
 
 
 def counters_digest(delta: dict) -> str | None:
@@ -119,14 +148,7 @@ class LedgerWriter:
         """The ledger record for one terminal :class:`TaskOutcome`
         (without writing it)."""
         task = outcome.task
-        try:
-            dtd_sha = fingerprint(task.load_dtd_text())
-        except ReproError:
-            dtd_sha = None
-        try:
-            fds_sha = fingerprint(task.load_fds_text())
-        except ReproError:
-            fds_sha = None
+        dtd_sha, fds_sha = spec_fingerprints(task)
         return {
             "schema": LEDGER_SCHEMA,
             "version": LEDGER_VERSION,
@@ -151,11 +173,8 @@ class LedgerWriter:
         as a *single write* of a full line (crash-consistent like the
         batch journal — never two records interleaved, never a partial
         line followed by more records), flush, and optionally fsync."""
-        line = json.dumps(self.record_for(outcome)) + "\n"
-        self.stream.write(line)
-        self.stream.flush()
-        if self.fsync:
-            os.fsync(self.stream.fileno())
+        append_line(self.stream, json.dumps(self.record_for(outcome))
+                    + "\n", fsync=self.fsync)
         self.records_written += 1
 
 

@@ -177,11 +177,7 @@ class SerialBackend:
         outcomes = dict(runner.replayed_outcomes())
         for index, task in runner.pending_tasks():
             runner.journal_intent(index, task)
-            outcome = runner._run_task(task)
-            runner.journal_result(index, outcome)
-            outcomes[index] = outcome
-            if runner.on_task_done is not None:
-                runner.on_task_done(outcome)
+            runner.commit(index, runner._run_task(task), outcomes)
         return [outcomes[index] for index in sorted(outcomes)]
 
 
@@ -228,8 +224,8 @@ class BatchRunner:
         self.backend = backend if backend is not None else SerialBackend()
         #: Optional :class:`repro.runtime.journal.BatchJournal`.  The
         #: seam below is shared by both backends and costs one ``None``
-        #: check per call when disabled (gated <1% by
-        #: ``benchmarks/bench_journal.py``).
+        #: check per call when disabled (gated <1% by the ``journal``
+        #: gate of ``python -m repro.bench.seams``).
         self.journal = journal
 
     # -- the journal seam ----------------------------------------------
@@ -254,11 +250,17 @@ class BatchRunner:
         if self.journal is not None:
             self.journal.intent(index, task)
 
-    def journal_result(self, index: int, outcome: "TaskOutcome") -> None:
-        """Record a task's terminal outcome, durably, before it is
-        merged into the in-memory report."""
+    def commit(self, index: int, outcome: "TaskOutcome",
+               outcomes: dict) -> None:
+        """The one commit path of a finished task, on every backend:
+        journal the outcome durably, merge it into ``outcomes``, then
+        hand it to ``on_task_done``.  A write failure on the way is a
+        :class:`ReproError` that ends the batch."""
         if self.journal is not None:
             self.journal.result(index, outcome)
+        outcomes[index] = outcome
+        if self.on_task_done is not None:
+            self.on_task_done(outcome)
 
     # -- one task ------------------------------------------------------
 
@@ -293,11 +295,18 @@ class BatchRunner:
                     engine=engine).is_in_xnf()}
 
     def _attempt(self, task: Task, outcome: TaskOutcome) -> dict:
-        """One isolated attempt: own budget, span, ensemble session."""
+        """One isolated attempt: own span, budget and ensemble session,
+        each entered only when switched on — with obs disabled, no
+        limit set and no route to the ensemble, the task runs bare."""
+        ensemble = self.ensemble_mode != "off" or task.engine == "ensemble"
+        if not (_obs.enabled or ensemble or task.budgeted):
+            return self._execute(task)
         with _trace.task_scope(task.id):
             with _trace.span("runtime.task", task=task.id, op=task.op,
                              attempt=outcome.attempts):
                 with guard.limits(**task.budget_kwargs()):
+                    if not ensemble:
+                        return self._execute(task)
                     with _ensemble.session(self.ensemble_mode) as sess:
                         try:
                             return self._execute(task)

@@ -72,10 +72,10 @@ import os
 import sys
 from typing import IO, Callable
 
-from repro.errors import JournalError, ReproError
+from repro.errors import JournalError
 from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
-from repro.obs.ledger import fingerprint
+from repro.obs.ledger import append_line, fingerprint, spec_fingerprints
 from repro.runtime.batch import (
     REASON_BREAKER_OPEN,
     REASON_WORKER_CRASH,
@@ -333,10 +333,7 @@ class BatchJournal:
         # fsync can only lose or tear the *trailing* record, which
         # resume truncates.  (Buffered partial flushes are why the
         # write must be a single call.)
-        self._stream.write(line)
-        self._stream.flush()
-        if self._fsync:
-            os.fsync(self._stream.fileno())
+        append_line(self._stream, line, fsync=self._fsync)
         if not line.endswith("\n"):
             # The injected mid-append kill: the torn record is on disk
             # and this process must stop appending past the hole.
@@ -375,14 +372,7 @@ class BatchJournal:
 
     def result(self, index: int, outcome: TaskOutcome) -> None:
         task = outcome.task
-        try:
-            dtd_sha = fingerprint(task.load_dtd_text())
-        except (ReproError, OSError):
-            dtd_sha = None
-        try:
-            fds_sha = fingerprint(task.load_fds_text())
-        except (ReproError, OSError):
-            fds_sha = None
+        dtd_sha, fds_sha = spec_fingerprints(task)
         self._append({"record": "result", "index": index,
                       "id": task.id, "op": task.op,
                       "dtd_sha": dtd_sha, "fds_sha": fds_sha,

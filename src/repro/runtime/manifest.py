@@ -100,6 +100,13 @@ class Task:
     max_branches: int | None = None
     max_nodes: int | None = None
 
+    @property
+    def budgeted(self) -> bool:
+        """Whether any :func:`repro.guard.limits` limit is set."""
+        return (self.timeout is not None or self.max_steps is not None
+                or self.max_branches is not None
+                or self.max_nodes is not None)
+
     def budget_kwargs(self) -> dict:
         """The :func:`repro.guard.limits` kwargs for this task."""
         return {"deadline": self.timeout, "max_steps": self.max_steps,

@@ -563,13 +563,10 @@ class PoolBackend:
                 failures=list(assignment.crash_failures),
                 reason=self._reason_worker_crash,
                 signature=assignment.crash_signature)
-            runner.journal_result(assignment.index, outcome)
-            outcomes[assignment.index] = outcome
             self.stats.dead_lettered += 1
             if _obs.enabled:
                 _obs.inc("runtime.tasks.deadletter")
-            if runner.on_task_done is not None:
-                runner.on_task_done(outcome)
+            runner.commit(assignment.index, outcome, outcomes)
 
         def handle_result(worker: _Worker, index: int,
                           outcome: "TaskOutcome",
@@ -601,10 +598,7 @@ class PoolBackend:
                     assignment.crash_signature).record_success()
             # Durably journaled before the in-memory merge: a parent
             # death after this line costs nothing on resume.
-            runner.journal_result(index, outcome)
-            outcomes[index] = outcome
-            if runner.on_task_done is not None:
-                runner.on_task_done(outcome)
+            runner.commit(index, outcome, outcomes)
 
         def handle_breaker(worker: _Worker, op: str,
                            signature: str) -> None:
@@ -627,6 +621,22 @@ class PoolBackend:
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown breaker op {op!r}")
 
+        def receive(worker: _Worker) -> tuple[list, bool]:
+            """The messages waiting on ``worker``'s pipe, and whether
+            one could not be unpickled.  Only the pipe calls are
+            guarded: an error while *handling* a message (the parent's
+            own journal or ledger append) ends the batch instead of
+            passing for a worker death."""
+            messages: list = []
+            try:
+                while worker.conn.poll():
+                    messages.append(worker.conn.recv())
+            except (EOFError, OSError):
+                pass  # death: the sentinel handler takes over
+            except Exception:  # unpicklable: the channel is poisoned
+                return messages, True
+            return messages, False
+
         def handle_death(worker: _Worker) -> None:
             nonlocal breach
             self._live.pop(worker.id, None)
@@ -638,24 +648,17 @@ class PoolBackend:
                 # between send and our next recv) — drain it before
                 # judging, so no task ever runs twice *visibly* and
                 # no breach is misfiled as a requeueable crash.
-                try:
-                    while worker.conn.poll():
-                        message = worker.conn.recv()
-                        if message[0] == "result":
-                            handle_result(worker, message[1],
-                                          message[2], message[3],
-                                          message[4])
-                        elif message[0] == "hello":
-                            worker.clock_offset = \
-                                time.perf_counter() - message[2]
-                        elif message[0] == "brk" \
-                                and message[1] != "ask":
-                            handle_breaker(worker, message[1],
-                                           message[2])
-                        elif message[0] == "breach":
-                            breach_report = message[1]
-                except Exception:
-                    pass
+                for message in receive(worker)[0]:
+                    if message[0] == "result":
+                        handle_result(worker, message[1], message[2],
+                                      message[3], message[4])
+                    elif message[0] == "hello":
+                        worker.clock_offset = \
+                            time.perf_counter() - message[2]
+                    elif message[0] == "brk" and message[1] != "ask":
+                        handle_breaker(worker, message[1], message[2])
+                    elif message[0] == "breach":
+                        breach_report = message[1]
             try:
                 worker.conn.close()
             except OSError:
@@ -803,42 +806,35 @@ class PoolBackend:
                         continue  # sentinel: handled below
                     if worker.id not in self._live:
                         continue  # already reaped this round
-                    try:
-                        while worker.conn.poll():
-                            message = worker.conn.recv()
-                            worker.last_seen = time.monotonic()
-                            if message[0] == "result":
-                                handle_result(worker, message[1],
-                                              message[2], message[3],
-                                              message[4])
-                            elif message[0] == "brk":
-                                handle_breaker(worker, message[1],
-                                               message[2])
-                            elif message[0] == "hello":
-                                # Clock handshake: measure the offset
-                                # between our perf_counter origin and
-                                # the worker's (the recv latency makes
-                                # it a slight overestimate, which only
-                                # shifts stitched spans later — never
-                                # before their dispatch).
-                                worker.clock_offset = \
-                                    time.perf_counter() - message[2]
-                            elif message[0] == "hb":
-                                pass
-                            elif message[0] == "breach":
-                                breach = message[1]
-                                raise _BreachSignal()
-                            else:  # pragma: no cover - defensive
-                                raise RuntimeError(
-                                    "unknown pool message "
-                                    f"{message[0]!r}")
-                    except (EOFError, OSError):
-                        pass  # death: the sentinel handler takes over
-                    except _BreachSignal:
-                        raise
-                    except RuntimeError:
-                        raise
-                    except Exception:
+                    messages, poisoned = receive(worker)
+                    if messages:
+                        worker.last_seen = time.monotonic()
+                    for message in messages:
+                        if message[0] == "result":
+                            handle_result(worker, message[1],
+                                          message[2], message[3],
+                                          message[4])
+                        elif message[0] == "brk":
+                            handle_breaker(worker, message[1],
+                                           message[2])
+                        elif message[0] == "hello":
+                            # Clock handshake: measure the offset
+                            # between our perf_counter origin and the
+                            # worker's (the recv latency makes it a
+                            # slight overestimate, which only shifts
+                            # stitched spans later — never before
+                            # their dispatch).
+                            worker.clock_offset = \
+                                time.perf_counter() - message[2]
+                        elif message[0] == "hb":
+                            pass
+                        elif message[0] == "breach":
+                            breach = message[1]
+                            raise _BreachSignal()
+                        else:  # pragma: no cover - defensive
+                            raise RuntimeError(
+                                f"unknown pool message {message[0]!r}")
+                    if poisoned:
                         # recv() could not unpickle what the worker
                         # wrote: the channel is poisoned — kill the
                         # worker and let the death handler requeue.

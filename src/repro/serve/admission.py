@@ -77,7 +77,10 @@ class AdmissionGate:
         self.max_queue = max_queue
         self.queue_timeout_s = queue_timeout_s
         self._clock = clock
-        self._cond = threading.Condition()
+        # ``with self._lock`` rather than ``with self._cond``: the same
+        # lock, without a Python-level call on every admit and release.
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._inflight = 0
         self._waiting = 0
         self._draining = False
@@ -86,17 +89,17 @@ class AdmissionGate:
 
     @property
     def inflight(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._inflight
 
     @property
     def queue_depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._waiting
 
     @property
     def draining(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._draining
 
     # -- admission -----------------------------------------------------
@@ -105,7 +108,7 @@ class AdmissionGate:
         """Try to enter; may block up to ``queue_timeout_s``."""
         if _faults.active:
             _faults.fire(_SITE_ADMISSION)
-        with self._cond:
+        with self._lock:
             if self._draining:
                 self._count("serve.drain.refused")
                 return Decision.DRAINING
@@ -140,10 +143,12 @@ class AdmissionGate:
 
     def release(self) -> None:
         """Leave the in-flight set (only after an ``ADMITTED``)."""
-        with self._cond:
+        with self._lock:
             self._inflight -= 1
             self._account()
-            self._cond.notify_all()
+            if self._waiting or self._draining:
+                # Only queued admits and a drain ever wait on the gate.
+                self._cond.notify_all()
 
     # -- drain ---------------------------------------------------------
 
@@ -156,7 +161,7 @@ class AdmissionGate:
         Idempotent: a second call (mid-drain SIGTERM) just joins the
         same wait.
         """
-        with self._cond:
+        with self._lock:
             self._draining = True
             self._cond.notify_all()  # bounce the current waiters
             deadline = self._clock() + deadline_s

@@ -3,10 +3,8 @@
 Drives :func:`repro.runtime.corpus.iter_tasks` — the same
 deterministic spec corpus the batch runtime executes — through the
 HTTP API from ``concurrency`` client threads, and reports throughput
-plus latency quantiles.  Used three ways:
+plus latency quantiles.  Used two ways:
 
-* ``benchmarks/bench_serve.py`` — sustained-throughput / tail-latency
-  numbers against an in-process server (advisory);
 * the CI ``serve-smoke`` job — live traffic while ``/metrics`` and
   ``/readyz`` are scraped and a SIGTERM lands mid-run, asserting no
   accepted request is ever lost;

@@ -32,8 +32,9 @@ can always parse ``body["error"]["kind"]``:
 
 The accounting seam is :func:`account` — one call per finished
 request, fully gated on ``obs.enabled`` so the disabled service pays
-only the flag check (``benchmarks/bench_serve.py`` holds this seam
-under 1% of a no-op request).
+only the flag check (the ``serve`` gate of ``python -m
+repro.bench.seams`` holds it, with the admission round trip, under 1%
+of the cheapest keep-alive request).
 """
 
 from __future__ import annotations
