@@ -105,10 +105,22 @@ _live_engines: "weakref.WeakSet[ImplicationEngine]" = weakref.WeakSet()
 
 
 class ImplicationEngine:
-    """A cached implication oracle for a fixed ``(D, Σ)``."""
+    """A cached implication oracle for a fixed ``(D, Σ)``.
+
+    ``trivial`` optionally supplies the Σ=∅ engine behind
+    :meth:`is_trivial`: one already built on the same ``dtd`` object
+    with the same ``engine``, whose answers are then shared instead of
+    re-decided.
+    """
 
     def __init__(self, dtd: DTD, sigma: Iterable[FD], *,
-                 engine: EngineName = "auto") -> None:
+                 engine: EngineName = "auto",
+                 trivial: "ImplicationEngine | None" = None) -> None:
+        if trivial is not None and (trivial.dtd is not dtd
+                                    or trivial.sigma
+                                    or trivial.engine != engine):
+            raise ValueError("trivial must be a Σ=∅ engine on the same "
+                             "DTD with the same engine")
         self.dtd = dtd
         self.sigma = [fd.validate(dtd) for fd in sigma]
         self.engine: EngineName = engine
@@ -119,7 +131,7 @@ class ImplicationEngine:
         #: Σ compiled for the closure, and the Σ=∅ engine behind
         #: :meth:`is_trivial`; both built on first use.
         self._index: SigmaIndex | None = None
-        self._trivial: ImplicationEngine | None = None
+        self._trivial: ImplicationEngine | None = trivial
         _live_engines.add(self)
 
     @staticmethod
@@ -248,8 +260,9 @@ class ImplicationEngine:
     def is_trivial(self, fd: FD) -> bool:
         """``(D, ∅) |- fd``: the FD holds in every conforming tree.
 
-        Answered by one Σ=∅ engine held for this engine's lifetime, so
-        repeated triviality checks hit its cache."""
+        Answered by one Σ=∅ engine held for this engine's lifetime
+        (the constructor's ``trivial``, else built here), so repeated
+        triviality checks hit its cache."""
         if self._trivial is None:
             self._trivial = ImplicationEngine(self.dtd, [],
                                               engine=self.engine)

@@ -94,7 +94,9 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
               resume: "_checkpoint.NormalizationCheckpoint | None" = None,
               on_step: Callable[
                   ["_checkpoint.NormalizationCheckpoint"], None,
-              ] | None = None) -> NormalizationResult:
+              ] | None = None,
+              oracle: ImplicationEngine | None = None,
+              ) -> NormalizationResult:
     """Run the XNF decomposition algorithm to completion.
 
     ``naming`` may supply element names for each *create* step (called
@@ -107,6 +109,12 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
     resumed run is deterministic: it yields the same final DTD and Σ as
     the uninterrupted run, with pre-checkpoint steps represented by
     description-only records that cannot migrate documents.
+
+    Each ``(D, Σ)`` the run visits gets one :class:`ImplicationEngine`:
+    the engine that checks a step's progress decides the next round.
+    ``oracle``, an engine the caller already holds on ``(dtd, sigma)``
+    with the same ``engine``, decides round 1 (without ``resume``,
+    which starts from the checkpoint's ``(D, Σ)`` instead).
     """
     original_sigma = [fd.validate(dtd) for fd in sigma]
     origin = ""
@@ -126,11 +134,18 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
                 "checkpoint Sigma is inconsistent with its DTD: "
                 f"{error}") from error
         steps = list(recorded)
+        oracle = None
     current_sigma = _preprocess(current_dtd, current_sigma)
+    # AP(D, Σ) of the current pair, once computed: a progress check's
+    # ``after`` is the next round's ``before``.
+    before: frozenset[Path] | None = None
 
     budget = _guard.current() if _guard.active else None
     try:
         with _obs.timer("normalize.total"), _span("normalize"):
+            if oracle is None:
+                oracle = ImplicationEngine(current_dtd, current_sigma,
+                                           engine=engine)
             for _round in range(max_steps):
                 if _faults.active:
                     _faults.fire(_SITE_ROUND)
@@ -141,16 +156,15 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
                     budget.tick_steps()
                 with _span("normalize.round",
                            round=_round) as round_span:
-                    oracle = ImplicationEngine(
-                        current_dtd, current_sigma, engine=engine)
+                    queries = oracle.query_count()
                     anomalous = anomalous_sigma_fds(oracle)
                     round_span.set("anomalous_before", len(anomalous))
                     if not anomalous:
                         round_span.set("rule", "converged")
                         return NormalizationResult(
                             current_dtd, current_sigma, steps)
-                    before = anomalous_paths(oracle) if check_progress \
-                        else None
+                    if check_progress and before is None:
+                        before = anomalous_paths(oracle)
 
                     step = _apply_one(current_dtd, current_sigma, oracle,
                                       anomalous, naming, len(steps),
@@ -173,12 +187,11 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
                         _obs.inc(f"normalize.steps.{step.kind}")
                         round_span.set("rule", step.kind)
                         round_span.set("implication_queries",
-                                       oracle.query_count())
+                                       oracle.query_count() - queries)
 
+                    oracle = _next_engine(step, current_sigma, engine)
                     if check_progress:
-                        after_oracle = ImplicationEngine(
-                            current_dtd, current_sigma, engine=engine)
-                        after = anomalous_paths(after_oracle)
+                        after = anomalous_paths(oracle)
                         round_span.set("anomalous_paths_after",
                                        len(after))
                         assert before is not None
@@ -190,6 +203,7 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
                                 f"{sorted(map(str, before))} to "
                                 f"{sorted(map(str, after))} after step "
                                 f"{step.description!r}")
+                        before = after
     except ResourceExhausted as error:
         # Partial progress: the transforms applied before the trip are
         # sound individually, so surface them for diagnostics/resume.
@@ -200,6 +214,19 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
         raise
     raise NormalizationError(
         f"normalization did not converge within {max_steps} steps")
+
+
+def _next_engine(step: TransformStep, sigma: list[FD],
+                 engine: EngineName) -> ImplicationEngine:
+    """The engine on the step's ``(D, Σ)``.  It adopts the Σ=∅ engine
+    that filtered the step's Σ when that one decides with the same
+    engine, and the step lets go of it: the Σ=∅ engine lives as long
+    as the engines of this run, not as long as the result."""
+    trivial, step.trivial = step.trivial, None
+    if trivial is not None and trivial.engine != engine:
+        trivial = None
+    return ImplicationEngine(step.dtd, sigma, engine=engine,
+                             trivial=trivial)
 
 
 def _q_is_safe(dtd: DTD, value: Path, q: Path) -> bool:

@@ -64,6 +64,10 @@ class TransformStep:
     description: str
     renaming: dict[Path, Path]      # old path -> new path (moved values)
     _migrator: Callable[[XMLTree], XMLTree] = field(repr=False, default=None)
+    #: The Σ=∅ engine on ``dtd`` that filtered ``sigma``; the
+    #: normalizer hands it to the next round's engine, then drops it.
+    trivial: ImplicationEngine | None = field(
+        repr=False, compare=False, default=None)
 
     def migrate(self, tree: XMLTree) -> XMLTree:
         """Carry a document conforming to the old DTD across the step."""
@@ -127,8 +131,10 @@ def _single_occurrence_guard(dtd: DTD, element: str, *,
     return hits[0]
 
 
-def _drop_dead_and_trivial(dtd: DTD, fds: Iterable[FD]) -> list[FD]:
-    """Keep FDs whose paths exist in ``dtd``, dropping trivial ones."""
+def _drop_dead_and_trivial(dtd: DTD, fds: Iterable[FD],
+                           ) -> tuple[list[FD], ImplicationEngine]:
+    """Keep FDs whose paths exist in ``dtd``, dropping trivial ones;
+    also returns the Σ=∅ engine that decided triviality."""
     survivors: list[FD] = []
     oracle = ImplicationEngine(dtd, [])
     seen: set[FD] = set()
@@ -141,7 +147,7 @@ def _drop_dead_and_trivial(dtd: DTD, fds: Iterable[FD]) -> list[FD]:
         if oracle.implies(fd):
             continue  # trivial in the new DTD
         survivors.append(fd)
-    return survivors
+    return survivors, oracle
 
 
 def _node_paths(tree: XMLTree) -> dict[str, Path]:
@@ -240,7 +246,7 @@ def move_attribute(dtd: DTD, sigma: Iterable[FD], value_path: Path,
     # anomaly at the new location, breaking Proposition 6.  (Example
     # 5.2 makes the same point: FD5 is not replaced by
     # issue -> issue.@year.)
-    new_sigma = _drop_dead_and_trivial(
+    new_sigma, trivial = _drop_dead_and_trivial(
         new_dtd, (fd for fd in sigma if value_path not in fd.paths))
 
     def migrate(tree: XMLTree) -> XMLTree:
@@ -297,7 +303,7 @@ def move_attribute(dtd: DTD, sigma: Iterable[FD], value_path: Path,
                                             frozenset({value_path})),
                          dtd=new_dtd, sigma=new_sigma,
                          description=description, renaming=renaming,
-                         _migrator=migrate)
+                         _migrator=migrate, trivial=trivial)
 
 
 def _delete_subtree(tree: XMLTree, node: str) -> None:
@@ -458,7 +464,7 @@ def create_element_type(dtd: DTD, sigma: Iterable[FD], fd: FD, *,
         new_sigma.append(
             FD(frozenset({tau_path, key_path}),
                frozenset({key_path.parent})))
-    new_sigma = _drop_dead_and_trivial(new_dtd, new_sigma)
+    new_sigma, trivial = _drop_dead_and_trivial(new_dtd, new_sigma)
 
     # --- instance migration -----------------------------------------------
     def migrate(tree: XMLTree) -> XMLTree:
@@ -535,7 +541,8 @@ def create_element_type(dtd: DTD, sigma: Iterable[FD], fd: FD, *,
         f"{', '.join(str(k) for k in keys)} storing {value}")
     return TransformStep(kind="create", fd=fd, dtd=new_dtd,
                          sigma=new_sigma, description=description,
-                         renaming=renaming, _migrator=migrate)
+                         renaming=renaming, _migrator=migrate,
+                         trivial=trivial)
 
 
 def _fresh_in(used: set[str], base: str) -> str:

@@ -27,7 +27,7 @@ from repro.fd.satisfaction import satisfies_all, violating_pairs
 from repro.normalize.algorithm import NormalizationResult, normalize
 from repro.normalize.simple_algorithm import normalize_simple
 from repro.normalize.transforms import NewElementNames
-from repro.xnf.check import is_in_xnf, xnf_violations
+from repro.xnf.check import xnf_violations
 from repro.xmltree.conformance import conforms, validate_conformance
 from repro.xmltree.model import XMLTree
 from repro.xmltree.parser import parse_xml
@@ -96,11 +96,11 @@ class XMLSpec:
 
     def is_in_xnf(self) -> bool:
         """Definition 8, tested per Proposition 10."""
-        return is_in_xnf(self.dtd, self.sigma, engine=self.engine)
+        return not self.xnf_violations()
 
     def xnf_violations(self) -> list[FD]:
         """The anomalous Σ-FDs witnessing an XNF violation."""
-        return xnf_violations(self.dtd, self.sigma, engine=self.engine)
+        return xnf_violations(self.dtd, self.sigma, oracle=self.oracle)
 
     # -- documents ----------------------------------------------------------
 
@@ -139,11 +139,13 @@ class XMLSpec:
 
         ``resume``/``on_step`` thread through to
         :func:`repro.normalize.algorithm.normalize` for checkpointed,
-        resumable runs.
+        resumable runs.  Round 1 of a fresh run is decided by
+        :attr:`oracle`.
         """
         return normalize(self.dtd, self.sigma, engine=self.engine,
                          naming=naming, check_progress=check_progress,
-                         resume=resume, on_step=on_step)
+                         resume=resume, on_step=on_step,
+                         oracle=self.oracle)
 
     def normalize_simple(self, *, naming: Callable[[int, FD],
                                                    NewElementNames]

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import UnsupportedFeatureError
+from repro.datasets.generators import scaled_university_spec
+from repro.errors import NormalizationError, UnsupportedFeatureError
 from repro.dtd.parser import parse_dtd
 from repro.fd.model import FD
+from repro.normalize import algorithm
 from repro.normalize.algorithm import normalize
-from repro.normalize.transforms import NewElementNames
+from repro.normalize.transforms import NewElementNames, TransformStep
 from repro.xnf.check import is_in_xnf
 
 
@@ -75,6 +77,45 @@ class TestCombinedAnomalies:
         result = normalize(uni_spec.dtd, uni_spec.sigma,
                            check_progress=True)
         assert is_in_xnf(result.dtd, result.sigma)
+
+
+class TestProgressCheckFires:
+    """A step that leaves (D, Σ) unchanged makes no Proposition 6
+    progress, and the runtime check must say so — in round 1, whose
+    ``before`` is computed in the round, and in a later round, whose
+    ``before`` is the previous round's progress-check ``after``."""
+
+    @pytest.mark.parametrize("planted_round", [0, 1])
+    def test_identity_step_raises(self, monkeypatch, planted_round):
+        real = algorithm._apply_one
+
+        def apply_one(dtd, sigma, oracle, anomalous, naming, step_index,
+                      engine):
+            if step_index == planted_round:
+                return TransformStep(
+                    kind="move", fd=anomalous[0], dtd=dtd,
+                    sigma=list(sigma), description="identity",
+                    renaming={})
+            return real(dtd, sigma, oracle, anomalous, naming,
+                        step_index, engine)
+
+        monkeypatch.setattr(algorithm, "_apply_one", apply_one)
+        spec = scaled_university_spec(3)
+        with pytest.raises(NormalizationError,
+                           match="Proposition 6 progress violated"):
+            spec.normalize()
+
+    def test_check_runs_once_per_applied_step(self, monkeypatch):
+        compared = []
+        real = algorithm.progress_measure
+
+        def measure(paths):
+            compared.append(paths)
+            return real(paths)
+
+        monkeypatch.setattr(algorithm, "progress_measure", measure)
+        result = scaled_university_spec(3).normalize()
+        assert len(compared) == 2 * len(result.steps) == 6
 
 
 class TestPreprocessing:
