@@ -151,7 +151,7 @@ def ledger_gate(loops: int, repeats: int,
     from repro.runtime.batch import TaskOutcome
     runner, task, direct = _corpus(tasks)
     outcome = TaskOutcome(task=task)
-    runner._run_task_core = lambda task: outcome
+    runner._run_task_core = lambda task, refused: outcome
 
     def wrapper(loops: int) -> None:
         for _ in range(loops):

@@ -57,14 +57,16 @@ done/ok/dead-lettered, retries, breaker states, throughput, ETA) at
 most every ``--heartbeat-interval`` seconds (``-`` writes them to
 stderr, keeping stdout parseable), and publishes the same numbers as
 ``runtime.batch.*`` gauges for a concurrent ``--metrics-port`` scrape.
-``--journal FILE`` write-ahead-journals the run (fsync'd intent/result
-records); after a supervisor death — SIGKILL, OOM, power loss —
-re-running with ``--resume`` skips completed tasks, re-dispatches
+``--workers N`` runs the tasks on a supervised process pool whose
+summary is byte-identical to a serial run's.  ``--journal FILE``
+write-ahead-journals the run (fsync'd intent/result records, results
+in index order); after a supervisor death — SIGKILL, OOM, power loss
+— re-running with ``--resume`` skips completed tasks, re-dispatches
 in-flight ones, and produces a summary byte-identical to an
-uninterrupted serial run whenever no breaker opened (the journal
-format and resume contract are specified in ``docs/ROBUSTNESS.md``).
-A journal that cannot apply to the invocation — wrong manifest
-fingerprint, policy, or breaker knobs — exits with code 2.
+uninterrupted serial run (the journal format and resume contract are
+specified in ``docs/ROBUSTNESS.md``).  A journal that cannot apply to
+the invocation — wrong manifest fingerprint, policy, or breaker knobs,
+or results out of index order — exits with code 2.
 
 Service mode (see ``docs/SERVE.md``): ``xnf serve`` runs the pipeline
 as a long-lived HTTP/JSON daemon.  The budget flags change meaning
@@ -661,11 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="worker processes for parallel execution: "
                      "'auto' (one per CPU core, the default) or an "
-                     "explicit count; 1 runs serially.  The merged "
-                     "summary is byte-identical to a serial run "
-                     "whenever no circuit breaker opens; past that "
-                     "point breaker decisions depend on completion "
-                     "order (exact scope: docs/ROBUSTNESS.md)")
+                     "explicit count; 1 runs serially.  Tasks "
+                     "commit in index order, so the summary is "
+                     "byte-identical to a serial run "
+                     "(docs/ROBUSTNESS.md)")
     bat.add_argument("--crash-retries", type=_nonneg_int, default=3,
                      metavar="N",
                      help="worker deaths one task may survive before "
@@ -696,16 +697,15 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--journal", metavar="FILE",
                      help="write-ahead journal: append an fsync'd "
                      "intent record before each dispatch and a result "
-                     "record after each terminal outcome, so a killed "
-                     "supervisor can --resume without redoing or "
-                     "losing any completed task")
+                     "record as each task commits, in index order, so "
+                     "a killed supervisor can --resume without redoing "
+                     "or losing any completed task")
     bat.add_argument("--resume", action="store_true",
                      help="replay the --journal FILE: verify its meta "
                      "fingerprints (mismatch exits 2), skip completed "
                      "tasks, re-dispatch in-flight ones, and emit a "
                      "summary byte-identical to an uninterrupted "
-                     "serial run whenever no breaker opened "
-                     "(docs/ROBUSTNESS.md)")
+                     "serial run (docs/ROBUSTNESS.md)")
     bat.set_defaults(func=_cmd_batch)
 
     def _pos_float(text: str) -> float:

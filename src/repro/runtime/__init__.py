@@ -13,12 +13,12 @@ Built in this order, each piece usable on its own:
   (``engine="ensemble"``), escalating contradictions as first-class
   records;
 * :mod:`~repro.runtime.batch` — the runner tying them together under
-  the zero-task-loss invariant, with dead-letter reports and a
-  pluggable execution backend;
+  the zero-task-loss invariant, with dead-letter reports, a pluggable
+  execution backend and one commit path that settles breakers in
+  index order;
 * :mod:`~repro.runtime.pool` — the supervised process-pool backend:
-  parallel execution with crash detection, task requeue, centralized
-  breaker arbitration, and a merged report byte-identical to the
-  serial path on every run that opens no circuit breaker;
+  parallel execution with crash detection, task requeue, and commits
+  in index order, so its report is byte-identical to the serial one;
 * :mod:`~repro.runtime.corpus` — seeded spec-corpus generation for
   chaos and acceptance runs (streamable at any size).
 

@@ -36,19 +36,17 @@ The summary (:meth:`BatchRunner.run`) is a JSON-ready dict that is
 delays planned from ``(seed, task id, attempt)`` — two runs of the
 same manifest under the same fault plan are byte-identical.
 
-**Backends.**  The runner core (per-task execution, retry, breaker,
-outcome bookkeeping, summary assembly) is backend-agnostic.
+**Backends.**  The runner core (per-task execution, retry, outcome
+bookkeeping, summary assembly) is backend-agnostic.
 :class:`SerialBackend` (the default) walks the manifest in order in
 this process; :class:`repro.runtime.pool.PoolBackend` dispatches the
-same tasks to a supervised pool of forked worker processes,
-arbitrates their circuit-breaker decisions on this runner's own
-board, and merges their outcomes back into manifest order, so
-:meth:`BatchRunner.summarize` renders the *same bytes* for the same
-outcomes regardless of which backend produced them.  The summary is
-byte-identical to a serial run whenever no breaker opens; once one
-does, probe-vs-skip decisions depend on the order concurrent
-failures reach the shared board (the exact scope is laid out in
-``docs/ROBUSTNESS.md``).
+same tasks to a supervised pool of forked worker processes.  Both
+commit finished tasks in manifest order through
+:meth:`BatchRunner.commit`, where :func:`settle` applies each
+outcome's breaker traffic to this runner's board exactly as a serial
+run would, so :meth:`BatchRunner.summarize` renders the *same bytes*
+whichever backend ran the tasks (``docs/ROBUSTNESS.md`` § "The
+determinism argument").
 """
 
 from __future__ import annotations
@@ -134,10 +132,28 @@ class TaskOutcome:
     #: stay byte-deterministic and wall clocks are not.
     wall_s: float = 0.0
     counter_delta: dict = field(default_factory=dict)
+    #: ``len(disagreements)`` after each failed attempt, so
+    #: :meth:`truncate` can drop the records of the attempts it cuts.
+    disagreement_marks: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    def truncate(self, failures: int) -> None:
+        """Cut this outcome back to its first ``failures`` failed
+        attempts, dead-lettered ``breaker_open`` at the last of them —
+        where the serial retry loop would have stopped (see
+        :func:`settle`)."""
+        del self.failures[failures:]
+        del self.delays_ms[failures - 1:]
+        del self.disagreements[self.disagreement_marks[failures - 1]:]
+        del self.disagreement_marks[failures:]
+        self.attempts = failures
+        self.result = None
+        self.status = "dead-letter"
+        self.reason = REASON_BREAKER_OPEN
+        self.signature = self.failures[-1]["signature"]
 
     def to_json(self) -> dict:
         payload: dict = {"id": self.task.id, "op": self.task.op,
@@ -163,6 +179,70 @@ class TaskOutcome:
                 "error_chain": self.failures[-1]["chain"]}
 
 
+def settle(board: BreakerBoard, outcome) -> bool:
+    """Apply one finished task's breaker traffic to ``board``, in
+    manifest order: the one rule for how failures drive the breakers,
+    on both backends and on resume.
+
+    The retry loop only checks the refused set it was handed at
+    dispatch, which on a pool may lag the board.  So the outcome is
+    first held against the board's refused set now: a retry taken on a
+    signature it refuses is truncated away (``breaker_open`` at that
+    failure, where the serial loop stopped), and a task that stopped on
+    a signature it admits applies nothing and returns ``False``, to be
+    run again with the board's set.  Then each retried failure asks
+    ``allows_retries`` (admitting a due probe) and the terminal one
+    records success, skip or failure.  ``worker_crash`` outcomes carry
+    crash-board traffic only and leave ``board`` untouched.
+    """
+    failures = outcome.failures
+    if not failures or outcome.reason == REASON_WORKER_CRASH:
+        return True
+    refused = board.refused()
+    retried = failures if outcome.ok else failures[:-1]
+    for position, failure in enumerate(retried):
+        if failure["signature"] in refused:
+            ran = outcome.attempts
+            outcome.truncate(position + 1)
+            if _obs.enabled:
+                _obs.inc("runtime.pool.wasted_attempts",
+                         ran - outcome.attempts)
+            break
+    else:
+        if outcome.reason == REASON_BREAKER_OPEN \
+                and outcome.signature not in refused:
+            if _obs.enabled:
+                _obs.inc("runtime.pool.wasted_attempts", outcome.attempts)
+            return False
+    *retried, last = outcome.failures
+    for failure in retried:
+        board.get(failure["signature"]).allows_retries()
+    breaker = board.get(last["signature"])
+    if outcome.ok:
+        breaker.allows_retries()
+        breaker.record_success()
+    elif outcome.reason == REASON_BREAKER_OPEN:
+        breaker.record_skip()
+    else:
+        breaker.record_failure()
+    return True
+
+
+def _count(outcome: TaskOutcome) -> None:
+    """The ``runtime.tasks*`` counters of one committed outcome, so
+    ``--stats`` agrees with the summary on both backends."""
+    _obs.inc("runtime.tasks")
+    _obs.inc("runtime.attempts", outcome.attempts)
+    if outcome.delays_ms:
+        _obs.inc("runtime.retries", len(outcome.delays_ms))
+    if not outcome.ok:
+        _obs.inc("runtime.tasks.deadletter")
+        return
+    _obs.inc("runtime.tasks.ok")
+    if outcome.attempts > 1:
+        _obs.inc("runtime.tasks.retried")
+
+
 class SerialBackend:
     """The in-process backend: every task runs here, in manifest
     order.  This is the reference execution the pool backend's merged
@@ -177,7 +257,11 @@ class SerialBackend:
         outcomes = dict(runner.replayed_outcomes())
         for index, task in runner.pending_tasks():
             runner.journal_intent(index, task)
-            runner.commit(index, runner._run_task(task), outcomes)
+            # Each task reads the board its commit settles against, so
+            # settle never sends one back here.
+            committed = runner.commit(index, runner._run_task(task),
+                                      outcomes)
+            assert committed, f"serial task {task.id!r} sent back"
         return [outcomes[index] for index in sorted(outcomes)]
 
 
@@ -217,9 +301,9 @@ class BatchRunner:
         self._sleep = sleeper if sleeper is not None \
             else (lambda ms: time.sleep(ms / 1000.0))
         #: Live-telemetry hook (heartbeats, progress gauges): called
-        #: with each terminal :class:`TaskOutcome` — in manifest order
-        #: on the serial backend, in completion order on the pool.
-        #: ``None`` (the default) keeps the happy path hook-free.
+        #: with each terminal :class:`TaskOutcome` — in index order on
+        #: both backends.  ``None`` (the default) keeps the happy path
+        #: hook-free.
         self.on_task_done = on_task_done
         self.backend = backend if backend is not None else SerialBackend()
         #: Optional :class:`repro.runtime.journal.BatchJournal`.  The
@@ -240,10 +324,18 @@ class BatchRunner:
             skip=self.journal.completed_indices)
 
     def replayed_outcomes(self) -> dict:
-        """Completed outcomes replayed from the journal, by index."""
+        """Completed outcomes replayed from the journal, by index, with
+        their breaker traffic settled onto the board in index order —
+        a journal's results are an index-ordered prefix, so the board
+        ends where the interrupted run left it.  Backends call this
+        once, before any task runs."""
         if self.journal is None:
             return {}
-        return self.journal.completed_outcomes()
+        outcomes = self.journal.completed_outcomes()
+        for index in sorted(outcomes):
+            if not settle(self.board, outcomes[index]):
+                raise outcomes[index].stale()
+        return outcomes
 
     def journal_intent(self, index: int, task: Task) -> None:
         """Record that ``task`` is about to be dispatched."""
@@ -251,16 +343,23 @@ class BatchRunner:
             self.journal.intent(index, task)
 
     def commit(self, index: int, outcome: "TaskOutcome",
-               outcomes: dict) -> None:
-        """The one commit path of a finished task, on every backend:
-        journal the outcome durably, merge it into ``outcomes``, then
-        hand it to ``on_task_done``.  A write failure on the way is a
-        :class:`ReproError` that ends the batch."""
+               outcomes: dict) -> bool:
+        """The one commit path of a finished task, on every backend, in
+        index order: :func:`settle` its breaker traffic, count it,
+        journal it durably, merge it into ``outcomes``, then hand it to
+        ``on_task_done``.  Returns ``False``, committing nothing, when
+        settle sends the task back to run again.  A write failure on
+        the way is a :class:`ReproError` that ends the batch."""
+        if not settle(self.board, outcome):
+            return False
+        if _obs.enabled:
+            _count(outcome)
         if self.journal is not None:
             self.journal.result(index, outcome)
         outcomes[index] = outcome
         if self.on_task_done is not None:
             self.on_task_done(outcome)
+        return True
 
     # -- one task ------------------------------------------------------
 
@@ -315,13 +414,19 @@ class BatchRunner:
                                 record.to_json()
                                 for record in sess.disagreements)
 
-    def _run_task(self, task: Task) -> TaskOutcome:
+    def _run_task(self, task: Task,
+                  refused: frozenset[str] | None = None) -> TaskOutcome:
         """Run one task to a terminal outcome, measuring the ledger's
-        telemetry (wall time, counter delta) around the retry loop."""
+        telemetry (wall time, counter delta) around the retry loop.
+
+        ``refused`` is the board's refused set at dispatch; a pool
+        worker is always handed one.  ``None`` reads this runner's
+        board on the first failure that could retry: serially nothing
+        settles while a task runs, so that is the board at dispatch."""
         counters_before = _obs.counters_snapshot() if _obs.enabled \
             else None
         wall_start = time.perf_counter()
-        outcome = self._run_task_core(task)
+        outcome = self._run_task_core(task, refused)
         outcome.wall_s = time.perf_counter() - wall_start
         if counters_before is not None:
             outcome.counter_delta = {
@@ -330,69 +435,46 @@ class BatchRunner:
                 if value != counters_before.get(name, 0)}
         return outcome
 
-    def _run_task_core(self, task: Task) -> TaskOutcome:
+    def _run_task_core(self, task: Task,
+                       refused: frozenset[str] | None) -> TaskOutcome:
         outcome = TaskOutcome(task=task)
-        if _obs.enabled:
-            _obs.inc("runtime.tasks")
-        last_signature: str | None = None
         while True:
             attempt = outcome.attempts  # 0-based index of this attempt
             outcome.attempts += 1
-            if _obs.enabled:
-                _obs.inc("runtime.attempts")
             try:
                 outcome.result = self._attempt(task, outcome)
             except ReproError as error:
                 signature = failure_signature(error)
-                breaker = self.board.get(signature)
-                last_signature = signature
+                transient = is_transient(error)
                 outcome.failures.append(
                     {"attempt": attempt, "signature": signature,
-                     "transient": is_transient(error),
+                     "transient": transient,
                      "chain": error_chain(error)})
+                outcome.disagreement_marks.append(
+                    len(outcome.disagreements))
                 if self.policy.should_retry(error, attempt):
-                    if breaker.allows_retries():
+                    if refused is None:
+                        refused = self.board.refused()
+                    if signature not in refused:
                         delay = self.policy.delay_ms(task.id, attempt)
                         outcome.delays_ms.append(delay)
-                        if _obs.enabled:
-                            _obs.inc("runtime.retries")
                         if delay > 0:
                             self._sleep(delay)
                         continue
                     # Known-bad signature: degrade — skip the retry
-                    # budget, record, and move on to the next task.
-                    breaker.record_skip()
+                    # budget and move on; settle records the skip.
                     outcome.reason = REASON_BREAKER_OPEN
                 else:
-                    breaker.record_failure()
                     outcome.reason = REASON_RETRIES_EXHAUSTED \
-                        if is_transient(error) else REASON_PERMANENT
+                        if transient else REASON_PERMANENT
                 outcome.status = "dead-letter"
                 outcome.signature = signature
-                if _obs.enabled:
-                    _obs.inc("runtime.tasks.deadletter")
-                return outcome
-            if last_signature is not None:
-                # Success after failures: close that breaker.
-                self.board.get(last_signature).record_success()
-            if _obs.enabled:
-                _obs.inc("runtime.tasks.ok")
-                if outcome.attempts > 1:
-                    _obs.inc("runtime.tasks.retried")
             return outcome
 
     # -- the batch -----------------------------------------------------
 
     def run(self) -> dict:
         """Execute every task; return the JSON-ready batch summary."""
-        # Both backends report this runner's own board: the pool
-        # supervisor arbitrates every worker breaker decision on it,
-        # so no per-backend breaker plumbing is needed here.
-        if self.journal is not None:
-            # Replayed tasks never re-execute, but their breaker
-            # traffic shaped the board the summary reports — replay it
-            # before any live task touches the board.
-            self.journal.replay_board(self.board)
         try:
             return self.summarize(self.backend.run(self))
         finally:
@@ -403,15 +485,13 @@ class BatchRunner:
                 # a post-run scrape must not read stale liveness.
                 _obs.set_gauge("runtime.breaker.open", 0)
 
-    def summarize(self, outcomes: list[TaskOutcome], *,
-                  breakers: dict | None = None) -> dict:
+    def summarize(self, outcomes: list[TaskOutcome]) -> dict:
         """Assemble the batch summary from terminal outcomes.
 
         Backend-agnostic and purely a function of its inputs and the
-        runner's board: the pool backend hands over the same
-        manifest-ordered outcome list (and mutated the same board) a
-        serial run would produce.  ``breakers`` substitutes a
-        different snapshot for callers reporting another board.
+        runner's board: every backend hands over the manifest-ordered
+        outcome list, and settled the same board, that a serial run
+        would produce.
         """
         ok = sum(1 for outcome in outcomes if outcome.ok)
         failed = sum(1 for outcome in outcomes if not outcome.ok)
@@ -435,8 +515,7 @@ class BatchRunner:
             "tasks": [outcome.to_json() for outcome in outcomes],
             "dead_letters": [outcome.dead_letter()
                              for outcome in outcomes if not outcome.ok],
-            "breakers": breakers if breakers is not None
-            else self.board.snapshot(),
+            "breakers": self.board.snapshot(),
             "ensemble_disagreements": disagreements,
         }
 

@@ -117,17 +117,20 @@ class Breaker:
         While OPEN, every ``probe_interval``-th admission request is
         let through as a HALF_OPEN probe; the rest are told to skip.
         """
-        if self.state == CLOSED:
-            return True
-        if self.state == OPEN:
-            if self._skips_since_open >= self.probe_interval:
-                self._transition(HALF_OPEN)
-                self.probes += 1
-                if _obs.enabled:
-                    _obs.inc("runtime.breaker.probes")
-                return True
+        if self.refuses():
             return False
+        if self.state == OPEN:  # due a probe
+            self._transition(HALF_OPEN)
+            self.probes += 1
+            if _obs.enabled:
+                _obs.inc("runtime.breaker.probes")
         return True  # HALF_OPEN: the probe in flight retries fully
+
+    def refuses(self) -> bool:
+        """Whether :meth:`allows_retries` would say no right now: OPEN
+        and not yet due a probe.  Unlike that call, a pure read."""
+        return self.state == OPEN \
+            and self._skips_since_open < self.probe_interval
 
     def record_skip(self) -> None:
         """A task was dead-lettered without retries (breaker open)."""
@@ -190,6 +193,13 @@ class BreakerBoard:
                               _board=self)
             self._breakers[signature] = breaker
         return breaker
+
+    def refused(self) -> frozenset[str]:
+        """The *refused set*: the signatures whose next failing task
+        must skip its retries (:meth:`Breaker.refuses`).  A pure read,
+        so a task can be handed it at dispatch."""
+        return frozenset(signature for signature, breaker
+                         in self._breakers.items() if breaker.refuses())
 
     def state_counts(self) -> dict[str, int]:
         """How many breakers sit in each state right now."""

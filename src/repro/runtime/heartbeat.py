@@ -1,7 +1,8 @@
 """Live batch heartbeats: a long run observable *in flight*.
 
 ``xnf batch --heartbeat FILE`` attaches a :class:`HeartbeatWriter` to
-the batch runner's per-task completion hook.  At most once per
+the batch runner's per-task completion hook, which sees tasks in
+index order on both backends.  At most once per
 ``interval_s`` (and always on the final task) it appends one
 schema-versioned JSON line describing the run so far::
 
@@ -15,9 +16,8 @@ schema-versioned JSON line describing the run so far::
 * ``tasks`` — terminal outcomes so far (``done = ok + deadletter``);
 * ``retries`` — re-attempts scheduled across all tasks so far;
 * ``breakers`` — circuit-breaker states right now
-  (:meth:`repro.runtime.breaker.BreakerBoard.state_counts`); live on
-  parallel runs too, because the pool supervisor arbitrates every
-  worker breaker decision on this same board;
+  (:meth:`repro.runtime.breaker.BreakerBoard.state_counts`), the same
+  board on parallel runs: each task settles on it as it commits;
 * ``throughput_tps`` — completed tasks per second since the run
   started; ``eta_s`` — remaining tasks at that rate (``null`` until
   the throughput is measurable);

@@ -1,15 +1,16 @@
 """Crash-safe batch journaling: survive parent death, resume exactly-once.
 
-PR 7 made *worker* crashes recoverable; this module makes the batch
-survive the death of the **supervisor** itself.  ``xnf batch --journal
-FILE`` appends a write-ahead log of the run: one ``meta`` record
-pinning everything that shapes the summary bytes, an ``intent`` record
-before each task is dispatched, and a ``result`` record carrying the
-task's full terminal outcome once it lands.  ``--resume`` replays that
-log, skips completed tasks, re-dispatches the ones that were in flight
-when the parent died, and emits a merged summary **byte-identical** to
-an uninterrupted serial run whenever no breaker opened — the PR 7
-determinism contract, extended across process lifetimes.
+The worker pool makes *worker* crashes recoverable; this module makes
+the batch survive the death of the **supervisor** itself.  ``xnf batch
+--journal FILE`` appends a write-ahead log of the run: one ``meta``
+record pinning everything that shapes the summary bytes, an ``intent``
+record before each task is dispatched, and a ``result`` record
+carrying the task's full terminal outcome once it commits — in index
+order on both backends.  ``--resume`` replays that log, skips
+completed tasks, re-dispatches the ones that were in flight when the
+parent died, and emits a merged summary **byte-identical** to an
+uninterrupted serial run: the batch determinism contract, extended
+across process lifetimes.
 
 The journal file is JSON-lines::
 
@@ -43,14 +44,17 @@ Design decisions, each load-bearing:
   deliberately *not* re-verified on resume: checking them would force
   a spec-file read per completed task, defeating the streaming-skip
   contract (see :meth:`Manifest.iter_indexed`).
-* **Results replay, breaker traffic replays with them.**  The summary
-  embeds the breaker board snapshot, so a resumed run reconstructs the
-  board by replaying each journaled outcome's breaker decisions in
-  manifest order (:meth:`BatchJournal.replay_board`) — the exact calls
-  ``BatchRunner._run_task_core`` made, recoverable from the outcome
-  record alone.  ``worker_crash`` outcomes are skipped: their breaker
-  traffic went to the pool's private crash board, which is invisible
-  in the summary by design.
+* **Results are an index-ordered prefix.**  Both backends commit in
+  index order, so the result records of any journal this module
+  writes are tasks ``0 … k-1``, in that order; a result out of that
+  order is refused as structural (exit 2).  The summary embeds the
+  breaker board snapshot, so resume settles the replayed outcomes onto
+  a fresh board in that same order through
+  :func:`~repro.runtime.batch.settle`, the rule the live commit
+  applies — and the board ends exactly where the interrupted run left
+  it.  A replayed outcome that settle would cut short or send back
+  (possible only in a journal an older version's parallel run wrote,
+  or one edited by hand) is refused the same way.
 * **Intent without result ⇒ re-dispatch.**  The task may have partially
   executed before the crash; every op is a pure function of its spec
   inputs, so re-execution is idempotent.  Counted as
@@ -76,11 +80,7 @@ from repro.errors import JournalError
 from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
 from repro.obs.ledger import append_line, fingerprint, spec_fingerprints
-from repro.runtime.batch import (
-    REASON_BREAKER_OPEN,
-    REASON_WORKER_CRASH,
-    TaskOutcome,
-)
+from repro.runtime.batch import TaskOutcome
 from repro.runtime.breaker import BreakerBoard
 from repro.runtime.manifest import Manifest, Task
 from repro.runtime.retry import RetryPolicy
@@ -104,6 +104,11 @@ _SITE_REPLAY = _faults.register_site(
     kinds=_faults.INPUT_KINDS)
 
 _RECORD_KINDS = ("meta", "intent", "result")
+
+#: Why resume refuses results a serial run could not have committed:
+#: older versions' parallel runs committed them in completion order.
+_OLDER_PARALLEL = ("a journal written by a parallel run of an older "
+                   "version cannot be resumed")
 
 
 def _warn_stderr(message: str) -> None:
@@ -156,6 +161,16 @@ class ReplayedOutcome:
                 "attempts": self.attempts,
                 "failures": copy.deepcopy(self.failures),
                 "error_chain": copy.deepcopy(self.failures[-1]["chain"])}
+
+    def truncate(self, failures: int) -> None:
+        raise self.stale()  # a record cannot be cut short (see settle)
+
+    def stale(self) -> JournalError:
+        """The error for a record the breakers settled before it
+        contradict."""
+        return _structural(f"result for task index {self.index} "
+                           f"disagrees with the circuit breakers "
+                           f"settled before it; {_OLDER_PARALLEL}")
 
 
 def meta_record(manifest: Manifest, policy: RetryPolicy,
@@ -275,6 +290,11 @@ def read_journal(path: str) -> _JournalState:
                 raise _structural(
                     f"line {line_no}: duplicate result for task "
                     f"index {index}")
+            if index != len(state.results):
+                raise _structural(
+                    f"line {line_no}: result for task index {index} "
+                    f"out of index order (expected {len(state.results)})"
+                    f"; {_OLDER_PARALLEL}")
             state.results[index] = record
         offset += len(line)
     if state.meta is None and (state.intents or state.results):
@@ -299,10 +319,9 @@ class BatchJournal:
 
     Build via :func:`open_journal`.  The runner calls :meth:`intent`
     before dispatching a task and :meth:`result` when its terminal
-    outcome lands; both append one fsync'd line.  On resume,
+    outcome commits; both append one fsync'd line.  On resume,
     :attr:`completed_indices` / :meth:`completed_outcomes` carry the
-    replayed state and :meth:`replay_board` reconstructs the breaker
-    board.
+    replayed state.
     """
 
     def __init__(self, path: str, stream: IO[str], *,
@@ -316,7 +335,6 @@ class BatchJournal:
         #: Indices that had an intent but no result when the journal
         #: was read back: the in-flight set at the moment of death.
         self._pending_intents = set(pending_intents)
-        self._board_replayed = False
         self.appended = 0
         self.replayed = 0
         self.skipped = len(self._completed)
@@ -388,48 +406,6 @@ class BatchJournal:
     def close(self) -> None:
         if not self._stream.closed:
             self._stream.close()
-
-    # -- breaker reconstruction ----------------------------------------
-
-    def replay_board(self, board: BreakerBoard) -> None:
-        """Replay the journaled outcomes' breaker traffic onto
-        ``board``, in manifest order.
-
-        Mirrors ``BatchRunner._run_task_core`` exactly: each recorded
-        failure implies the calls the serial runner made at the time
-        (``allows_retries`` per retried attempt, then the terminal
-        ``record_skip`` / ``record_failure`` / ``record_success``), so
-        a serial resume reconstructs the board byte-for-byte — even
-        through open/half-open transitions.  ``worker_crash`` outcomes
-        are skipped: their traffic went to the pool's private crash
-        board, never this one.
-        """
-        if self._board_replayed:
-            return
-        self._board_replayed = True
-        for index in sorted(self._completed):
-            outcome = self._completed[index]
-            failures = outcome.failures
-            if not failures:
-                continue
-            if outcome.reason == REASON_WORKER_CRASH:
-                continue
-            for failure in failures[:-1]:
-                # Every non-final failure was followed by a retry the
-                # breaker admitted.
-                board.get(failure["signature"]).allows_retries()
-            last = failures[-1]
-            breaker = board.get(last["signature"])
-            if outcome.ok:
-                # Success after failures: the final failed attempt was
-                # also admitted, then the success closed the breaker.
-                breaker.allows_retries()
-                breaker.record_success()
-            elif outcome.reason == REASON_BREAKER_OPEN:
-                breaker.allows_retries()
-                breaker.record_skip()
-            else:
-                breaker.record_failure()
 
 
 def open_journal(path: str, *, manifest: Manifest,

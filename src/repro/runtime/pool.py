@@ -12,40 +12,37 @@ processes.  The design goals, in priority order:
    has its in-flight task requeued at the front of the queue, where
    the next idle worker (usually a different one — that is the
    work-stealing) picks it up.
-2. **The merged report matches the serial path's bytes whenever no
-   circuit breaker opens** — in particular on every clean run.
-   Worker crashes are nondeterministic in *timing* (which attempt of
-   which task a ``SIGKILL`` lands on depends on scheduling), so any
-   trace of a *recovered* crash in the summary would break
-   determinism.  The contract is therefore: a task that eventually
-   succeeds (or dead-letters for its own in-task reasons) reports
-   exactly what the serial backend would report — crash recovery is
-   visible only in telemetry (``runtime.pool.*`` counters,
-   :class:`PoolStats`, stderr).  Only a task that exhausts its *crash
-   budget* surfaces in the summary, as a dead letter with reason
-   ``worker_crash`` — and a task that deterministically kills every
-   worker it lands on does so deterministically.  What parallelism
-   cannot preserve is the serial *order* in which failures reach the
-   shared breaker board, so once a breaker opens, probe-vs-skip
-   decisions (``reason: breaker_open``) become scheduling-dependent.
-   ``docs/ROBUSTNESS.md`` § "The determinism argument" states the
-   exact scope.
-3. **One breaker board, owned by the parent.**  Workers hold no
-   :class:`~repro.runtime.breaker.BreakerBoard` of their own: every
-   ``allows_retries`` verdict and every ``record_*`` event inside
-   :meth:`BatchRunner._run_task` round-trips over the worker's pipe
-   to the supervisor, which applies it to the *runner's* board — the
-   same board the serial backend uses, the summary's ``breakers`` map
-   reports, and a ``--heartbeat`` stream watches live.  A signature
-   that keeps failing therefore opens its breaker across the whole
-   pool, not per worker.  Crashes flow through the same machinery:
-   each becomes a :class:`~repro.errors.WorkerCrash` (transient, per
+2. **The merged report matches the serial path's bytes.**  Finished
+   tasks commit in index order through a reorder buffer: at most
+   :data:`WINDOW` × workers tasks are dispatched but not yet
+   committed, and a task commits once every earlier one has.  Workers
+   keep no breaker state and exchange no breaker messages: each task
+   carries the runner board's *refused set* read at dispatch (the
+   signatures whose breaker would refuse a retry), and at commit
+   :func:`~repro.runtime.batch.settle` applies the task's breaker
+   traffic to that board in index order, as the serial loop would
+   have.  Settle also repairs a refused set that lagged the board: a
+   retry the board now refuses is truncated away, and a task that
+   stopped on a signature the board now admits is requeued at the
+   front with the exact set (counted as
+   ``runtime.pool.wasted_attempts``).  Journal, ledger and heartbeat
+   records therefore come out in index order too.
+3. **A recovered crash leaves no trace in the report.**  Worker
+   crashes are nondeterministic in *timing* (which attempt of which
+   task a ``SIGKILL`` lands on depends on scheduling), so a task that
+   eventually succeeds (or dead-letters for its own in-task reasons)
+   reports exactly what the serial backend would report — crash
+   recovery is visible only in telemetry (``runtime.pool.*``
+   counters, :class:`PoolStats`, stderr).  Each crash becomes a
+   :class:`~repro.errors.WorkerCrash` (transient, per
    :func:`~repro.runtime.retry.is_transient`) judged by a dedicated
    :class:`~repro.runtime.retry.RetryPolicy` crash budget and a
-   *separate* parent-side crash board keyed by crash signature
+   parent-side crash board keyed by crash signature
    (``crash:signal:SIGKILL``, ``crash:unpicklable-result``,
-   ``crash:stall``, ...) that never reaches the summary — a recovered
-   crash must stay invisible in the report.
+   ``crash:stall``, ...) that never reaches the summary.  Only a task
+   that exhausts its *crash budget* surfaces, as a dead letter with
+   reason ``worker_crash`` — and a task that deterministically kills
+   every worker it lands on does so deterministically.
 
 Workers are forked (``multiprocessing.get_context("fork")``): the
 manifest, spec corpus, and runner configuration are shared
@@ -53,18 +50,17 @@ copy-on-write, so dispatch messages carry only the task.  Each worker
 re-initializes the metrics registry first thing
 (:func:`repro.obs.metrics.reinit_after_fork` — the inherited lock may
 have been held by a parent exporter thread at the instant of the
-fork), resets the tracing module (sinks, span stack, context), and
-swaps its inherited board copy for the :class:`_BreakerChannel`
-proxy; its counters ship back as per-result deltas and its
-histograms as one raw dump at shutdown, so the parent's merged
-snapshot covers the whole pool.  When the parent is tracing, each
-worker also inherits the parent's span context (with its ``worker``
-id stamped in), buffers every finished span record, and ships the
-buffer alongside each result; the supervisor rebases the records by
-the hello-handshake clock offset and stitches them into its own
-trace (:func:`repro.obs.trace.ingest_records`), so ``xnf batch
---workers N --trace FILE`` captures every worker's ``runtime.task``
-subtree in one coherent forest.
+fork) and resets the tracing module (sinks, span stack, context);
+its counters ship back as per-result deltas and its histograms as one
+raw dump at shutdown, so the parent's merged snapshot covers the whole
+pool.  When the parent is tracing, each worker also inherits the
+parent's span context (with its ``worker`` id stamped in), buffers
+every finished span record, and ships the buffer alongside each
+result; the supervisor rebases the records by the hello-handshake
+clock offset and stitches them into its own trace
+(:func:`repro.obs.trace.ingest_records`), so ``xnf batch --workers N
+--trace FILE`` captures every worker's ``runtime.task`` subtree in one
+coherent forest.
 
 A non-:class:`~repro.errors.ReproError` escaping a task inside a
 worker is the same exception-safety breach it is on the serial path:
@@ -87,17 +83,20 @@ from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import WorkerCrash
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
+from repro.runtime.batch import (
+    REASON_WORKER_CRASH,
+    BatchRunner,
+    TaskOutcome,
+    error_chain,
+)
 from repro.runtime.breaker import BreakerBoard, failure_signature
 from repro.runtime.manifest import Task
 from repro.runtime.retry import RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.batch import BatchRunner, TaskOutcome
 
 #: Exit code a worker uses to flag an exception-safety contract
 #: breach (a non-ReproError escaped a task).  Mirrors BSD
@@ -107,6 +106,12 @@ BREACH_EXITCODE = 70
 #: Default number of worker deaths one task may survive before it is
 #: dead-lettered with reason ``worker_crash``.
 DEFAULT_CRASH_RETRIES = 3
+
+#: Dispatched-but-uncommitted tasks the reorder buffer holds, per
+#: worker.  Results commit in index order, so a slow task holds back
+#: the commits behind it; this many slots per worker keep the workers
+#: busy past a p99 task on the corpus workload.
+WINDOW = 8
 
 #: Chaos actions :class:`PoolBackend` can inject into workers (test
 #: hook; see ``chaos=``).
@@ -186,67 +191,6 @@ class PoolStats:
 
 # -- worker side -------------------------------------------------------
 
-class _BreakerChannel:
-    """Worker-side stand-in for the runner's ``BreakerBoard``.
-
-    Workers must not keep their own (forked, private) breaker state:
-    a breaker that opens for one worker has to open for the whole
-    pool, and the parent's board is what the summary and the
-    heartbeat stream report.  So every decision is delegated:
-    ``allows_retries`` round-trips to the supervisor for a verdict;
-    ``record_*`` events are fire-and-forget.  Mid-task the parent
-    sends a worker nothing except these verdicts (tasks are only
-    dispatched to idle workers, ``stop`` only after the batch is
-    done), so the reply is always the next incoming message.
-    """
-
-    def __init__(self, conn: _mp_connection.Connection,
-                 send_lock: threading.Lock) -> None:
-        self._conn = conn
-        self._send_lock = send_lock
-
-    def get(self, signature: str) -> "_BreakerProxy":
-        return _BreakerProxy(signature, self)
-
-    def ask(self, signature: str) -> bool:
-        with self._send_lock:
-            self._conn.send(("brk", "ask", signature))
-        reply = self._conn.recv()
-        if reply[0] != "brk-reply":  # pragma: no cover - protocol guard
-            raise AssertionError(
-                f"expected brk-reply, got {reply[0]!r}")
-        return reply[1]
-
-    def tell(self, op: str, signature: str) -> None:
-        with self._send_lock:
-            self._conn.send(("brk", op, signature))
-
-
-class _BreakerProxy:
-    """One signature's view of the parent board (see
-    :class:`_BreakerChannel`); duck-types the slice of
-    :class:`~repro.runtime.breaker.Breaker` that ``_run_task`` uses."""
-
-    __slots__ = ("signature", "_channel")
-
-    def __init__(self, signature: str,
-                 channel: _BreakerChannel) -> None:
-        self.signature = signature
-        self._channel = channel
-
-    def allows_retries(self) -> bool:
-        return self._channel.ask(self.signature)
-
-    def record_skip(self) -> None:
-        self._channel.tell("skip", self.signature)
-
-    def record_failure(self) -> None:
-        self._channel.tell("failure", self.signature)
-
-    def record_success(self) -> None:
-        self._channel.tell("success", self.signature)
-
-
 def _chaos_act(action: str, conn: _mp_connection.Connection,
                send_lock: threading.Lock) -> None:
     """Execute one injected chaos action inside the worker (test
@@ -305,13 +249,12 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
     ``recv()`` cannot see EOF, so a worker whose parent was SIGKILLed
     would wait forever instead of taking the "parent died" exit.  Then
     a fresh metrics lock + registry (the inherited lock may be held by
-    a parent thread), a reset tracing module (no inherited sinks — the
-    parent owns the trace file descriptor — no inherited span stack,
-    no inherited context), and the inherited board copy replaced by
-    the :class:`_BreakerChannel` proxy (breaker state lives in the
-    parent only).  The worker runs tasks through the *same*
-    ``runner._run_task`` retry loop as the serial backend — that is
-    what makes per-task records backend-independent.
+    a parent thread) and a reset tracing module (no inherited sinks —
+    the parent owns the trace file descriptor — no inherited span
+    stack, no inherited context).  The worker runs tasks through the
+    *same* ``runner._run_task`` retry loop as the serial backend,
+    handed the refused set the parent read at dispatch — that is what
+    makes per-task records backend-independent.
 
     When the parent is tracing it passes ``trace_wire`` — the
     serialized ambient :class:`~repro.obs.trace.SpanContext` — and the
@@ -334,7 +277,6 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
         _trace.add_sink(lambda span_: span_buffer.append(
             span_.as_record()))
     send_lock = threading.Lock()
-    runner.board = _BreakerChannel(conn, send_lock)
     with send_lock:
         conn.send(("hello", worker_id, time.perf_counter()))
     if heartbeat_interval > 0:
@@ -360,11 +302,11 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
                 conn.send(("bye", dump))
             conn.close()
             os._exit(0)
-        _kind, index, task, chaos = message
+        _kind, index, task, refused, chaos = message
         if chaos is not None and chaos[1] == "pre":
             _chaos_act(chaos[0], conn, send_lock)
         try:
-            outcome = runner._run_task(task)
+            outcome = runner._run_task(task, refused)
         except BaseException:
             # Exception-safety breach (non-ReproError escaped): report
             # the traceback, then die with the breach exit code — the
@@ -405,6 +347,8 @@ class _Assignment:
     crash_signature: str | None = None
     #: The worker that last held this task (steal accounting).
     last_worker: int | None = None
+    #: The finished outcome, held until every earlier task commits.
+    outcome: TaskOutcome | None = None
 
 
 class _Worker:
@@ -452,9 +396,9 @@ class PoolBackend:
 
     After :meth:`run`, ``stats`` holds the :class:`PoolStats`.  The
     runner's own :class:`~repro.runtime.breaker.BreakerBoard` carries
-    the in-task breaker state (the supervisor arbitrates every worker
-    breaker decision on it), so :meth:`BatchRunner.summarize` reports
-    it exactly as a serial run would.
+    the in-task breaker state, settled in index order as each task
+    commits, so :meth:`BatchRunner.summarize` reports it exactly as a
+    serial run would.
     """
 
     name = "pool"
@@ -506,23 +450,12 @@ class PoolBackend:
 
     # -- the supervision loop ------------------------------------------
 
-    def run(self, runner: "BatchRunner") -> list["TaskOutcome"]:
-        from repro.runtime.batch import (
-            REASON_WORKER_CRASH,
-            TaskOutcome,
-            error_chain,
-        )
-        self._reason_worker_crash = REASON_WORKER_CRASH
-        self._task_outcome = TaskOutcome
-        self._error_chain = error_chain
-
+    def run(self, runner: BatchRunner) -> list[TaskOutcome]:
         manifest = runner.manifest
         total = manifest.task_count
         if total == 0:
             return []
         ctx = get_context("fork")
-        self._ctx = ctx
-        self._runner = runner
         crash_policy = RetryPolicy(retries=self.crash_retries,
                                    backoff_base_ms=0.0,
                                    seed=runner.policy.seed)
@@ -531,8 +464,12 @@ class PoolBackend:
         # without a journal this is the plain indexed manifest walk.
         task_iter: Iterator[tuple[int, Task]] = \
             iter(runner.pending_tasks())
+        # The reorder buffer: dispatched tasks not yet committed, in
+        # index order; and the tasks to dispatch again (crash or settle
+        # requeues), which go first.
+        window: deque[_Assignment] = deque()
         pending: deque[_Assignment] = deque()
-        outcomes: dict[int, "TaskOutcome"] = \
+        outcomes: dict[int, TaskOutcome] = \
             dict(runner.replayed_outcomes())
         if len(outcomes) >= total:
             return [outcomes[index] for index in range(total)]
@@ -543,10 +480,10 @@ class PoolBackend:
         def next_assignment() -> _Assignment | None:
             nonlocal exhausted
             if pending:
-                # A crash requeue, not a new dispatch: its intent is
-                # already on file.
+                # A requeue, not a new dispatch: its intent is already
+                # on file and its slot in the window already taken.
                 return pending.popleft()
-            if exhausted:
+            if exhausted or len(window) >= WINDOW * target:
                 return None
             try:
                 index, task = next(task_iter)
@@ -554,22 +491,37 @@ class PoolBackend:
                 exhausted = True
                 return None
             runner.journal_intent(index, task)
-            return _Assignment(index=index, task=task)
+            window.append(_Assignment(index=index, task=task))
+            return window[-1]
+
+        def finish(assignment: _Assignment, outcome: TaskOutcome) -> None:
+            """Buffer ``outcome``, then commit the window's finished
+            head run in index order."""
+            assignment.outcome = outcome
+            while window and window[0].outcome is not None:
+                head = window[0]
+                # Durably journaled before the in-memory merge: a
+                # parent death after this costs nothing on resume.
+                if not runner.commit(head.index, head.outcome, outcomes):
+                    # Settle sent it back.  Nothing commits before it,
+                    # so the refused set it is re-dispatched with is
+                    # the one the serial loop would have read.
+                    head.outcome = None
+                    pending.appendleft(head)
+                    return
+                window.popleft()
 
         def dead_letter(assignment: _Assignment) -> None:
-            outcome = self._task_outcome(
+            self.stats.dead_lettered += 1
+            finish(assignment, TaskOutcome(
                 task=assignment.task, status="dead-letter",
                 attempts=len(assignment.crash_failures),
                 failures=list(assignment.crash_failures),
-                reason=self._reason_worker_crash,
-                signature=assignment.crash_signature)
-            self.stats.dead_lettered += 1
-            if _obs.enabled:
-                _obs.inc("runtime.tasks.deadletter")
-            runner.commit(assignment.index, outcome, outcomes)
+                reason=REASON_WORKER_CRASH,
+                signature=assignment.crash_signature))
 
         def handle_result(worker: _Worker, index: int,
-                          outcome: "TaskOutcome",
+                          outcome: TaskOutcome,
                           delta: dict[str, int],
                           spans: list[dict] | None = None) -> None:
             assignment = worker.assignment
@@ -596,30 +548,7 @@ class PoolBackend:
                 # mirroring the serial success-after-failure rule.
                 crash_board.get(
                     assignment.crash_signature).record_success()
-            # Durably journaled before the in-memory merge: a parent
-            # death after this line costs nothing on resume.
-            runner.commit(index, outcome, outcomes)
-
-        def handle_breaker(worker: _Worker, op: str,
-                           signature: str) -> None:
-            # The arbitration counterpart of _BreakerChannel: apply
-            # the worker's breaker traffic to the runner's own board
-            # (the one the summary and heartbeats report).
-            breaker = runner.board.get(signature)
-            if op == "ask":
-                verdict = breaker.allows_retries()
-                try:
-                    worker.conn.send(("brk-reply", verdict))
-                except OSError:
-                    pass  # died mid-ask: the sentinel path requeues
-            elif op == "skip":
-                breaker.record_skip()
-            elif op == "failure":
-                breaker.record_failure()
-            elif op == "success":
-                breaker.record_success()
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown breaker op {op!r}")
+            finish(assignment, outcome)
 
         def receive(worker: _Worker) -> tuple[list, bool]:
             """The messages waiting on ``worker``'s pipe, and whether
@@ -643,8 +572,8 @@ class PoolBackend:
             worker.proc.join()
             breach_report: str | None = None
             if worker.kill_reason is None and not worker.stopping:
-                # Natural death: a result, breaker event, or breach
-                # report may be sitting in the pipe (the worker died
+                # Natural death: a result or a breach report may be
+                # sitting in the pipe (the worker died
                 # between send and our next recv) — drain it before
                 # judging, so no task ever runs twice *visibly* and
                 # no breach is misfiled as a requeueable crash.
@@ -655,8 +584,6 @@ class PoolBackend:
                     elif message[0] == "hello":
                         worker.clock_offset = \
                             time.perf_counter() - message[2]
-                    elif message[0] == "brk" and message[1] != "ask":
-                        handle_breaker(worker, message[1], message[2])
                     elif message[0] == "breach":
                         breach_report = message[1]
             try:
@@ -701,7 +628,7 @@ class PoolBackend:
                 assignment.crash_failures.append(
                     {"attempt": assignment.crash_attempts,
                      "signature": sig, "transient": True,
-                     "chain": self._error_chain(error)})
+                     "chain": error_chain(error)})
                 assignment.crash_signature = sig
                 breaker = crash_board.get(sig)
                 if crash_policy.should_retry(
@@ -772,7 +699,8 @@ class PoolBackend:
                         _obs.inc("runtime.pool.stolen")
                 try:
                     worker.conn.send(("task", assignment.index,
-                                      assignment.task, chaos))
+                                      assignment.task,
+                                      runner.board.refused(), chaos))
                 except OSError:
                     # Died between wait() and send(): put the task
                     # back; the sentinel wakes us to handle the death.
@@ -814,9 +742,6 @@ class PoolBackend:
                             handle_result(worker, message[1],
                                           message[2], message[3],
                                           message[4])
-                        elif message[0] == "brk":
-                            handle_breaker(worker, message[1],
-                                           message[2])
                         elif message[0] == "hello":
                             # Clock handshake: measure the offset
                             # between our perf_counter origin and the

@@ -11,8 +11,8 @@ deterministic per-task failures (broken DTDs → permanent
 dead-letters) rather than ``REPRO_FAULTS`` arms: fault plans fire at
 process-global hit counts, so a resumed tail would see different
 faults than the uninterrupted run and the byte-identity oracle would
-be meaningless.  ``--breaker-threshold`` is set high for the same
-reason the contract scopes byte-identity to no-breaker-opened runs.
+be meaningless.  Every case runs at ``--breaker-threshold`` 1 and 2,
+which those broken DTDs trip.
 
 Scale knobs (CI raises them in the chaos-resume job):
 ``REPRO_RESUME_TASKS`` manifest size, ``REPRO_RESUME_KILL_POINTS``
@@ -50,9 +50,9 @@ def _write_manifest(path, count=TASKS):
                  "dtd_text": dtd}) + "\n")
 
 
-def _cmd(manifest, workers=1, journal=None, resume=False):
+def _cmd(manifest, threshold, workers=1, journal=None, resume=False):
     cmd = [sys.executable, "-m", "repro", "batch", str(manifest),
-           "--backoff-base", "0", "--breaker-threshold", "1000000",
+           "--backoff-base", "0", "--breaker-threshold", str(threshold),
            "--workers", str(workers)]
     if journal is not None:
         cmd += ["--journal", str(journal)]
@@ -71,19 +71,22 @@ def _env():
     return env
 
 
-def _expected(manifest):
+def _expected(manifest, threshold):
     """The uninterrupted serial run: the byte-identity oracle."""
     start = time.monotonic()
-    proc = subprocess.run(_cmd(manifest), capture_output=True,
+    proc = subprocess.run(_cmd(manifest, threshold), capture_output=True,
                           env=_env())
     assert proc.returncode == 5, proc.stderr.decode()
+    assert json.loads(proc.stdout)["breakers"]["error:DTDSyntaxError"][
+        "trips"] == 1
     return proc.stdout, time.monotonic() - start
 
 
 def _assert_journal_invariants(journal):
-    """No task result duplicated; every line before the last intact."""
+    """The result records are tasks 0, 1, ..., k-1 in that order, and
+    every line before the last is intact."""
     text = journal.read_bytes().decode()
-    seen = set()
+    results = []
     lines = text.splitlines(keepends=True)
     for position, line in enumerate(lines):
         if not line.endswith("\n"):
@@ -92,19 +95,20 @@ def _assert_journal_invariants(journal):
             continue
         record = json.loads(line)
         if record["record"] == "result":
-            assert record["index"] not in seen, \
-                f"duplicate result for index {record['index']}"
-            seen.add(record["index"])
+            results.append(record["index"])
+    assert results == list(range(len(results))), \
+        f"result records out of index order: {results}"
 
 
-def _kill_until_resumed(manifest, journal, workers, rng, baseline_s):
+def _kill_until_resumed(manifest, threshold, journal, workers, rng,
+                        baseline_s):
     """Launch fresh, SIGKILL after a random delay, then resume (each
     resume killed again with decreasing probability) until a run
     completes.  Returns the completed process."""
     resume = False
     for attempt in range(MAX_RESUMES):
         proc = subprocess.Popen(
-            _cmd(manifest, workers, journal, resume),
+            _cmd(manifest, threshold, workers, journal, resume),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=_env())
         resume = True
@@ -127,20 +131,22 @@ def _kill_until_resumed(manifest, journal, workers, rng, baseline_s):
     pytest.fail(f"no resume completed within {MAX_RESUMES} attempts")
 
 
+@pytest.mark.parametrize("threshold", [1, 2])
 @pytest.mark.parametrize("workers", [1, 4])
-def test_parent_sigkill_resume_is_byte_identical(tmp_path, workers):
+def test_parent_sigkill_resume_is_byte_identical(tmp_path, workers,
+                                                 threshold):
     if workers > 1:
         pool_mod = pytest.importorskip("repro.runtime.pool")
         if not pool_mod.pool_available():
             pytest.skip("fork start method unavailable")
     manifest = tmp_path / "m.jsonl"
     _write_manifest(manifest)
-    expected, baseline_s = _expected(manifest)
-    rng = random.Random(0xD1E + workers)
+    expected, baseline_s = _expected(manifest, threshold)
+    rng = random.Random(0xD1E + workers + 10 * threshold)
     for point in range(KILL_POINTS):
         journal = tmp_path / f"w{workers}-p{point}.journal"
         stdout, stderr = _kill_until_resumed(
-            manifest, journal, workers, rng, baseline_s)
+            manifest, threshold, journal, workers, rng, baseline_s)
         assert stdout == expected, \
             f"workers={workers} point={point}: summary diverged"
         summary = json.loads(stdout)
@@ -155,18 +161,18 @@ def test_mid_append_tear_is_recoverable(tmp_path):
     a warning and completes byte-identically."""
     manifest = tmp_path / "m.jsonl"
     _write_manifest(manifest)
-    expected, _ = _expected(manifest)
+    expected, _ = _expected(manifest, 1)
     journal = tmp_path / "torn.journal"
     env = _env()
     env["REPRO_FAULTS"] = "runtime.journal.append:truncate:17"
     env["REPRO_FAULTS_SEED"] = "3"
-    first = subprocess.run(_cmd(manifest, journal=journal),
+    first = subprocess.run(_cmd(manifest, 1, journal=journal),
                            capture_output=True, env=env)
     assert first.returncode == 2, first.stderr.decode()
     assert b"torn append" in first.stderr
     assert not journal.read_bytes().endswith(b"\n")
     resumed = subprocess.run(
-        _cmd(manifest, journal=journal, resume=True),
+        _cmd(manifest, 1, journal=journal, resume=True),
         capture_output=True, env=_env())
     assert resumed.returncode == 5, resumed.stderr.decode()
     assert b"torn trailing record" in resumed.stderr

@@ -257,12 +257,10 @@ class TestBackends:
 
     def test_summarize_is_a_pure_function_of_outcomes(self):
         """The pool path relies on summarize() rendering the same
-        bytes for the same outcome list, breakers passed explicitly."""
+        bytes for the same outcome list."""
         manifest = _manifest([_check_task(id=f"t{i}")
                               for i in range(3)])
         runner = BatchRunner(manifest, policy=_policy())
         outcomes = runner.backend.run(runner)
         assert json.dumps(runner.summarize(outcomes), sort_keys=True) \
             == json.dumps(runner.summarize(outcomes), sort_keys=True)
-        with_breakers = runner.summarize(outcomes, breakers={})
-        assert with_breakers["breakers"] == {}

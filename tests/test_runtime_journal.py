@@ -12,16 +12,17 @@ import json
 import pytest
 
 from repro import faults
-from repro.errors import JournalError
+from repro.errors import InjectedFault, JournalError
 from repro.obs import metrics
 from repro.runtime import journal as jm
 from repro.runtime import manifest as mf
-from repro.runtime.batch import run_batch
+from repro.runtime.batch import BatchRunner, run_batch, settle
 from repro.runtime.breaker import BreakerBoard
 from repro.runtime.heartbeat import HeartbeatWriter, validate_heartbeat
 from repro.runtime.retry import RetryPolicy
 
 GOOD_DTD = "<!ELEMENT r (a*)>\n<!ELEMENT a EMPTY>"
+RESULT = '"record": "result"'  # marks a result line of a journal
 BROKEN_DTD = "<!ELEMENT r (unclosed"
 
 
@@ -259,6 +260,45 @@ class TestStructuralErrors:
         with pytest.raises(JournalError, match="duplicate result"):
             jm.read_journal(str(path))
 
+    def test_result_out_of_index_order_raises(self, tmp_path):
+        path = self._write_journal(
+            tmp_path, [self._meta(), self._result(1, "ok")])
+        with pytest.raises(JournalError, match="out of index order"):
+            jm.read_journal(str(path))
+
+    @pytest.mark.parametrize("records", [
+        # Skipped on a breaker the board never opened.
+        [("dead-letter", "breaker_open", 1)],
+        # Retried on a breaker the first failure opened.
+        [("dead-letter", "retries_exhausted", 3), ("ok", None, 2)],
+    ])
+    def test_result_the_breakers_contradict_raises(self, tmp_path,
+                                                   records):
+        results = [self._result(index, *record)
+                   for index, record in enumerate(records)]
+        path = self._write_journal(tmp_path, [self._meta(kwargs=_fresh(
+            threshold=1))] + results)
+        with pytest.raises(JournalError, match="disagrees with the "
+                                               "circuit breakers"):
+            _journaled_run(path, threshold=1, resume=True)
+
+    @staticmethod
+    def _result(index, status, reason=None, attempts=1):
+        failed = attempts if status != "ok" else attempts - 1
+        failures = [{"attempt": attempt, "signature": "site:x",
+                     "transient": True, "chain": []}
+                    for attempt in range(failed)]
+        payload = {"id": f"t{index}", "op": "check", "status": status,
+                   "attempts": attempts, "retried": attempts > 1,
+                   "delays_ms": [0.0] * (attempts - 1)}
+        if failures:
+            payload["failures"] = failures
+        return {"record": "result", "index": index, "id": f"t{index}",
+                "op": "check", "dtd_sha": None, "fds_sha": None,
+                "reason": reason,
+                "signature": "site:x" if reason else None,
+                "payload": payload}
+
     def test_meta_mid_file_raises(self, tmp_path):
         path = self._write_journal(
             tmp_path,
@@ -313,11 +353,8 @@ class TestBreakerReplay:
                             {"attempt": 1,
                              "signature": "crash:signal-9",
                              "transient": True, "chain": []}]}})
-        journal = jm.BatchJournal.__new__(jm.BatchJournal)
-        journal._completed = {0: outcome}
-        journal._board_replayed = False
         board = BreakerBoard()
-        journal.replay_board(board)
+        assert settle(board, outcome)
         # Crash breaker traffic lives on the pool's private board; the
         # summary board must not see it on replay either.
         assert board.snapshot() == {}
@@ -439,21 +476,58 @@ class TestStreamingResume:
 
 
 class TestPoolResume:
+    @staticmethod
+    def _flaky_run(path, threshold, backend=None, resume=False):
+        """A journaled run of 12 tasks on which two in three fail
+        transiently, on every attempt or (every fourth) on the first
+        only: breakers trip, skip, probe, close and trip again."""
+        manifest = _manifest(_tasks(count=12, bad_every=0))
+        kwargs = {"policy": RetryPolicy(backoff_base_ms=0, seed=7),
+                  "board": BreakerBoard(threshold=threshold,
+                                        probe_interval=2)}
+        journal = _open(path, manifest, kwargs, resume=resume)
+        runner = BatchRunner(manifest, backend=backend, journal=journal,
+                             sleeper=lambda ms: None, **kwargs)
+        real = runner._attempt
+
+        def attempt(task, outcome):
+            index = int(task.id[1:])
+            if index % 3 and (index % 4 != 3 or outcome.attempts == 1):
+                raise InjectedFault("test.flaky", "exception")
+            return real(task, outcome)
+
+        # Fork shares the patched method with the workers.
+        runner._attempt = attempt
+        try:
+            return runner.run()
+        finally:
+            journal.close()
+
     def test_pool_prefix_resume_matches_serial_bytes(self, tmp_path):
+        """The every-prefix kill-point sweep on ``PoolBackend(2)``:
+        the pool journal's result lines are the serial journal's, and
+        resuming any line prefix of it on the pool reproduces the
+        uninterrupted serial summary, breakers included."""
         pool_mod = pytest.importorskip("repro.runtime.pool")
         if not pool_mod.pool_available():
             pytest.skip("fork start method unavailable")
-        path = tmp_path / "j.journal"
-        base, _ = _journaled_run(path, threshold=100)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:7]))
-        manifest = _manifest()
-        kwargs = _fresh(threshold=100)
-        journal = _open(path, manifest, kwargs, resume=True)
-        try:
-            resumed = run_batch(
-                manifest, journal=journal,
-                backend=pool_mod.PoolBackend(2), **kwargs)
-        finally:
-            journal.close()
-        assert _dumps(resumed) == _dumps(base)
+        for threshold in (1, 2):
+            serial_path = tmp_path / f"serial{threshold}.journal"
+            base = self._flaky_run(serial_path, threshold)
+            assert base["breakers"]["site:test.flaky"]["trips"] >= 1
+            path = tmp_path / f"pool{threshold}.journal"
+            pooled = self._flaky_run(path, threshold,
+                                     pool_mod.PoolBackend(2))
+            assert _dumps(pooled) == _dumps(base)
+            lines = path.read_text().splitlines(keepends=True)
+            assert [line for line in lines if RESULT in line] \
+                == [line for line in serial_path.read_text()
+                    .splitlines(keepends=True) if RESULT in line]
+            for cut in range(len(lines) + 1):
+                prefix = tmp_path / f"cut{threshold}-{cut}.journal"
+                prefix.write_text("".join(lines[:cut]))
+                resumed = self._flaky_run(prefix, threshold,
+                                          pool_mod.PoolBackend(2),
+                                          resume=True)
+                assert _dumps(resumed) == _dumps(base), \
+                    f"threshold {threshold}, cut at {cut}"

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.errors import InjectedFault
 from repro.runtime import corpus
 from repro.runtime import manifest as mf
 from repro.runtime.batch import (
@@ -135,7 +136,7 @@ class TestExecution:
     def test_in_worker_dead_letters_match_serial_bytes(self):
         # Permanent in-task failures (parse errors) must flow through
         # the retry/breaker machinery and land in the summary exactly
-        # as the serial path reports them — including the arbitrated
+        # as the serial path reports them — including the settled
         # breaker board snapshot.
         serial = _runner(mf.build(_mixed_tasks())).run()
         pool = PoolBackend(2)
@@ -249,10 +250,10 @@ class TestStallDetection:
 
 
 class TestBreakerArbitration:
-    """In-task breaker state lives in the parent: workers delegate
-    every decision over their pipe to the supervisor, which applies
-    it to the runner's own board — the one the summary reports and a
-    heartbeat stream watches live."""
+    """In-task breaker state lives in the parent: workers keep none,
+    and each committed task's traffic is settled on the runner's own
+    board — the one the summary reports and a heartbeat stream watches
+    live."""
 
     def test_worker_failures_reach_the_runner_board(self):
         serial_runner = _runner(mf.build(_mixed_tasks()))
@@ -268,7 +269,7 @@ class TestBreakerArbitration:
         # threshold=1: the first parse failure trips the breaker.
         # Worker-private boards would each trip independently (the
         # two bad tasks usually land on different workers) and the
-        # old numeric merge reported trips=2; the arbitrated board
+        # old numeric merge reported trips=2; the one settled board
         # must show the serial picture exactly, byte-for-byte.
         def one(backend):
             runner = BatchRunner(
@@ -309,9 +310,143 @@ class TestBreakerArbitration:
         runner.run()
         writer.close()
         records = validate_heartbeat_lines(stream.getvalue())
-        # A worker's failure reaches the board before its result
-        # message, so by the final beat the breaker is visible.
+        # A task's failure is settled on the board before its hook
+        # call, so by the final beat the breaker is visible.
         assert records[-1]["breakers"]["total"] >= 1
+
+
+def _flaky_runner(threshold, backend=None, count=16, head_s=0.0):
+    """Two of every three tasks fail transiently on every attempt:
+    breakers at ``threshold`` trip, skip and probe all run long, so the
+    order in which failures reach the board decides every outcome.
+    The first task takes ``head_s`` longer, so on a pool every task
+    dispatched meanwhile reads a board nothing has settled on yet."""
+    runner = BatchRunner(
+        corpus.stream_manifest(count, seed=5),
+        policy=RetryPolicy(retries=2, backoff_base_ms=0),
+        board=BreakerBoard(threshold=threshold, probe_interval=2),
+        backend=backend, sleeper=lambda ms: None)
+    real = runner._execute
+
+    def execute(task):
+        index = int(task.id.rsplit("-", 1)[1])
+        if index % 3:
+            raise InjectedFault("test.flaky", "exception")
+        if index == 0:
+            time.sleep(head_s)
+        return real(task)
+
+    # Fork shares the patched method with the workers.
+    runner._execute = execute
+    return runner
+
+
+class TestOrderedCommit:
+    """Tasks commit in index order through the reorder buffer, and
+    settle repairs every refused set that lagged the board, so the
+    pool's bytes equal serial's even while breakers trip, skip and
+    probe."""
+
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_tripping_breakers_match_serial_bytes(self, threshold):
+        serial = json.dumps(_flaky_runner(threshold).run(),
+                            sort_keys=True)
+        reasons = {letter["reason"]
+                   for letter in json.loads(serial)["dead_letters"]}
+        assert reasons == {"retries_exhausted", "breaker_open"}
+        for _ in range(10):
+            parallel = _flaky_runner(threshold, PoolBackend(2)).run()
+            assert json.dumps(parallel, sort_keys=True) == serial
+
+    def test_sigkill_on_a_failing_task_matches_serial_bytes(self):
+        serial = _flaky_runner(1).run()
+        pool = PoolBackend(2, chaos={"corpus-0004": {0: ("sigkill",
+                                                         "pre")}})
+        parallel = _flaky_runner(1, pool).run()
+        assert pool.stats.crashed == 1
+        assert json.dumps(parallel, sort_keys=True) \
+            == json.dumps(serial, sort_keys=True)
+
+    def test_on_task_done_sees_index_order(self):
+        seen = []
+        runner = _flaky_runner(1, PoolBackend(2), count=40)
+        runner.on_task_done = lambda outcome: seen.append(outcome.task.id)
+        runner.run()
+        assert seen == [f"corpus-{index:04d}" for index in range(40)]
+
+    def test_journal_results_match_serial_in_order(self, tmp_path):
+        from repro.runtime.journal import open_journal
+
+        def result_lines(backend, name):
+            runner = _flaky_runner(2, backend, count=24)
+            path = tmp_path / name
+            runner.journal = open_journal(
+                str(path), manifest=runner.manifest,
+                policy=runner.policy, board=runner.board, fsync=False)
+            try:
+                runner.run()
+            finally:
+                runner.journal.close()
+            return [line for line in path.read_text().splitlines()
+                    if '"record": "result"' in line]
+
+        serial = result_lines(None, "serial.journal")
+        assert [json.loads(line)["index"] for line in serial] \
+            == list(range(24))
+        assert result_lines(PoolBackend(2), "pool.journal") == serial
+
+    def test_reorder_buffer_holds_at_most_the_window(self):
+        from repro.runtime import pool as pool_mod
+        runner = _runner(corpus.stream_manifest(60, seed=3),
+                         backend=PoolBackend(2))
+        held, committed = [], []
+        commit = runner.commit
+
+        def spy(index, outcome, outcomes):
+            committed.append(index)
+            return commit(index, outcome, outcomes)
+
+        def intent(index, task):
+            held.append(index - len(committed))
+
+        runner.commit = spy
+        runner.journal_intent = intent
+        runner.run()
+        assert committed == list(range(60))
+        assert max(held) < pool_mod.WINDOW * 2
+
+    def test_wasted_attempts_are_counted_and_stats_match_summary(self):
+        from repro import obs
+
+        def stats(backend):
+            obs.enable()
+            obs.reset()
+            try:
+                summary = _flaky_runner(1, backend, head_s=0.3).run()
+                return summary, obs.snapshot()["counters"]
+            finally:
+                obs.reset()
+                obs.disable()
+
+        summary, serial = stats(None)
+        # Settle never cuts short or sends back a serial task.
+        assert "runtime.pool.wasted_attempts" not in serial
+        parallel_summary, parallel = stats(PoolBackend(2))
+        assert parallel_summary == summary
+        # Every task dispatched behind the slow head retried in full.
+        assert parallel["runtime.pool.wasted_attempts"] > 0
+        attempts = sum(task["attempts"] for task in summary["tasks"])
+        for counters in (serial, parallel):
+            assert counters["runtime.tasks"] == 16
+            assert counters["runtime.attempts"] == attempts
+            assert counters["runtime.tasks.ok"] \
+                == summary["counts"]["ok"]
+            assert counters["runtime.tasks.deadletter"] \
+                == summary["counts"]["failed"]
+            assert {name: value for name, value in counters.items()
+                    if name.startswith("runtime.breaker.")} \
+                == {name: value for name, value in serial.items()
+                    if name.startswith("runtime.breaker.")}
 
 
 class TestGracefulShutdown:
