@@ -104,6 +104,7 @@ FD files contain one FD per line (``#`` comments allowed), e.g.::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path as FilePath
@@ -168,11 +169,14 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
               file=sys.stderr)
     on_step = None
     if checkpoint_path:
+        if resume is None:
+            # A fresh run starts the file afresh; each save appends.
+            FilePath(checkpoint_path).unlink(missing_ok=True)
         on_step = lambda cp: ckpt.save(checkpoint_path, cp)  # noqa: E731
     result = spec.normalize(resume=resume, on_step=on_step)
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    if checkpoint_path:
         # The run converged; the checkpoint has served its purpose.
-        os.unlink(checkpoint_path)
+        FilePath(checkpoint_path).unlink(missing_ok=True)
     for index, step in enumerate(result.steps, start=1):
         print(f"step {index}: {step.description}", file=sys.stderr)
     print(serialize_dtd(result.dtd), end="")
@@ -286,6 +290,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if workers > 1:
         pool = PoolBackend(workers, crash_retries=args.crash_retries,
                            stall_timeout=args.stall_timeout)
+    # Everything opened below closes, last opened first, on every way
+    # out: the heartbeat writer emits its final record before its
+    # stream closes.
+    closing = contextlib.ExitStack()
     journal = None
     if args.journal:
         from repro.runtime.journal import open_journal
@@ -297,77 +305,63 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                policy=policy, board=board,
                                ensemble_mode=args.ensemble,
                                resume=args.resume)
+        closing.callback(journal.close)
         if args.resume:
             print(f"journal: resuming from {args.journal}: "
                   f"{journal.skipped} task(s) already complete, "
                   f"{journal.in_flight} in flight at interruption",
                   file=sys.stderr)
-    heartbeat_file = getattr(args, "heartbeat", None)
-    writer = None
-    heartbeat_stream = None
-    if heartbeat_file:
-        from repro.runtime.heartbeat import HeartbeatWriter
-        if heartbeat_file == "-":
+    with closing:
+        consumers = []
+        heartbeat_file = getattr(args, "heartbeat", None)
+        if heartbeat_file:
+            from repro.runtime.heartbeat import HeartbeatWriter
             # stdout is reserved for the JSON summary; "-" streams the
             # heartbeats to stderr so `xnf batch m.json | jq .` parses.
             heartbeat_stream = sys.stderr
-        else:
+            if heartbeat_file != "-":
+                try:
+                    heartbeat_stream = open(heartbeat_file, "w")
+                except OSError as error:
+                    print(f"error: cannot open heartbeat file: {error}",
+                          file=sys.stderr)
+                    return EXIT_ERROR
+                closing.callback(heartbeat_stream.close)
+            writer = HeartbeatWriter(
+                heartbeat_stream, total=manifest.task_count, board=board,
+                pool=pool, journal=journal,
+                interval_s=args.heartbeat_interval)
+            closing.callback(writer.close)
+            consumers.append(writer.task_done)
+        ledger_file = getattr(args, "ledger", None)
+        if ledger_file:
+            from repro.obs.ledger import LedgerWriter
             try:
-                heartbeat_stream = open(heartbeat_file, "w")
+                # Append: the ledger is a history; each run adds records
+                # under a fresh run id, and `obs regress` compares runs.
+                # Readable too, so the writer can cut a torn last record.
+                ledger_stream = open(ledger_file, "a+")
             except OSError as error:
-                print(f"error: cannot open heartbeat file: {error}",
+                print(f"error: cannot open ledger file: {error}",
                       file=sys.stderr)
-                if journal is not None:
-                    journal.close()
                 return EXIT_ERROR
-        writer = HeartbeatWriter(
-            heartbeat_stream, total=manifest.task_count, board=board,
-            pool=pool, journal=journal,
-            interval_s=args.heartbeat_interval)
-    ledger_file = getattr(args, "ledger", None)
-    ledger_writer = None
-    ledger_stream = None
-    if ledger_file:
-        from repro.obs.ledger import LedgerWriter
-        try:
-            # Append: the ledger is a history; each run adds records
-            # under a fresh run id, and `obs regress` compares runs.
-            ledger_stream = open(ledger_file, "a")
-        except OSError as error:
-            print(f"error: cannot open ledger file: {error}",
-                  file=sys.stderr)
-            if heartbeat_stream not in (None, sys.stderr):
-                heartbeat_stream.close()
-            if journal is not None:
-                journal.close()
-            return EXIT_ERROR
-        ledger_writer = LedgerWriter(ledger_stream, manifest=manifest,
-                                     fsync=args.ledger_fsync)
-    consumers = [consumer.task_done for consumer
-                 in (writer, ledger_writer) if consumer is not None]
-    if not consumers:
-        on_task_done = None
-    elif len(consumers) == 1:
-        on_task_done = consumers[0]
-    else:
-        def on_task_done(outcome):
-            for consumer in consumers:
-                consumer(outcome)
-    try:
+            closing.callback(ledger_stream.close)
+            consumers.append(LedgerWriter(
+                ledger_stream, manifest=manifest,
+                fsync=args.ledger_fsync).task_done)
+        if not consumers:
+            on_task_done = None
+        elif len(consumers) == 1:
+            on_task_done = consumers[0]
+        else:
+            def on_task_done(outcome):
+                for consumer in consumers:
+                    consumer(outcome)
         summary = batch_mod.run_batch(
             manifest, policy=policy, board=board,
             ensemble_mode=args.ensemble,
             on_task_done=on_task_done,
             backend=pool, journal=journal)
-    finally:
-        if writer is not None:
-            writer.close()
-        if heartbeat_stream not in (None, sys.stderr):
-            heartbeat_stream.close()
-        if ledger_stream is not None:
-            ledger_stream.close()
-        if journal is not None:
-            journal.close()
     # Machine-readable summary on stdout, human account on stderr —
     # ``xnf batch m.json | jq .`` must always parse.
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)

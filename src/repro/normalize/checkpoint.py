@@ -15,12 +15,14 @@ round-trip exactly (``tests/test_normalize_checkpoint.py`` pins that a
 run interrupted at *every* checkpoint boundary and resumed produces
 output identical to the uninterrupted run).
 
-The JSON layout is schema-versioned (:data:`CHECKPOINT_VERSION`) and
+A checkpoint file is a record file (:mod:`repro.records`): each save
+appends one full-state record, and :func:`load` returns the last
+intact one, so a crash mid-save costs at most the transform being
+saved.  Records are schema-versioned (:data:`CHECKPOINT_VERSION`) and
 fingerprinted against the *original* ``(D, Σ)``; loading a checkpoint
 with the wrong version or resuming against a different specification
 raises :class:`~repro.errors.CheckpointError` (the CLI maps it to exit
-code 2).  File writes are atomic (temp file + ``os.replace``) so a
-crash mid-save never leaves a torn checkpoint behind.
+code 2).
 
 When :mod:`repro.obs` is enabled, saving increments
 ``checkpoint.saved`` and restoring ``checkpoint.restored``.
@@ -28,14 +30,12 @@ When :mod:`repro.obs` is enabled, saving increments
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 from typing import Iterable, Sequence
 
+from repro import records
 from repro.errors import CheckpointError, ReproError
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
@@ -46,11 +46,14 @@ from repro.obs import metrics as _obs
 
 _SITE_SAVE = _faults.register_site(
     "checkpoint.save", "normalize",
-    "between writing a checkpoint's temp file and renaming it into "
-    "place (the atomic-save crash window)")
+    "checkpoint record append, before the file is touched (truncate "
+    "= a kill mid-save: the torn record reaches the file, and the "
+    "next save or load drops it)",
+    kinds=_faults.INPUT_KINDS)
 
-#: Bump on any incompatible change to the JSON layout.
-CHECKPOINT_VERSION = 1
+#: Bump on any incompatible change to the record layout (2: one
+#: JSON-lines record per applied transform).
+CHECKPOINT_VERSION = 2
 
 #: The ``schema`` discriminator stored in every checkpoint file.
 CHECKPOINT_SCHEMA = "repro.normalize.checkpoint"
@@ -63,11 +66,9 @@ def fingerprint(dtd: DTD, sigma: Iterable[FD]) -> str:
     spelled (whitespace, comments, FD path order) but pins the actual
     schema and dependency set.
     """
-    digest = hashlib.sha256()
-    digest.update(serialize_dtd(dtd).encode())
-    digest.update(b"\x00")
-    digest.update("\n".join(sorted(str(fd) for fd in sigma)).encode())
-    return digest.hexdigest()
+    return records.fingerprint(
+        serialize_dtd(dtd) + "\x00"
+        + "\n".join(sorted(str(fd) for fd in sigma)))
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,26 @@ class NormalizationCheckpoint:
             steps=[{"kind": step.kind, "description": step.description}
                    for step in steps])
 
-    # -- JSON --------------------------------------------------------------
+    # -- JSON ------------------------------------------------------------
+
+    def record(self) -> dict:
+        return {"schema": CHECKPOINT_SCHEMA, "version": self.version,
+                "fingerprint": self.fingerprint, "dtd": self.dtd_text,
+                "sigma": self.sigma, "steps": self.steps}
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"schema": CHECKPOINT_SCHEMA, "version": self.version,
-             "fingerprint": self.fingerprint, "dtd": self.dtd_text,
-             "sigma": self.sigma, "steps": self.steps},
-            indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.record(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NormalizationCheckpoint":
         try:
-            payload = json.loads(text)
+            return cls.from_record(json.loads(text))
         except json.JSONDecodeError as error:
             raise CheckpointError(
                 f"checkpoint is not valid JSON: {error}") from error
+
+    @classmethod
+    def from_record(cls, payload: object) -> "NormalizationCheckpoint":
         if not isinstance(payload, dict) \
                 or payload.get("schema") != CHECKPOINT_SCHEMA:
             raise CheckpointError(
@@ -183,8 +188,8 @@ class NormalizationCheckpoint:
         if self.fingerprint != original_fingerprint:
             raise CheckpointError(
                 "checkpoint was recorded for a different (D, Sigma) "
-                f"(fingerprint {self.fingerprint[:12]}… != "
-                f"{original_fingerprint[:12]}…); refusing to resume")
+                f"(fingerprint {self.fingerprint} != "
+                f"{original_fingerprint}); refusing to resume")
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +198,19 @@ class NormalizationCheckpoint:
 
 def save(path: str | FilePath,
          checkpoint: NormalizationCheckpoint) -> None:
-    """Atomically write ``checkpoint`` to ``path`` (temp + rename)."""
-    path = FilePath(path)
-    handle, temp_name = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            stream.write(checkpoint.to_json())
-        # The crash window of the atomic-save protocol: the temp file
-        # is fully written but not yet renamed into place.  A failure
-        # here must reach the cleanup below, or every crashed save
-        # leaks one ``*.tmp`` next to the checkpoint.
-        if _faults.active:
-            _faults.fire(_SITE_SAVE)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    """Append ``checkpoint`` to the file at ``path`` as one record
+    (:func:`repro.records.append`: a failed save leaves it untouched)."""
+    records.append(path, checkpoint.record(), site=_SITE_SAVE)
     if _obs.enabled:
         _obs.inc("checkpoint.saved")
 
 
 def load(path: str | FilePath) -> NormalizationCheckpoint:
-    """Read and validate a checkpoint file."""
-    try:
-        text = FilePath(path).read_text()
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {error}") from error
-    return NormalizationCheckpoint.from_json(text)
+    """Read a checkpoint file back to its last intact record."""
+    found = records.read(path, error=lambda message: CheckpointError(
+        f"{message}; re-run the normalization from scratch"))
+    if found.torn:
+        records.warn_torn(found.source, "checkpoint.torn")
+    if not found.lines:
+        raise CheckpointError(f"{found.source}: no checkpoint record")
+    return NormalizationCheckpoint.from_record(found.lines[-1][1])

@@ -2,7 +2,7 @@
 
 ``xnf batch --ledger FILE`` attaches a :class:`LedgerWriter` to the
 batch runner's per-task completion hook.  For every terminal task it
-appends one schema-versioned JSON line::
+appends one schema-versioned record (:mod:`repro.records`)::
 
     {"schema": "repro.obs.ledger", "version": 1,
      "run": "9f3a1c2b4d5e", "ts": 1754700000.123,
@@ -40,21 +40,18 @@ siblings does.  ``--absolute`` compares raw wall times instead.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import json
-import os
 import statistics
-import sys
 import time
 import uuid
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable
 
+from repro import records
 from repro.bench.compare import Finding
 from repro.errors import ReproError
-from repro.obs import metrics as _obs
+from repro.records import fingerprint
 
 #: The ``schema`` discriminator stamped on every ledger record.
 LEDGER_SCHEMA = "repro.obs.ledger"
@@ -70,47 +67,11 @@ class LedgerError(ReproError):
     """A ledger file is unreadable, malformed, or not comparable."""
 
 
-def fingerprint(text: str | None) -> str | None:
-    """A short, stable content digest (``None`` passes through)."""
-    if text is None:
-        return None
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def spec_fingerprints(task) -> tuple[str | None, str | None]:
-    """``(dtd_sha, fds_sha)`` of a task's spec texts, each ``None``
-    when its file cannot be read (the task dead-letters on that)."""
-    shas = []
-    for load in (task.load_dtd_text, task.load_fds_text):
-        try:
-            shas.append(fingerprint(load()))
-        except (ReproError, OSError):
-            shas.append(None)
-    return shas[0], shas[1]
-
-
-def append_line(stream: IO[str], line: str, *, fsync: bool) -> None:
-    """Append one full line in a single write, flush, and optionally
-    fsync it.  A failed append closes ``stream`` (its buffer would only
-    fail again on close) and raises :class:`ReproError`."""
-    try:
-        stream.write(line)
-        stream.flush()
-        if fsync:
-            os.fsync(stream.fileno())
-    except OSError as error:
-        with contextlib.suppress(OSError):
-            stream.close()
-        name = getattr(stream, "name", "<stream>")
-        raise ReproError(f"cannot append to {name}: {error}") from error
-
-
 def counters_digest(delta: dict) -> str | None:
     """Digest of a counter-delta mapping, independent of dict order."""
     if not delta:
         return None
-    canonical = json.dumps(sorted(delta.items()))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return fingerprint(json.dumps(sorted(delta.items())))
 
 
 # -- writing -----------------------------------------------------------
@@ -132,10 +93,11 @@ class LedgerWriter:
                  fsync: bool = False) -> None:
         self.stream = stream
         #: ``fsync=True`` makes each append crash-*durable* (survives
-        #: power loss); the default is crash-*consistent* only — a
-        #: record is written as one full line, so the worst a crash
-        #: leaves is a torn trailing line, which the readers tolerate.
+        #: power loss); by default it is crash-*consistent* only.
         self.fsync = fsync
+        if records.repair(stream):
+            records.warn_torn(getattr(stream, "name", "<ledger>"),
+                              "obs.ledger.torn")
         self.run = run if run is not None else uuid.uuid4().hex[:12]
         self._clock = clock
         self.manifest_source = manifest.source
@@ -148,7 +110,7 @@ class LedgerWriter:
         """The ledger record for one terminal :class:`TaskOutcome`
         (without writing it)."""
         task = outcome.task
-        dtd_sha, fds_sha = spec_fingerprints(task)
+        dtd_sha, fds_sha = task.spec_fingerprints
         return {
             "schema": LEDGER_SCHEMA,
             "version": LEDGER_VERSION,
@@ -170,11 +132,9 @@ class LedgerWriter:
 
     def task_done(self, outcome) -> None:
         """The batch runner's ``on_task_done`` hook: append one record
-        as a *single write* of a full line (crash-consistent like the
-        batch journal — never two records interleaved, never a partial
-        line followed by more records), flush, and optionally fsync."""
-        append_line(self.stream, json.dumps(self.record_for(outcome))
-                    + "\n", fsync=self.fsync)
+        (:func:`repro.records.append`), fsync'd when :attr:`fsync`."""
+        records.append(self.stream, self.record_for(outcome),
+                       fsync=self.fsync)
         self.records_written += 1
 
 
@@ -184,66 +144,33 @@ class LedgerWriter:
 def read_ledger(path: str | Path) -> list[dict]:
     """Parse a ledger file (``-`` = stdin); raises
     :class:`LedgerError` on unreadable input, bad JSON, a foreign
-    schema, or a missing required field.
-
-    Exception: a torn *trailing* line — the partial record a crash
-    mid-append leaves behind, since :meth:`LedgerWriter.task_done`
-    appends each record as one single write — is skipped with a
-    stderr warning and an ``obs.ledger.torn`` counter tick, so ``xnf
-    obs history``/``regress`` keep working on the history of a batch
-    whose supervisor died.  Bad JSON anywhere *else* is still an
-    error: single-line appends cannot tear mid-file.
-    """
-    if str(path) == "-":
-        source, text = "<stdin>", sys.stdin.read()
-    else:
-        source = str(path)
-        try:
-            text = Path(path).read_text()
-        except OSError as error:
-            raise LedgerError(f"cannot read {source}: {error}")
-    lines = text.splitlines()
-    last_content = max((number for number, line
-                        in enumerate(lines, start=1) if line.strip()),
-                       default=0)
-    records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            if lineno == last_content:
-                print(f"warning: {source}:{lineno}: torn trailing "
-                      f"record skipped (crash mid-append?)",
-                      file=sys.stderr)
-                if _obs.enabled:
-                    _obs.inc("obs.ledger.torn")
-                continue
-            raise LedgerError(
-                f"{source}:{lineno}: not valid JSON ({error})")
+    schema, or a missing required field.  A torn last record is skipped
+    with a warning (``obs.ledger.torn``)."""
+    found = records.read(path, error=LedgerError)
+    if found.torn:
+        records.warn_torn(found.source, "obs.ledger.torn")
+    ledger: list[dict] = []
+    for lineno, record in found.lines:
+        where = f"{found.source}:{lineno}"
         if not isinstance(record, dict):
-            raise LedgerError(
-                f"{source}:{lineno}: expected a ledger record, got "
-                f"{type(record).__name__}")
+            raise LedgerError(f"{where}: expected a ledger record, got "
+                              f"{type(record).__name__}")
         if record.get("schema") != LEDGER_SCHEMA:
             raise LedgerError(
-                f"{source}:{lineno}: schema is "
-                f"{record.get('schema')!r}, expected {LEDGER_SCHEMA!r}")
+                f"{where}: schema is {record.get('schema')!r}, "
+                f"expected {LEDGER_SCHEMA!r}")
         if record.get("version") != LEDGER_VERSION:
             raise LedgerError(
-                f"{source}:{lineno}: ledger version "
-                f"{record.get('version')!r} is not supported "
-                f"(expected {LEDGER_VERSION})")
+                f"{where}: ledger version {record.get('version')!r} is "
+                f"not supported (expected {LEDGER_VERSION})")
         for key in _REQUIRED_KEYS:
             if key not in record:
-                raise LedgerError(
-                    f"{source}:{lineno}: record missing {key!r}")
-        records.append(record)
-    if not records:
-        raise LedgerError(f"{source}: no ledger records "
+                raise LedgerError(f"{where}: record missing {key!r}")
+        ledger.append(record)
+    if not ledger:
+        raise LedgerError(f"{found.source}: no ledger records "
                           f"(was the run invoked with --ledger?)")
-    return records
+    return ledger
 
 
 def group_runs(records: list[dict]) -> dict[str, list[dict]]:

@@ -1,8 +1,8 @@
 """Folding JSON-lines span traces into deterministic profiles.
 
-The input is a ``--trace FILE`` log (:class:`repro.obs.trace.JsonLinesSink`
-records, one JSON object per finished span).  This module rebuilds the
-span forest and folds it three ways:
+The input is a ``--trace FILE`` record file (:mod:`repro.records`): one
+:class:`repro.obs.trace.JsonLinesSink` object per finished span.  This
+module rebuilds the span forest and folds it three ways:
 
 * **by span name** — call counts, total and *self* wall time (total
   minus the time covered by child spans), and self-attributed counter
@@ -30,12 +30,12 @@ code contract is 0 pass / 1 regression / 2 unreadable input.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
+from repro import records
 from repro.bench.compare import Finding, gate, render_findings
 from repro.errors import ReproError
 
@@ -47,33 +47,19 @@ class TraceError(ReproError):
 # -- loading -----------------------------------------------------------
 
 
-def _read_source(path: str | Path) -> tuple[str, str]:
-    """Read a trace/snapshot source; ``-`` means standard input."""
-    if str(path) == "-":
-        return "<stdin>", sys.stdin.read()
-    source = str(path)
-    try:
-        return source, Path(path).read_text()
-    except OSError as error:
-        raise TraceError(f"cannot read {source}: {error}")
-
-
 def load_trace(path: str | Path) -> list[dict]:
     """Parse a JSON-lines span trace; raises :class:`TraceError`."""
-    source, text = _read_source(path)
-    return _parse_trace(source, text)
+    return _parse_trace(*records.read_text(path, error=TraceError))
 
 
 def _parse_trace(source: str, text: str) -> list[dict]:
-    records: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            raise TraceError(
-                f"{source}:{lineno}: not valid JSON ({error})")
+    """The span records of a trace; a torn last record (a run killed
+    mid-write) is skipped with a warning (:func:`repro.records.read`)."""
+    found = records.read(source, error=TraceError, text=text)
+    if found.torn:
+        records.warn_torn(found.source, "obs.trace.torn")
+    spans: list[dict] = []
+    for lineno, record in found.lines:
         if not isinstance(record, dict):
             raise TraceError(
                 f"{source}:{lineno}: expected a span object, got "
@@ -82,11 +68,11 @@ def _parse_trace(source: str, text: str) -> list[dict]:
             if key not in record:
                 raise TraceError(
                     f"{source}:{lineno}: span record missing {key!r}")
-        records.append(record)
-    if not records:
+        spans.append(record)
+    if not spans:
         raise TraceError(f"{source}: no span records "
                          f"(was the run traced with --trace?)")
-    return records
+    return spans
 
 
 # -- the span forest ---------------------------------------------------
@@ -419,7 +405,7 @@ def load_comparable(path: str | Path) -> tuple[str, dict]:
     is ``"trace"`` or ``"snapshot"``.  Counters gate, times are
     advisory — the same split the benchmark comparator uses.
     """
-    source, text = _read_source(path)
+    source, text = records.read_text(path, error=TraceError)
     stripped = text.strip()
     if not stripped:
         raise TraceError(f"{source}: empty file")

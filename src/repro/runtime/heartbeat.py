@@ -4,7 +4,7 @@
 the batch runner's per-task completion hook, which sees tasks in
 index order on both backends.  At most once per
 ``interval_s`` (and always on the final task) it appends one
-schema-versioned JSON line describing the run so far::
+schema-versioned record (:mod:`repro.records`) on the run so far::
 
     {"schema": "repro.runtime.heartbeat", "version": 1, "seq": 3,
      "elapsed_s": 2.134,
@@ -38,10 +38,10 @@ job run over every emitted line.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import IO, Callable
 
+from repro import records
 from repro.obs import metrics as _obs
 from repro.runtime.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard
 
@@ -154,8 +154,7 @@ class HeartbeatWriter:
         record = self.record(now=now)
         self.seq = record["seq"]
         self._last_emit = now
-        self.stream.write(json.dumps(record, sort_keys=True) + "\n")
-        self.stream.flush()
+        records.append(self.stream, record)
         if _obs.enabled:
             self._publish_gauges(record)
             _obs.inc("runtime.heartbeats")
@@ -272,22 +271,23 @@ def validate_heartbeat(record: object) -> dict:
 def validate_heartbeat_lines(text: str) -> list[dict]:
     """Validate every line of a heartbeat file; returns the records.
 
-    Also checks the cross-record invariants: ``seq`` strictly
-    increasing and ``tasks.done`` non-decreasing.
+    A torn last record is an error here (the newline after the last
+    line may be left out).  Also checks the cross-record invariants:
+    ``seq`` strictly increasing and ``tasks.done`` non-decreasing.
     """
-    records: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    if not text.endswith("\n"):
+        text += "\n"
+    found = records.read("<heartbeat>", error=ValueError, text=text)
+    if found.torn:
+        raise ValueError(f"line {found.torn}: torn trailing record "
+                         f"(not valid JSON)")
+    heartbeats: list[dict] = []
+    for lineno, parsed in found.lines:
         try:
-            parsed = json.loads(line)
-        except ValueError as error:
-            raise ValueError(f"line {lineno}: not valid JSON ({error})")
-        try:
-            records.append(validate_heartbeat(parsed))
+            heartbeats.append(validate_heartbeat(parsed))
         except ValueError as error:
             raise ValueError(f"line {lineno}: {error}")
-    for previous, current in zip(records, records[1:]):
+    for previous, current in zip(heartbeats, heartbeats[1:]):
         if current["seq"] <= previous["seq"]:
             raise ValueError(f"seq not strictly increasing: "
                              f"{previous['seq']} -> {current['seq']}")
@@ -295,4 +295,4 @@ def validate_heartbeat_lines(text: str) -> list[dict]:
             raise ValueError(f"tasks.done decreased: "
                              f"{previous['tasks']['done']} -> "
                              f"{current['tasks']['done']}")
-    return records
+    return heartbeats

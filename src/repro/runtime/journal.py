@@ -28,12 +28,9 @@ The journal file is JSON-lines::
 
 Design decisions, each load-bearing:
 
-* **Append = one ``write`` of one full line, then ``fsync``.**  A
-  record is either entirely in the file or entirely absent; the only
-  partial state a crash can leave is a torn *trailing* line, which
-  resume truncates with a counted warning (``runtime.journal.torn``)
-  and never treats as an error.  A torn line anywhere *else* means the
-  file was edited, not crashed on, and raises
+* **A record file that fsyncs every append** (:mod:`repro.records`).
+  Resume cuts a torn last record off with a counted warning
+  (``runtime.journal.torn``); any other bad line raises
   :class:`~repro.errors.JournalError` (exit 2).
 * **Meta is verified field-by-field on resume.**  Every field in the
   meta record affects summary bytes (manifest identity via the same
@@ -71,15 +68,14 @@ parent-kill harness (``tests/property/test_journal_chaos.py``).
 from __future__ import annotations
 
 import copy
-import json
 import os
 import sys
 from typing import IO, Callable
 
+from repro import records
 from repro.errors import JournalError
 from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
-from repro.obs.ledger import append_line, fingerprint, spec_fingerprints
 from repro.runtime.batch import TaskOutcome
 from repro.runtime.breaker import BreakerBoard
 from repro.runtime.manifest import Manifest, Task
@@ -187,7 +183,7 @@ def meta_record(manifest: Manifest, policy: RetryPolicy,
         # The same identity fingerprint the run ledger stamps on its
         # records, so journal and ledger agree on what "same batch"
         # means.
-        "manifest_sha": fingerprint(
+        "manifest_sha": records.fingerprint(
             f"{manifest.source}:{manifest.seed}:{count}"),
         "seed": manifest.seed,
         "count": count,
@@ -238,48 +234,17 @@ class _JournalState:
         self.meta: dict | None = None
         self.intents: set[int] = set()
         self.results: dict[int, dict] = {}
-        self.good_bytes: int = 0
         self.torn: bool = False
 
 
 def read_journal(path: str) -> _JournalState:
-    """Parse a journal file, tolerating exactly one torn trailing line.
-
-    ``good_bytes`` is the byte offset of the end of the last complete,
-    parseable record — the truncation point a resume restores the file
-    to before appending.  Journal content is ASCII (``json.dumps``
-    with the default ``ensure_ascii``), so character offsets are byte
-    offsets.
-    """
+    """Parse a journal file, leaving out a torn last record
+    (:func:`repro.records.read`)."""
+    found = records.read(path, error=_structural)
     state = _JournalState()
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    except OSError as error:
-        raise _structural(f"cannot read {path}: {error}") from error
-    if _faults.active:
-        # An injected tear: recover exactly as if the file really lost
-        # its tail (the resume truncates to the surviving prefix).
-        text = _faults.mangle(_SITE_REPLAY, text)
-    offset = 0
-    line_no = 0
-    for line in text.splitlines(keepends=True):
-        line_no += 1
-        if not line.endswith("\n"):
-            # A trailing chunk without its newline: the torn-append
-            # crash window.  Everything before it is intact.
-            state.torn = True
-            break
-        if line.strip() == "":
-            offset += len(line)
-            continue
-        try:
-            record = _check_record(json.loads(line), line_no)
-        except ValueError as error:
-            # A *complete* line that does not parse was not torn by a
-            # crash — single-write appends cannot leave one.
-            raise _structural(
-                f"line {line_no}: malformed record: {error}") from error
+    state.torn = found.torn is not None
+    for line_no, record in found.lines:
+        record = _check_record(record, line_no)
         if record["record"] == "meta":
             state.meta = record
         elif record["record"] == "intent":
@@ -296,10 +261,8 @@ def read_journal(path: str) -> _JournalState:
                     f"out of index order (expected {len(state.results)})"
                     f"; {_OLDER_PARALLEL}")
             state.results[index] = record
-        offset += len(line)
     if state.meta is None and (state.intents or state.results):
         raise _structural("first record must be the meta record")
-    state.good_bytes = offset
     return state
 
 
@@ -344,15 +307,8 @@ class BatchJournal:
     # -- durability ----------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        if _faults.active:
-            line = _faults.mangle(_SITE_APPEND, line)
-        # One write of one full line: a real crash between write and
-        # fsync can only lose or tear the *trailing* record, which
-        # resume truncates.  (Buffered partial flushes are why the
-        # write must be a single call.)
-        append_line(self._stream, line, fsync=self._fsync)
-        if not line.endswith("\n"):
+        if not records.append(self._stream, record, fsync=self._fsync,
+                              site=_SITE_APPEND):
             # The injected mid-append kill: the torn record is on disk
             # and this process must stop appending past the hole.
             raise _structural(
@@ -390,7 +346,7 @@ class BatchJournal:
 
     def result(self, index: int, outcome: TaskOutcome) -> None:
         task = outcome.task
-        dtd_sha, fds_sha = spec_fingerprints(task)
+        dtd_sha, fds_sha = task.spec_fingerprints
         self._append({"record": "result", "index": index,
                       "id": task.id, "op": task.op,
                       "dtd_sha": dtd_sha, "fds_sha": fds_sha,
@@ -404,8 +360,14 @@ class BatchJournal:
                 "skipped": self.skipped}
 
     def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
+        self._stream.close()
+
+
+def _open(path: str, mode: str) -> IO[str]:
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as error:
+        raise _structural(f"cannot open {path}: {error}") from error
 
 
 def open_journal(path: str, *, manifest: Manifest,
@@ -417,57 +379,41 @@ def open_journal(path: str, *, manifest: Manifest,
     """Open (and on ``resume``, replay) the journal at ``path``.
 
     Fresh runs truncate the file and write the meta record.  Resumes
-    read the file back, chop a torn trailing record (counted warning,
-    physical truncate to the last good byte), verify the meta record
-    against this invocation, and return a journal pre-loaded with the
-    completed outcomes and in-flight intents.  A resume against a
-    missing or record-less file degrades to a fresh run with a
-    warning — the parent may have died before the first append.
+    cut a torn last record off the file (counted warning), read it
+    back, verify the meta record against this invocation, and return
+    a journal pre-loaded with the completed outcomes and in-flight
+    intents.  A resume against a missing or record-less file degrades
+    to a fresh run with a warning — the parent may have died before
+    the first append.
     """
     expected = meta_record(manifest, policy, board, ensemble_mode)
-    if not resume:
+    if resume and os.path.exists(path):
+        stream = _open(path, "r+")
         try:
-            stream = open(path, "w", encoding="utf-8")
-        except OSError as error:
-            raise _structural(
-                f"cannot open {path}: {error}") from error
-        journal = BatchJournal(path, stream, fsync=fsync)
-        journal._append(expected)
-        return journal
-
-    if os.path.exists(path):
-        state = read_journal(path)
-    else:
+            if records.repair(stream, site=_SITE_REPLAY):
+                warn(f"journal {path}: torn trailing record truncated "
+                     f"(mid-append crash); resuming from the last "
+                     f"intact record")
+                if _obs.enabled:
+                    _obs.inc("runtime.journal.torn")
+            state = read_journal(path)
+            if state.meta is not None:
+                _verify_meta(state.meta, expected, path)
+        except BaseException:
+            stream.close()
+            raise
+        if state.meta is not None:
+            return BatchJournal(
+                path, stream,
+                completed={index: ReplayedOutcome(record)
+                           for index, record in state.results.items()},
+                pending_intents=frozenset(
+                    state.intents - set(state.results)),
+                fsync=fsync)
+        stream.close()
+        warn(f"journal {path} has no meta record; starting fresh")
+    elif resume:
         warn(f"journal {path} does not exist; starting fresh")
-        state = _JournalState()
-    if state.torn:
-        warn(f"journal {path}: torn trailing record truncated "
-             f"(mid-append crash); resuming from the last intact "
-             f"record")
-        if _obs.enabled:
-            _obs.inc("runtime.journal.torn")
-    if state.meta is None:
-        if os.path.exists(path):
-            warn(f"journal {path} has no meta record; starting fresh")
-        try:
-            stream = open(path, "w", encoding="utf-8")
-        except OSError as error:
-            raise _structural(
-                f"cannot open {path}: {error}") from error
-        journal = BatchJournal(path, stream, fsync=fsync)
-        journal._append(expected)
-        return journal
-    _verify_meta(state.meta, expected, path)
-    completed = {index: ReplayedOutcome(record)
-                 for index, record in state.results.items()}
-    pending = frozenset(state.intents - set(state.results))
-    try:
-        # Physically drop the torn tail before appending past it, so
-        # the journal never holds a record-inside-a-record splice.
-        stream = open(path, "r+", encoding="utf-8")
-        stream.truncate(state.good_bytes)
-        stream.seek(0, os.SEEK_END)
-    except OSError as error:
-        raise _structural(f"cannot open {path}: {error}") from error
-    return BatchJournal(path, stream, completed=completed,
-                        pending_intents=pending, fsync=fsync)
+    journal = BatchJournal(path, _open(path, "w"), fsync=fsync)
+    journal._append(expected)
+    return journal

@@ -62,10 +62,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path as FilePath
 from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.errors import ManifestError
+from repro.errors import ManifestError, ReproError
+from repro.records import fingerprint
 
 #: Bump on any incompatible change to the JSON layout.
 MANIFEST_VERSION = 1
@@ -127,6 +129,19 @@ class Task:
         if self.fds_path is not None:
             return FilePath(self.fds_path).read_text()
         return ""
+
+    @cached_property
+    def spec_fingerprints(self) -> tuple[str | None, str | None]:
+        """``(dtd_sha, fds_sha)``, each ``None`` when its file cannot be
+        read (the task dead-letters on that); hashed once per task for
+        the journal and the ledger."""
+        shas = []
+        for load in (self.load_dtd_text, self.load_fds_text):
+            try:
+                shas.append(fingerprint(load()))
+            except (ReproError, OSError):
+                shas.append(None)
+        return shas[0], shas[1]
 
 
 @dataclass

@@ -6,8 +6,8 @@ Parsing the DTD, validating Σ, and (especially) re-deriving the
 implication engine's internal state per request would throw that
 warmth away.  :class:`SpecCache` keeps the most recently used
 :class:`~repro.spec.XMLSpec` objects alive, keyed by the same sha-256
-fingerprints the checkpoint/ledger layers already compute
-(:func:`repro.obs.ledger.fingerprint`), so a cache key never depends
+fingerprints the journal, ledger and checkpoint files use
+(:func:`repro.records.fingerprint`), so a cache key never depends
 on whitespace-insignificant differences being equal — only on the
 exact request text, root override, and engine choice.
 
@@ -37,7 +37,7 @@ from typing import Callable
 
 from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
-from repro.obs.ledger import fingerprint
+from repro.records import fingerprint
 from repro.spec import XMLSpec
 
 _SITE_FILL = _faults.register_site(

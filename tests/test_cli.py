@@ -198,6 +198,10 @@ class TestColdImports:
     @pytest.mark.parametrize("module, unwanted", [
         ("repro.cli", ["http.server"]),
         ("repro.serve.server", ["urllib.request", "repro.runtime"]),
+        # Record files need repro.records, not the ledger's reader and
+        # the benchmark comparator behind it.
+        ("repro.runtime.journal", ["repro.obs.ledger", "repro.bench"]),
+        ("repro.serve.cache", ["repro.obs.ledger", "repro.bench"]),
     ])
     def test_import_leaves_out(self, module, unwanted):
         import os, subprocess, sys
@@ -208,6 +212,25 @@ class TestColdImports:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_no_module_imports_tempfile(self):
+        """Record files append in place (repro.records); nothing writes
+        a temp file to rename over them."""
+        import ast
+        from pathlib import Path
+        import repro
+        offenders = []
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "tempfile" for name in names):
+                    offenders.append(path.name)
+        assert offenders == []
 
 
 HARD_DTD = """

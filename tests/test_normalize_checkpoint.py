@@ -177,7 +177,7 @@ class TestCheckpointFormat:
         path = tmp_path / "a.ckpt"
         ck.save(path, checkpoint)
         assert ck.load(path) == checkpoint
-        # atomic write: no stray temp files left behind
+        # one record file, no stray files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
 
     def test_load_missing_file(self, tmp_path):
@@ -202,9 +202,9 @@ class TestCheckpointFormat:
 
 
 class TestAtomicSaveCrashWindow:
-    """The ``checkpoint.save`` fault site sits between writing the
-    temp file and renaming it into place — the window where a naive
-    implementation leaks ``*.tmp`` files on every crashed save."""
+    """The ``checkpoint.save`` fault site fires before the file is
+    touched, so a failed save neither creates, tears nor leaves files
+    beside the checkpoint."""
 
     def _one(self):
         spec = university_spec()
@@ -221,7 +221,7 @@ class TestAtomicSaveCrashWindow:
                 ck.save(path, checkpoint)
         from repro.errors import ReproError
         assert isinstance(info.value, ReproError)
-        # Neither a torn checkpoint nor a leaked temp file survives.
+        # Neither a torn checkpoint nor any other file survives.
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -233,7 +233,7 @@ class TestAtomicSaveCrashWindow:
         with faults.use(faults.plan_from_spec("checkpoint.save")):
             with pytest.raises(InjectedFault):
                 ck.save(path, checkpoint)
-        # The atomic protocol never tears the existing file.
+        # A failed save never tears the existing file.
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
 

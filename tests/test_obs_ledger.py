@@ -394,3 +394,77 @@ class TestCli:
         from repro.obs.cli import main
         assert main(["history", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestTornLedgerAcrossRuns:
+    """A batch killed mid-record leaves a fragment; the next run's
+    records must not splice onto it."""
+
+    def test_next_run_cuts_the_fragment_and_history_reads_two_runs(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            {"schema": "repro.runtime.manifest", "version": 1,
+             "tasks": [{"id": f"t{index}", "op": "check",
+                        "dtd_text": DTD, "fds_text": FDS}
+                       for index in range(3)]}))
+        ledger = tmp_path / "runs.jsonl"
+        assert main(["batch", str(manifest), "--ledger", str(ledger)]) == 0
+        ledger.write_bytes(ledger.read_bytes()[:-9])  # the killed run
+        capsys.readouterr()
+        assert main(["batch", str(manifest), "--ledger", str(ledger)]) == 0
+        assert "torn trailing record" in capsys.readouterr().err
+        assert main(["obs", "history", str(ledger)]) == 0
+        assert "2 run(s), 5 record(s)" in capsys.readouterr().out
+        assert [record["task"] for record in read_ledger(ledger)] \
+            == ["t0", "t1", "t0", "t1", "t2"]
+
+
+class TestSpecFingerprints:
+    def test_journal_and_ledger_share_one_hash_per_task(
+            self, tmp_path, monkeypatch):
+        from repro.runtime import manifest as manifest_mod
+        from repro.runtime.batch import run_batch
+        from repro.runtime.breaker import BreakerBoard
+        from repro.runtime.journal import open_journal
+        from repro.runtime.retry import RetryPolicy
+        (tmp_path / "s.dtd").write_text(DTD)
+        (tmp_path / "s.fds").write_text(FDS)
+        tasks = [make_task("inline"),
+                 make_task("files", dtd_text=None, fds_text=None,
+                           dtd_path=str(tmp_path / "s.dtd"),
+                           fds_path=str(tmp_path / "s.fds")),
+                 make_task("missing", dtd_text=None,
+                           dtd_path=str(tmp_path / "absent.dtd"))]
+        manifest = make_manifest(tasks)
+        hashed = []
+        real = manifest_mod.fingerprint
+        monkeypatch.setattr(manifest_mod, "fingerprint",
+                            lambda text: hashed.append(text) or real(text))
+        policy = RetryPolicy(backoff_base_ms=0, seed=7)
+        journal_path = tmp_path / "run.journal"
+        journal = open_journal(str(journal_path), manifest=manifest,
+                               policy=policy, board=BreakerBoard(),
+                               fsync=False)
+        stream = io.StringIO()
+        writer = LedgerWriter(stream, manifest=manifest)
+        try:
+            run_batch(manifest, policy=policy, board=BreakerBoard(),
+                      on_task_done=writer.task_done, journal=journal)
+        finally:
+            journal.close()
+        results = {record["id"]: record for record in map(
+            json.loads, journal_path.read_text().splitlines())
+            if record["record"] == "result"}
+        ledger = {record["task"]: record for record in map(
+            json.loads, stream.getvalue().splitlines())}
+        assert sorted(results) == sorted(ledger) \
+            == ["files", "inline", "missing"]
+        for task, record in ledger.items():
+            assert (results[task]["dtd_sha"], results[task]["fds_sha"]) \
+                == (record["dtd_sha"], record["fds_sha"])
+        assert results["missing"]["dtd_sha"] is None
+        assert ledger["files"]["dtd_sha"] == fingerprint(DTD)
+        # Each readable spec text was hashed once, not once per writer.
+        assert sorted(hashed) == sorted([DTD, FDS, DTD, FDS, FDS])

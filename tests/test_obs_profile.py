@@ -53,8 +53,11 @@ class TestLoadTrace:
             prof.load_trace(path)
 
     def test_invalid_json_line(self, tmp_path):
+        # A bad line before the last is structural; a bad *last* line
+        # is a torn record, skipped (tests/test_records.py).
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": 1, "name": "a", "duration_ms": 1}\n{oops\n')
+        path.write_text('{"id": 1, "name": "a", "duration_ms": 1}\n{oops\n'
+                        '{"id": 2, "name": "b", "duration_ms": 1}\n')
         with pytest.raises(TraceError, match="bad.jsonl:2"):
             prof.load_trace(path)
 
