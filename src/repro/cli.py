@@ -476,58 +476,47 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Flags every command takes, before or after its name.
+_GLOBAL_FLAGS = (
+    ("--stats", dict(action="store_true",
+                     help="print a metrics table to stderr when done")),
+    ("--trace", dict(metavar="FILE",
+                     help="write a JSON-lines span trace to FILE")),
+    ("--metrics-port", dict(type=int, metavar="N",
+                            help="serve Prometheus /metrics and /healthz "
+                            "on localhost:N while the command runs "
+                            "(0 picks a free port, announced on "
+                            "stderr)")),
+    ("--timeout", dict(type=float, metavar="SECONDS",
+                       help="wall-clock deadline; exit 4 when reached")),
+    ("--max-steps", dict(type=int, metavar="N",
+                         help="engine work-unit budget; exit 4 when "
+                         "exhausted")),
+    ("--max-branches", dict(type=int, metavar="N",
+                            help="disjunction/case-split branch budget; "
+                            "exit 4 when exhausted")),
+    ("--max-nodes", dict(type=int, metavar="N",
+                         help="materialized node budget; exit 4 when "
+                         "exhausted")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xnf",
         description="XML normal form toolkit (Arenas & Libkin, PODS 2002)")
     parser.add_argument("--root", help="root element type "
                         "(default: first declared)")
-    parser.add_argument("--stats", action="store_true",
-                        help="print a metrics table to stderr when done")
-    parser.add_argument("--trace", metavar="FILE",
-                        help="write a JSON-lines span trace to FILE")
-    parser.add_argument("--metrics-port", type=int, metavar="N",
-                        help="serve Prometheus /metrics and /healthz "
-                        "on localhost:N while the command runs "
-                        "(0 picks a free port, announced on stderr)")
-    parser.add_argument("--timeout", type=float, metavar="SECONDS",
-                        help="wall-clock deadline; exit 4 when reached")
-    parser.add_argument("--max-steps", type=int, metavar="N",
-                        help="engine work-unit budget; exit 4 when "
-                        "exhausted")
-    parser.add_argument("--max-branches", type=int, metavar="N",
-                        help="disjunction/case-split branch budget; "
-                        "exit 4 when exhausted")
-    parser.add_argument("--max-nodes", type=int, metavar="N",
-                        help="materialized node budget; exit 4 when "
-                        "exhausted")
-
     # The observability and budget flags are also accepted *after* the
-    # subcommand (``xnf check d.dtd d.fds --stats``).  SUPPRESS keeps a
+    # subcommand (``xnf check d.dtd d.fds --stats``), through the
+    # ``common`` parent, where they are hidden.  SUPPRESS keeps a
     # subparser from overwriting a value parsed at the top level with
     # its default.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--stats", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--trace", metavar="FILE",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--metrics-port", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--timeout", type=float, metavar="SECONDS",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--max-steps", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--max-branches", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--max-nodes", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
+    for flag, spec in _GLOBAL_FLAGS:
+        parser.add_argument(flag, **spec)
+        common.add_argument(flag, **dict(spec, default=argparse.SUPPRESS,
+                                         help=argparse.SUPPRESS))
 
     sub = parser.add_subparsers(dest="command", required=True)
 

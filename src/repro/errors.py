@@ -179,7 +179,7 @@ class WorkerCrash(ReproError):
 class EnsembleDisagreementError(ReproError):
     """Raised when the differential engine ensemble observes two engines
     returning contradictory verdicts for the same implication query
-    (see ``repro.runtime.ensemble``).
+    (see ``repro.fd.ensemble``).
 
     A disagreement is never resolved silently: in ``strict`` mode it
     surfaces as this error (the batch runtime dead-letters the task);

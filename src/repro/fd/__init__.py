@@ -15,7 +15,11 @@ Public surface:
   quadratic algorithm of Theorem 3 for simple DTDs), ``chase`` (general
   non-recursive DTDs; worst-case exponential, matching Theorem 5), and
   ``brute`` (exhaustive bounded model search, the test oracle);
-* :func:`is_trivial` — ``(D, ∅) |- φ``.
+* :func:`is_trivial` — ``(D, ∅) |- φ``;
+* :mod:`repro.fd.ensemble` — the differential oracle behind
+  ``engine="ensemble"``: every applicable engine decides every query
+  and contradictions are escalated as records.  Not imported here:
+  :class:`ImplicationEngine` loads it on the first ensemble query.
 """
 
 from repro.fd.model import FD, parse_fds

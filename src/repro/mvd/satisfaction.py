@@ -26,11 +26,6 @@ from repro.tuples.model import TreeTuple
 from repro.xmltree.model import XMLTree
 
 
-def _signature(tuple_: TreeTuple, side: Sequence, rest: Sequence):
-    return (tuple(tuple_.get(p) for p in side),
-            tuple(tuple_.get(p) for p in rest))
-
-
 def mvd_violating_pairs(tree: XMLTree, dtd: DTD, mvd: MVD, *,
                         tuples: Sequence[TreeTuple] | None = None,
                         limit: int | None = None,

@@ -164,10 +164,6 @@ def _node_paths(tree: XMLTree) -> dict[str, Path]:
     return mapping
 
 
-def _value_of(tuple_, value_path: Path) -> str | None:
-    return tuple_.get(value_path)
-
-
 def _value_is_forced(dtd: DTD, lhs: frozenset[Path], value: Path) -> bool:
     """Whether the moved value is non-null whenever the LHS is — decides
     between the main construction and the footnote (nullable) variant."""

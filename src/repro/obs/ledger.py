@@ -102,8 +102,7 @@ class LedgerWriter:
         self._clock = clock
         self.manifest_source = manifest.source
         self.manifest_seed = manifest.seed
-        self.manifest_sha = fingerprint(
-            f"{manifest.source}:{manifest.seed}:{manifest.task_count}")
+        self.manifest_sha = manifest.sha
         self.records_written = 0
 
     def record_for(self, outcome) -> dict:

@@ -3,7 +3,7 @@
 :class:`BatchRunner` executes every task of a
 :class:`~repro.runtime.manifest.Manifest` under per-task isolation —
 its own :func:`repro.guard.limits` budget, its own
-:func:`repro.obs.trace.span`, its own :mod:`~repro.runtime.ensemble`
+:func:`repro.obs.trace.span`, its own :mod:`~repro.fd.ensemble`
 session, a fresh :class:`~repro.spec.XMLSpec` per attempt — so one
 pathological spec can neither corrupt nor starve its neighbours.
 
@@ -63,7 +63,7 @@ from repro.errors import (
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro import guard
-from repro.runtime import ensemble as _ensemble
+from repro.fd import ensemble as _ensemble
 from repro.runtime.breaker import BreakerBoard, failure_signature
 from repro.runtime.manifest import Manifest, Task
 from repro.runtime.retry import RetryPolicy, is_transient
@@ -155,6 +155,21 @@ class TaskOutcome:
         self.reason = REASON_BREAKER_OPEN
         self.signature = self.failures[-1]["signature"]
 
+    @classmethod
+    def from_record(cls, record: dict) -> "TaskOutcome":
+        """The outcome a journal ``result`` record carries: the inverse
+        of :meth:`to_json`, plus the record's reason and signature.
+        Its task holds only the id and op, because a replayed outcome is
+        summarized and settled, never run or recorded again."""
+        payload = record["payload"]
+        return cls(task=Task(id=record["id"], op=record["op"]),
+                   status=payload["status"], attempts=payload["attempts"],
+                   delays_ms=payload["delays_ms"],
+                   failures=payload.get("failures", []),
+                   result=payload.get("result"), reason=record["reason"],
+                   signature=record["signature"],
+                   disagreements=payload.get("disagreements", []))
+
     def to_json(self) -> dict:
         payload: dict = {"id": self.task.id, "op": self.task.op,
                          "status": self.status,
@@ -179,41 +194,52 @@ class TaskOutcome:
                 "error_chain": self.failures[-1]["chain"]}
 
 
-def settle(board: BreakerBoard, outcome) -> bool:
-    """Apply one finished task's breaker traffic to ``board``, in
-    manifest order: the one rule for how failures drive the breakers,
-    on both backends and on resume.
-
-    The retry loop only checks the refused set it was handed at
-    dispatch, which on a pool may lag the board.  So the outcome is
-    first held against the board's refused set now: a retry taken on a
-    signature it refuses is truncated away (``breaker_open`` at that
-    failure, where the serial loop stopped), and a task that stopped on
-    a signature it admits applies nothing and returns ``False``, to be
-    run again with the board's set.  Then each retried failure asks
-    ``allows_retries`` (admitting a due probe) and the terminal one
-    records success, skip or failure.  ``worker_crash`` outcomes carry
-    crash-board traffic only and leave ``board`` untouched.
-    """
+def _lag(board: BreakerBoard, outcome: TaskOutcome) -> int | None:
+    """How far ``outcome`` ran past the board's refused set now, which
+    on a pool may be ahead of the set the retry loop was handed at
+    dispatch: the failed attempts to keep when it took a retry on a
+    signature the board refuses, ``0`` when it stopped on a signature
+    the board admits, and ``None`` when it ran as a serial run would
+    have.  ``worker_crash`` outcomes carry crash-board traffic only,
+    so the board never holds them back."""
     failures = outcome.failures
     if not failures or outcome.reason == REASON_WORKER_CRASH:
-        return True
+        return None
     refused = board.refused()
     retried = failures if outcome.ok else failures[:-1]
     for position, failure in enumerate(retried):
         if failure["signature"] in refused:
-            ran = outcome.attempts
-            outcome.truncate(position + 1)
-            if _obs.enabled:
-                _obs.inc("runtime.pool.wasted_attempts",
-                         ran - outcome.attempts)
-            break
-    else:
-        if outcome.reason == REASON_BREAKER_OPEN \
-                and outcome.signature not in refused:
-            if _obs.enabled:
-                _obs.inc("runtime.pool.wasted_attempts", outcome.attempts)
+            return position + 1
+    if outcome.reason == REASON_BREAKER_OPEN \
+            and outcome.signature not in refused:
+        return 0
+    return None
+
+
+def settle(board: BreakerBoard, outcome: TaskOutcome) -> bool:
+    """Apply one finished task's breaker traffic to ``board``, in
+    manifest order: the one rule for how failures drive the breakers,
+    on both backends and on resume.
+
+    An outcome that ran past the board (:func:`_lag`) is first cut
+    back: a retry taken on a signature the board refuses is truncated
+    away (``breaker_open`` at that failure, where the serial loop
+    stopped), and a task that stopped on a signature the board admits
+    applies nothing and returns ``False``, to be run again with the
+    board's set.  Then each retried failure asks ``allows_retries``
+    (admitting a due probe) and the terminal one records success, skip
+    or failure.  ``worker_crash`` outcomes leave ``board`` untouched.
+    """
+    if not outcome.failures or outcome.reason == REASON_WORKER_CRASH:
+        return True
+    keep = _lag(board, outcome)
+    if keep is not None:
+        if _obs.enabled:
+            _obs.inc("runtime.pool.wasted_attempts",
+                     outcome.attempts - keep)
+        if not keep:
             return False
+        outcome.truncate(keep)
     *retried, last = outcome.failures
     for failure in retried:
         board.get(failure["signature"]).allows_retries()
@@ -333,8 +359,11 @@ class BatchRunner:
             return {}
         outcomes = self.journal.completed_outcomes()
         for index in sorted(outcomes):
-            if not settle(self.board, outcomes[index]):
-                raise outcomes[index].stale()
+            # A record can be neither cut short nor run again, so one
+            # the board holds back is refused before settle would.
+            if _lag(self.board, outcomes[index]) is not None:
+                raise self.journal.stale(index)
+            settle(self.board, outcomes[index])
         return outcomes
 
     def journal_intent(self, index: int, task: Task) -> None:
@@ -504,10 +533,7 @@ class BatchRunner:
             "manifest": self.manifest.source,
             "seed": self.manifest.seed,
             "ensemble": self.ensemble_mode,
-            "policy": {"retries": self.policy.retries,
-                       "backoff_base_ms": self.policy.backoff_base_ms,
-                       "multiplier": self.policy.multiplier,
-                       "seed": self.policy.seed},
+            "policy": self.policy.to_json(),
             # The zero-task-loss invariant, stated in the report
             # itself: every task is accounted for as ok or failed.
             "counts": {"total": total, "ok": ok, "failed": failed,

@@ -24,9 +24,9 @@ Run as a module to write a manifest file for the CLI::
 
 Generation is a true stream: :func:`iter_tasks` yields one task dict
 at a time from O(1) state, so 100k-task manifests are emitted (and,
-via the ``.jsonl`` format + :class:`~repro.runtime.manifest.
-StreamingManifest`, later consumed) without ever materializing the
-whole corpus — ``--format jsonl`` writes the streaming layout, and
+via the lazy ``.jsonl`` layout of :class:`~repro.runtime.manifest.
+Manifest`, later consumed) without ever materializing the whole
+corpus — ``--format jsonl`` writes the streaming layout, and
 :func:`stream_manifest` hands the same corpus to the batch runner
 directly::
 
@@ -145,32 +145,32 @@ def generate_tasks(count: int, *, seed: int = 0,
     return list(iter_tasks(count, seed=seed, ops=ops))
 
 
+def _defaults(seed: int, defaults: dict | None) -> dict:
+    """A corpus manifest's ``defaults``: the corpus seed, overridden
+    by the caller's."""
+    return {"seed": seed, **(defaults or {})}
+
+
 def generate_manifest(count: int, *, seed: int = 0,
                       ops: tuple[str, ...] = OPERATIONS,
                       defaults: dict | None = None) -> dict:
     """A complete, self-contained manifest payload (JSON-ready)."""
-    manifest_defaults = {"seed": seed}
-    if defaults:
-        manifest_defaults.update(defaults)
     return {"schema": MANIFEST_SCHEMA, "version": MANIFEST_VERSION,
-            "defaults": manifest_defaults,
+            "defaults": _defaults(seed, defaults),
             "tasks": generate_tasks(count, seed=seed, ops=ops)}
 
 
 def stream_manifest(count: int, *, seed: int = 0,
                     ops: tuple[str, ...] = OPERATIONS,
                     defaults: dict | None = None,
-                    ) -> "_manifest.StreamingManifest":
+                    ) -> _manifest.Manifest:
     """The same corpus as :func:`generate_manifest`, as a lazy
-    re-iterable :class:`~repro.runtime.manifest.StreamingManifest` —
-    the in-process route to a 100k-task batch with O(1) manifest
+    re-iterable :class:`~repro.runtime.manifest.Manifest` — the
+    in-process route to a 100k-task batch with O(1) manifest
     memory."""
-    manifest_defaults = {"seed": seed}
-    if defaults:
-        manifest_defaults.update(defaults)
     return _manifest.stream(
         lambda: iter_tasks(count, seed=seed, ops=ops), count,
-        defaults=manifest_defaults,
+        defaults=_defaults(seed, defaults),
         source=f"<corpus count={count} seed={seed}>")
 
 
@@ -180,11 +180,8 @@ def write_jsonl(stream: IO[str], count: int, *, seed: int = 0,
     """Write the streaming (``.jsonl``) manifest layout: one header
     line carrying the envelope + declared ``count``, then one task
     object per line — O(1) memory at any corpus size."""
-    manifest_defaults = {"seed": seed}
-    if defaults:
-        manifest_defaults.update(defaults)
     header = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_VERSION,
-              "defaults": manifest_defaults, "count": count}
+              "defaults": _defaults(seed, defaults), "count": count}
     stream.write(json.dumps(header, sort_keys=True) + "\n")
     for task in iter_tasks(count, seed=seed, ops=ops):
         stream.write(json.dumps(task, sort_keys=True) + "\n")

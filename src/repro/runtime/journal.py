@@ -67,7 +67,6 @@ parent-kill harness (``tests/property/test_journal_chaos.py``).
 
 from __future__ import annotations
 
-import copy
 import os
 import sys
 from typing import IO, Callable
@@ -111,87 +110,23 @@ def _warn_stderr(message: str) -> None:
     print(f"xnf batch: {message}", file=sys.stderr)
 
 
-class ReplayedOutcome:
-    """A completed task's outcome, reconstructed from its journal
-    record.  Duck-types the slice of :class:`TaskOutcome` that
-    :meth:`BatchRunner.summarize` consumes, so replayed and live
-    outcomes merge into one summary with identical bytes."""
-
-    __slots__ = ("index", "id", "op", "reason", "signature", "payload")
-
-    def __init__(self, record: dict) -> None:
-        self.index: int = record["index"]
-        self.id: str = record["id"]
-        self.op: str = record["op"]
-        self.reason: str | None = record["reason"]
-        self.signature: str | None = record["signature"]
-        self.payload: dict = record["payload"]
-
-    @property
-    def status(self) -> str:
-        return self.payload["status"]
-
-    @property
-    def ok(self) -> bool:
-        return self.payload["status"] == "ok"
-
-    @property
-    def attempts(self) -> int:
-        return self.payload["attempts"]
-
-    @property
-    def failures(self) -> list[dict]:
-        return self.payload.get("failures", [])
-
-    @property
-    def disagreements(self) -> list[dict]:
-        return self.payload.get("disagreements", [])
-
-    def to_json(self) -> dict:
-        return copy.deepcopy(self.payload)
-
-    def dead_letter(self) -> dict:
-        assert self.status == "dead-letter" and self.failures
-        return {"id": self.id, "op": self.op,
-                "reason": self.reason, "signature": self.signature,
-                "attempts": self.attempts,
-                "failures": copy.deepcopy(self.failures),
-                "error_chain": copy.deepcopy(self.failures[-1]["chain"])}
-
-    def truncate(self, failures: int) -> None:
-        raise self.stale()  # a record cannot be cut short (see settle)
-
-    def stale(self) -> JournalError:
-        """The error for a record the breakers settled before it
-        contradict."""
-        return _structural(f"result for task index {self.index} "
-                           f"disagrees with the circuit breakers "
-                           f"settled before it; {_OLDER_PARALLEL}")
-
-
 def meta_record(manifest: Manifest, policy: RetryPolicy,
                 board: BreakerBoard, ensemble_mode: str) -> dict:
     """The journal's first record: everything that shapes summary
     bytes, pinned.  Fully deterministic — no run id, no timestamp —
     so identical invocations write identical journals."""
-    count = manifest.task_count
     return {
         "record": "meta",
         "schema": JOURNAL_SCHEMA,
         "version": JOURNAL_VERSION,
         "manifest": manifest.source,
-        # The same identity fingerprint the run ledger stamps on its
-        # records, so journal and ledger agree on what "same batch"
-        # means.
-        "manifest_sha": records.fingerprint(
-            f"{manifest.source}:{manifest.seed}:{count}"),
+        # The identity the run ledger stamps on its records too, so
+        # journal and ledger agree on what "same batch" means.
+        "manifest_sha": manifest.sha,
         "seed": manifest.seed,
-        "count": count,
+        "count": manifest.task_count,
         "ensemble": ensemble_mode,
-        "policy": {"retries": policy.retries,
-                   "backoff_base_ms": policy.backoff_base_ms,
-                   "multiplier": policy.multiplier,
-                   "seed": policy.seed},
+        "policy": policy.to_json(),
         "breaker": {"threshold": board.threshold,
                     "probe_interval": board.probe_interval},
     }
@@ -288,7 +223,7 @@ class BatchJournal:
     """
 
     def __init__(self, path: str, stream: IO[str], *,
-                 completed: dict[int, ReplayedOutcome] | None = None,
+                 completed: dict[int, TaskOutcome] | None = None,
                  pending_intents: frozenset[int] = frozenset(),
                  fsync: bool = True) -> None:
         self.path = path
@@ -329,8 +264,16 @@ class BatchJournal:
         """How many tasks had an intent but no result on read-back."""
         return len(self._pending_intents)
 
-    def completed_outcomes(self) -> dict[int, ReplayedOutcome]:
+    def completed_outcomes(self) -> dict[int, TaskOutcome]:
         return dict(self._completed)
+
+    def stale(self, index: int) -> JournalError:
+        """The error for the result at ``index`` when the breakers
+        settled before it contradict it (see
+        :meth:`~repro.runtime.batch.BatchRunner.replayed_outcomes`)."""
+        return _structural(f"result for task index {index} disagrees "
+                           f"with the circuit breakers settled before "
+                           f"it; {_OLDER_PARALLEL}")
 
     def intent(self, index: int, task: Task) -> None:
         if index in self._pending_intents:
@@ -405,7 +348,7 @@ def open_journal(path: str, *, manifest: Manifest,
         if state.meta is not None:
             return BatchJournal(
                 path, stream,
-                completed={index: ReplayedOutcome(record)
+                completed={index: TaskOutcome.from_record(record)
                            for index, record in state.results.items()},
                 pending_intents=frozenset(
                     state.intents - set(state.results)),

@@ -36,26 +36,26 @@ exit code 2 — the manifest, not the specs it names, is what cannot be
 used.  Reading a *named spec file* lazily at execution time, by
 contrast, is a per-task failure handled by the batch runner.
 
-**Streaming manifests** (``*.jsonl``): a 100k-task corpus manifest
+**Two layouts, one** :class:`Manifest`.  A 100k-task corpus manifest
 does not fit comfortably in memory as one JSON array, so ``.jsonl``
-files hold one header object on the first line — the usual ``schema``
-/ ``version`` / ``defaults`` envelope plus a mandatory ``count`` —
-followed by one task object per line::
+files hold the same ``schema`` / ``version`` / ``defaults`` header on
+the first line, plus a mandatory ``count``, followed by one task
+object per line::
 
     {"schema": "repro.runtime.manifest", "version": 1,
      "defaults": {"seed": 7}, "count": 100000}
     {"id": "corpus-000000", "op": "check", "dtd_text": "...", ...}
     ...
 
-:func:`load` returns a :class:`StreamingManifest` for them: tasks are
-validated and yielded one at a time on every :meth:`~Manifest.iter_tasks`
-pass, never materialized as a list.  The strict-validation contract is
-necessarily weaker here — a bad task line is only discovered when the
-iterator reaches it (still a :class:`~repro.errors.ManifestError`,
-still exit code 2; the header and ``count`` are checked eagerly).
-Consumers that can stream should prefer :meth:`~Manifest.iter_tasks`
-and :attr:`~Manifest.task_count` over the ``tasks`` list — the batch
-runner and the pool backend do.
+Both layouts pass one header check.  A JSON manifest then validates
+every task and id before the first task runs and keeps the tasks it
+built.  A ``.jsonl`` file (and :func:`stream`) is lazy: each pass of
+:meth:`~Manifest.iter_indexed` validates and builds a task only when it
+reaches it, so a bad task line is only discovered there (still a
+:class:`~repro.errors.ManifestError`, still exit code 2), and a task
+the pass skips is scanned but never built.  Consumers use
+:meth:`~Manifest.iter_indexed` and :attr:`~Manifest.task_count`, which
+serve both layouts; only a JSON manifest holds a ``tasks`` list.
 """
 
 from __future__ import annotations
@@ -146,27 +146,37 @@ class Task:
 
 @dataclass
 class Manifest:
-    """A validated batch manifest.
+    """A validated batch manifest: its header and its tasks.
 
-    Consumers that can stream should use :meth:`iter_tasks` and
-    :attr:`task_count` instead of the ``tasks`` list: the eager
-    manifest satisfies both trivially, and :class:`StreamingManifest`
-    satisfies them without ever materializing the task list.
+    ``tasks`` holds a JSON manifest's tasks, every one validated when
+    it loaded.  A stream leaves it ``None``: ``raw_tasks`` returns a
+    fresh iterator of raw task objects per pass (the manifest is
+    re-iterable), resolved against ``base_dir`` as a pass reaches
+    them.  :meth:`iter_indexed` and :attr:`task_count` serve both.
     """
 
-    tasks: list[Task]
+    tasks: list[Task] | None = None
     seed: int = 0
     source: str = "<inline>"
     defaults: dict = field(default_factory=dict)
+    task_count: int = 0
+    raw_tasks: Callable[[], Iterable[object]] | None = None
+    base_dir: FilePath = FilePath(".")
 
-    @property
-    def task_count(self) -> int:
-        """How many tasks one :meth:`iter_tasks` pass will yield."""
-        return len(self.tasks)
+    def __post_init__(self) -> None:
+        if self.tasks is not None:
+            self.task_count = len(self.tasks)
+
+    @cached_property
+    def sha(self) -> str:
+        """The run identity the journal and the ledger stamp as
+        ``manifest_sha``."""
+        return fingerprint(f"{self.source}:{self.seed}:{self.task_count}")
 
     def iter_tasks(self) -> Iterator[Task]:
         """Yield every task in manifest order (re-iterable)."""
-        return iter(self.tasks)
+        for _index, task in self.iter_indexed():
+            yield task
 
     def iter_indexed(self, skip: frozenset[int] = frozenset(),
                      ) -> Iterator[tuple[int, Task]]:
@@ -175,93 +185,49 @@ class Manifest:
         The index is the task's stable position in manifest order —
         the identity the batch journal keys intent/result records on,
         so a ``--resume`` can skip completed work without trusting
-        anything but the manifest's ordering.
+        anything but the manifest's ordering.  A JSON manifest yields
+        the tasks it validated at load; a stream builds them now.
         """
+        if self.tasks is None:
+            assert self.raw_tasks is not None
+            yield from self._build(self.raw_tasks(), skip)
+            return
         for index, task in enumerate(self.tasks):
-            if index in skip:
-                continue
-            yield index, task
+            if index not in skip:
+                yield index, task
 
+    def _build(self, raws: Iterable[object],
+               skip: frozenset[int] = frozenset(),
+               ) -> Iterator[tuple[int, Task]]:
+        """Validate ``raws`` against this header as they are reached.
 
-class StreamingManifest(Manifest):
-    """A manifest whose tasks are validated and yielded lazily.
-
-    Built from a factory returning a fresh raw-task-dict iterator per
-    pass, so the manifest is re-iterable (the serial backend walks it
-    once; a serial-vs-parallel comparison walks it twice).  Task
-    validation happens *during* iteration: an invalid task raises
-    :class:`~repro.errors.ManifestError` at the point it is reached,
-    and an iteration that ends with a different number of tasks than
-    the declared ``count`` raises as well — the zero-task-loss
-    accounting downstream depends on the total being honest.
-
-    Accessing ``.tasks`` materializes the whole list (supported for
-    small manifests and tests; the 100k-task path never touches it).
-    """
-
-    def __init__(self, raw_factory: Callable[[], Iterator[object]],
-                 count: int, *, seed: int = 0, source: str = "<inline>",
-                 defaults: Mapping | None = None,
-                 base_dir: str | FilePath = ".") -> None:
-        defaults = dict(defaults or {})
-        super().__init__(tasks=[], seed=seed, source=source,
-                         defaults=defaults)
-        _require(isinstance(count, int) and not isinstance(count, bool)
-                 and count >= 0,
-                 f"{source}: count must be a non-negative integer, "
-                 f"got {count!r}")
-        self._raw_factory = raw_factory
-        self._count = count
-        self._base_dir = FilePath(base_dir)
-
-    @property
-    def task_count(self) -> int:
-        return self._count
-
-    def iter_tasks(self) -> Iterator[Task]:
-        for _index, task in self.iter_indexed():
-            yield task
-
-    def iter_indexed(self, skip: frozenset[int] = frozenset(),
-                     ) -> Iterator[tuple[int, Task]]:
-        """Yield ``(index, task)``, never building skipped tasks.
-
-        A journal resume over a 100k-task stream must not pay
-        validation and :class:`Task` construction for work that is
-        already done: a skipped index's raw line is scanned (the
-        declared-count contract stays honest) but neither validated
-        nor materialized.  The duplicate-id check therefore only spans
-        the tasks actually yielded — the skipped prefix was validated
-        by the run that journaled it.
+        A skipped index is scanned (the declared count stays honest)
+        but neither validated nor built: a journal resume over a
+        100k-task stream does not pay for work that is already done.
+        The duplicate-id check therefore spans the tasks built — the
+        skipped prefix was validated by the run that journaled it.  An
+        invalid task raises :class:`~repro.errors.ManifestError` where
+        it is reached, and so does a pass that ends with a different
+        number of tasks than ``task_count``: the zero-task-loss
+        accounting downstream depends on the total being honest.
         """
         seen: set[str] = set()
-        yielded = 0
-        for index, raw in enumerate(self._raw_factory()):
-            yielded += 1
-            _require(yielded <= self._count,
+        scanned = 0
+        for index, raw in enumerate(raws):
+            scanned += 1
+            _require(scanned <= self.task_count,
                      f"{self.source}: stream yielded more than the "
-                     f"declared count of {self._count} tasks")
+                     f"declared count of {self.task_count} tasks")
             if index in skip:
                 continue
-            task = _build_task(raw, index, self.defaults,
-                               self._base_dir)
+            task = _build_task(raw, index, self.defaults, self.base_dir)
             _require(task.id not in seen,
                      f"duplicate task id {task.id!r}")
             seen.add(task.id)
             yield index, task
-        _require(yielded == self._count,
-                 f"{self.source}: stream yielded {yielded} task(s), "
-                 f"header declared count={self._count}")
-
-    @property
-    def tasks(self) -> list[Task]:  # type: ignore[override]
-        return list(self.iter_tasks())
-
-    @tasks.setter
-    def tasks(self, value: list[Task]) -> None:
-        # The dataclass __init__ of the base assigns tasks=[]; a
-        # streaming manifest ignores it (tasks are derived).
-        pass
+        _require(scanned == self.task_count,
+                 f"{self.source}: stream yielded {scanned} task(s), "
+                 f"header declared count={self.task_count}")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -351,11 +317,11 @@ def _build_task(raw: object, index: int, defaults: Mapping,
                 max_nodes=budget.get("max_nodes"))
 
 
-def from_payload(payload: object, *, source: str = "<inline>",
-                 base_dir: str | FilePath = ".") -> Manifest:
-    """Validate a decoded manifest object into a :class:`Manifest`."""
+def _check_header(payload: object, source: str) -> tuple[int, dict]:
+    """The header check both layouts share: ``schema``, ``version``,
+    ``defaults`` and ``defaults.seed``.  Returns (seed, defaults)."""
     _require(isinstance(payload, dict),
-             f"{source}: manifest must be a JSON object")
+             f"{source}: manifest header must be a JSON object")
     assert isinstance(payload, dict)
     _require(payload.get("schema") == MANIFEST_SCHEMA,
              f"{source}: not a batch manifest (missing "
@@ -370,49 +336,44 @@ def from_payload(payload: object, *, source: str = "<inline>",
     seed = defaults.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool),
              f"{source}: defaults.seed must be an integer")
+    return seed, dict(defaults)
+
+
+def from_payload(payload: object, *, source: str = "<inline>",
+                 base_dir: str | FilePath = ".") -> Manifest:
+    """Validate a decoded JSON manifest, every task and every id, into
+    a :class:`Manifest` that keeps its tasks."""
+    seed, defaults = _check_header(payload, source)
+    assert isinstance(payload, dict)
     raw_tasks = payload.get("tasks")
     _require(isinstance(raw_tasks, list),
              f"{source}: tasks must be an array")
     assert isinstance(raw_tasks, list)
-    base = FilePath(base_dir)
-    tasks = [_build_task(raw, index, defaults, base)
-             for index, raw in enumerate(raw_tasks)]
-    seen: set[str] = set()
-    for task in tasks:
-        _require(task.id not in seen, f"duplicate task id {task.id!r}")
-        seen.add(task.id)
-    return Manifest(tasks=tasks, seed=seed, source=source,
-                    defaults=dict(defaults))
+    manifest = Manifest(seed=seed, source=source, defaults=defaults,
+                        task_count=len(raw_tasks),
+                        base_dir=FilePath(base_dir))
+    manifest.tasks = [task for _index, task in manifest._build(raw_tasks)]
+    return manifest
 
 
-def _check_header(payload: object, source: str) -> tuple[dict, int]:
-    """Validate a ``.jsonl`` header line; returns (defaults, count)."""
-    _require(isinstance(payload, dict),
-             f"{source}: header must be a JSON object")
-    assert isinstance(payload, dict)
-    _require(payload.get("schema") == MANIFEST_SCHEMA,
-             f"{source}: not a batch manifest (missing "
-             f"schema={MANIFEST_SCHEMA!r} discriminator)")
-    version = payload.get("version")
-    _require(version == MANIFEST_VERSION,
-             f"{source}: manifest schema version {version!r} is not "
-             f"supported (expected {MANIFEST_VERSION})")
-    defaults = payload.get("defaults", {})
-    _require(isinstance(defaults, dict),
-             f"{source}: defaults must be an object")
-    seed = defaults.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             f"{source}: defaults.seed must be an integer")
-    count = payload.get("count")
+def _streamed(header: object, raw_tasks: Callable[[], Iterable[object]],
+              source: str, base_dir: str | FilePath) -> Manifest:
+    """A lazy manifest: the shared header check plus the ``count``
+    every pass of ``raw_tasks`` must yield."""
+    seed, defaults = _check_header(header, source)
+    assert isinstance(header, dict)
+    count = header.get("count")
     _require(isinstance(count, int) and not isinstance(count, bool)
              and count >= 0,
              f"{source}: streaming manifests must declare a "
              f"non-negative integer task count in the header, "
              f"got {count!r}")
-    return dict(defaults), count
+    return Manifest(seed=seed, source=source, defaults=defaults,
+                    task_count=count, raw_tasks=raw_tasks,
+                    base_dir=FilePath(base_dir))
 
 
-def _load_jsonl(path: FilePath) -> StreamingManifest:
+def _load_jsonl(path: FilePath) -> Manifest:
     """A lazy manifest over a ``.jsonl`` file (header validated now,
     tasks validated as they stream)."""
     source = str(path)
@@ -429,9 +390,8 @@ def _load_jsonl(path: FilePath) -> StreamingManifest:
     except json.JSONDecodeError as error:
         raise ManifestError(f"{source}: header line is not valid "
                             f"JSON: {error}") from error
-    defaults, count = _check_header(header, source)
 
-    def raw_tasks() -> "Iterator[object]":
+    def raw_tasks() -> Iterator[object]:
         with open(path) as handle:
             handle.readline()                     # skip the header
             for lineno, line in enumerate(handle, start=2):
@@ -444,10 +404,7 @@ def _load_jsonl(path: FilePath) -> StreamingManifest:
                         f"{source}: line {lineno} is not valid JSON: "
                         f"{error}") from error
 
-    return StreamingManifest(raw_tasks, count,
-                             seed=defaults.get("seed", 0),
-                             source=source, defaults=defaults,
-                             base_dir=path.parent)
+    return _streamed(header, raw_tasks, source, path.parent)
 
 
 def load(path: str | FilePath) -> Manifest:
@@ -455,7 +412,7 @@ def load(path: str | FilePath) -> Manifest:
 
     Relative ``dtd`` / ``fds`` paths inside the manifest resolve
     against the manifest's own directory.  A ``.jsonl`` suffix selects
-    the streaming loader (see the module docstring); everything else
+    the streaming layout (see the module docstring); everything else
     is read as one strictly validated JSON document.
     """
     path = FilePath(path)
@@ -477,19 +434,16 @@ def load(path: str | FilePath) -> Manifest:
 def stream(raw_tasks: Callable[[], Iterator[Mapping]], count: int, *,
            defaults: Mapping | None = None,
            base_dir: str | FilePath = ".",
-           source: str = "<stream>") -> StreamingManifest:
-    """An in-memory streaming manifest from a raw-task-dict factory.
+           source: str = "<stream>") -> Manifest:
+    """An in-memory lazy manifest from a raw-task-dict factory.
 
     ``raw_tasks`` must return a *fresh* iterator per call (the
     manifest is re-iterable); ``count`` is the number of tasks every
     pass must yield.
     """
-    defaults = dict(defaults or {})
-    seed = defaults.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             f"{source}: defaults.seed must be an integer")
-    return StreamingManifest(raw_tasks, count, seed=seed, source=source,
-                             defaults=defaults, base_dir=base_dir)
+    header = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_VERSION,
+              "defaults": dict(defaults or {}), "count": count}
+    return _streamed(header, raw_tasks, source, base_dir)
 
 
 def build(tasks: Iterable[Mapping], *, defaults: Mapping | None = None,

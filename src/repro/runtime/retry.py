@@ -95,6 +95,13 @@ class RetryPolicy:
     def max_attempts(self) -> int:
         return self.retries + 1
 
+    def to_json(self) -> dict:
+        """The policy as the journal's meta record and the batch
+        summary both pin it."""
+        return {"retries": self.retries,
+                "backoff_base_ms": self.backoff_base_ms,
+                "multiplier": self.multiplier, "seed": self.seed}
+
     def should_retry(self, error: ReproError, attempt: int) -> bool:
         """Whether to re-run after ``attempt`` (0-based) failed with
         ``error``."""

@@ -68,3 +68,20 @@ def disjunctive_dtd():
         <!ELEMENT c EMPTY>
         <!ATTLIST c x CDATA #REQUIRED>
     """)
+
+
+@pytest.fixture
+def built_tasks(monkeypatch) -> list[int]:
+    """The manifest indices ``repro.runtime.manifest`` builds a ``Task``
+    for from now on, in order: a lazy manifest builds none at load and
+    none that an iteration skips."""
+    from repro.runtime import manifest as mf
+    built: list[int] = []
+    original = mf._build_task
+
+    def counting(raw, index, defaults, base_dir):
+        built.append(index)
+        return original(raw, index, defaults, base_dir)
+
+    monkeypatch.setattr(mf, "_build_task", counting)
+    return built

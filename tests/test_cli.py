@@ -191,17 +191,19 @@ class TestMainModule:
 
 
 class TestColdImports:
-    """Start-up pins: a CLI command loads no HTTP stack, and a serving
-    process neither the load generator's urllib nor the batch
+    """Start-up pins: a CLI command loads no HTTP stack and no engine
+    ensemble, a serving process neither the load generator's urllib
+    nor the batch runtime, and the implication engines no batch
     runtime."""
 
     @pytest.mark.parametrize("module, unwanted", [
-        ("repro.cli", ["http.server"]),
+        ("repro.cli", ["http.server", "repro.fd.ensemble"]),
         ("repro.serve.server", ["urllib.request", "repro.runtime"]),
         # Record files need repro.records, not the ledger's reader and
         # the benchmark comparator behind it.
         ("repro.runtime.journal", ["repro.obs.ledger", "repro.bench"]),
         ("repro.serve.cache", ["repro.obs.ledger", "repro.bench"]),
+        ("repro.fd.implication", ["repro.runtime"]),
     ])
     def test_import_leaves_out(self, module, unwanted):
         import os, subprocess, sys

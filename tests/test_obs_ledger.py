@@ -466,5 +466,7 @@ class TestSpecFingerprints:
                 == (record["dtd_sha"], record["fds_sha"])
         assert results["missing"]["dtd_sha"] is None
         assert ledger["files"]["dtd_sha"] == fingerprint(DTD)
-        # Each readable spec text was hashed once, not once per writer.
-        assert sorted(hashed) == sorted([DTD, FDS, DTD, FDS, FDS])
+        # Each readable spec text was hashed once, not once per writer,
+        # and so was the manifest's identity.
+        assert sorted(hashed) == sorted([DTD, FDS, DTD, FDS, FDS,
+                                         "m.json:7:3"])

@@ -53,25 +53,29 @@ class TestHundredKScale:
         assert len(lines) == 31
         assert json.loads(lines[1])["id"] == "corpus-0000"
 
-    def test_jsonl_round_trip_through_load(self, tmp_path):
+    def test_jsonl_round_trip_through_load(self, tmp_path, built_tasks):
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as handle:
             corpus.write_jsonl(handle, 12, seed=9)
         manifest = mf.load(path)
-        assert isinstance(manifest, mf.StreamingManifest)
+        assert built_tasks == []                # lazy: nothing built yet
         assert manifest.task_count == 12
         assert [t.id for t in manifest.iter_tasks()] \
             == [t["id"] for t in corpus.iter_tasks(12, seed=9)]
+        assert built_tasks == list(range(12))
 
 
 class TestCLIFormats:
-    def test_format_inferred_from_out_suffix(self, tmp_path):
+    def test_format_inferred_from_out_suffix(self, tmp_path, built_tasks):
         out = tmp_path / "c.jsonl"
         assert corpus.main(["--count", "5", "--seed", "1",
                             "--out", str(out)]) == 0
         manifest = mf.load(out)
-        assert isinstance(manifest, mf.StreamingManifest)
         assert manifest.task_count == 5
+        # The streaming layout: skipped tasks are never built.
+        assert [index for index, _ in manifest.iter_indexed(
+            skip=frozenset({0, 1, 2}))] == [3, 4]
+        assert built_tasks == [3, 4]
 
     def test_explicit_json_format_still_one_document(self, tmp_path):
         out = tmp_path / "c.json"

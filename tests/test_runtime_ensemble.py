@@ -8,7 +8,7 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.fd.model import FD
-from repro.runtime import ensemble
+from repro.fd import ensemble
 from repro.spec import XMLSpec
 from repro import guard
 

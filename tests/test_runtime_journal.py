@@ -16,7 +16,7 @@ from repro.errors import InjectedFault, JournalError
 from repro.obs import metrics
 from repro.runtime import journal as jm
 from repro.runtime import manifest as mf
-from repro.runtime.batch import BatchRunner, run_batch, settle
+from repro.runtime.batch import BatchRunner, TaskOutcome, run_batch, settle
 from repro.runtime.breaker import BreakerBoard
 from repro.runtime.heartbeat import HeartbeatWriter, validate_heartbeat
 from repro.runtime.retry import RetryPolicy
@@ -340,7 +340,7 @@ class TestBreakerReplay:
         assert _dumps(resumed) == _dumps(base)
 
     def test_worker_crash_outcomes_leave_board_untouched(self):
-        outcome = jm.ReplayedOutcome({
+        outcome = TaskOutcome.from_record({
             "index": 0, "id": "t0", "op": "check",
             "reason": "worker_crash", "signature": "crash:signal-9",
             "payload": {"id": "t0", "op": "check",
@@ -361,11 +361,11 @@ class TestBreakerReplay:
 
 
 class TestReplayedOutcome:
-    def test_duck_types_the_summary_slice(self, tmp_path):
+    def test_rebuilds_the_summary_slice(self, tmp_path):
         path = tmp_path / "j.journal"
         _journaled_run(path)
         state = jm.read_journal(str(path))
-        replayed = jm.ReplayedOutcome(state.results[1])  # dead-letter
+        replayed = TaskOutcome.from_record(state.results[1])  # dead-letter
         assert replayed.status == "dead-letter"
         assert not replayed.ok
         letter = replayed.dead_letter()
@@ -376,6 +376,58 @@ class TestReplayedOutcome:
         # summarize pass.
         replayed.to_json()["status"] = "mutated"
         assert replayed.status == "dead-letter"
+
+    def test_every_result_record_rebuilds_its_outcome(self, tmp_path):
+        """A run that retried, dead-lettered and tripped a breaker: each
+        result record rebuilds an outcome that renders the record's
+        payload and the summary's dead-letter entry."""
+        path = tmp_path / "j.journal"
+        dtd = ("<!ELEMENT db (r*)>\n<!ELEMENT r EMPTY>\n"
+               "<!ATTLIST r a CDATA #REQUIRED b CDATA #REQUIRED>")
+        tasks = [{"id": f"t{index}", "op": "check",
+                  "dtd_text": BROKEN_DTD if index == 9 else dtd,
+                  "fds_text": "db.r.@a -> db.r.@b"}
+                 for index in range(12)]
+        spec = ",".join(["fd.closure.iteration:exception"] * 24)
+        manifest = _manifest(tasks)
+        kwargs = _fresh(threshold=2)
+        journal = _open(path, manifest, kwargs)
+        with faults.use(faults.plan_from_spec(spec)):
+            summary = run_batch(manifest, journal=journal, **kwargs)
+        journal.close()
+        letters = {letter["id"]: letter
+                   for letter in summary["dead_letters"]}
+        assert summary["breakers"]
+        assert any(entry["retried"] for entry in summary["tasks"])
+        assert {letter["reason"] for letter in letters.values()} \
+            >= {"permanent", "breaker_open"}
+        results = jm.read_journal(str(path)).results
+        assert len(results) == len(tasks)
+        for index, record in results.items():
+            outcome = TaskOutcome.from_record(record)
+            assert outcome.to_json() == record["payload"] \
+                == summary["tasks"][index]
+            if not outcome.ok:
+                assert outcome.dead_letter() == letters[outcome.task.id]
+
+    def test_every_payload_key_survives_the_rebuild(self):
+        """A retried success in ensemble check mode carries all three
+        optional payload keys: result, failures and disagreements."""
+        payload = {"id": "t0", "op": "check", "status": "ok",
+                   "attempts": 2, "retried": True, "delays_ms": [12.5],
+                   "result": {"in_xnf": True, "violations": []},
+                   "failures": [{"attempt": 0, "signature": "site:x",
+                                 "transient": True, "chain": []}],
+                   "disagreements": [{"query": "db.r.@a -> db.r",
+                                      "verdicts": {"closure": "YES",
+                                                   "chase": "NO",
+                                                   "brute": "skipped"},
+                                      "resolved_with": "chase"}]}
+        outcome = TaskOutcome.from_record({
+            "record": "result", "index": 0, "id": "t0", "op": "check",
+            "dtd_sha": None, "fds_sha": None, "reason": None,
+            "signature": None, "payload": payload})
+        assert outcome.to_json() == payload
 
 
 class TestHeartbeatIntegration:

@@ -130,7 +130,7 @@ class TestFiles:
 
 
 class TestStreaming:
-    """The lazy manifest layer (StreamingManifest, .jsonl loading)."""
+    """The lazy layout (.jsonl loading and in-memory streams)."""
 
     def _header(self, count, defaults=None):
         return {"schema": mf.MANIFEST_SCHEMA,
@@ -203,16 +203,21 @@ class TestStreaming:
         with pytest.raises(ManifestError, match="task-0001"):
             next(iterator)
 
-    def test_jsonl_file_round_trip(self, tmp_path):
+    def test_jsonl_file_round_trip(self, tmp_path, built_tasks):
         path = self._write_jsonl(
             tmp_path, [_task(id=f"t{i}") for i in range(4)],
             defaults={"seed": 6})
         manifest = mf.load(path)
-        assert isinstance(manifest, mf.StreamingManifest)
+        assert built_tasks == []                # nothing built at load
+        assert manifest.tasks is None
         assert manifest.task_count == 4
         assert manifest.seed == 6
         assert [t.id for t in manifest.iter_tasks()] \
             == ["t0", "t1", "t2", "t3"]
+        assert [index for index, _ in manifest.iter_indexed(
+            skip=frozenset({0, 2}))] == [1, 3]
+        # Each pass builds anew, and never a skipped index.
+        assert built_tasks == [0, 1, 2, 3, 1, 3]
 
     def test_jsonl_relative_paths_resolve_against_the_file(
             self, tmp_path):
@@ -250,3 +255,65 @@ class TestStreaming:
         manifest = mf.build([_task(id="a"), _task(id="b")])
         assert manifest.task_count == 2
         assert [t.id for t in manifest.iter_tasks()] == ["a", "b"]
+
+
+class TestOneLoader:
+    """Both layouts share one header check and load to one Manifest."""
+
+    def _header(self, **fields):
+        header = {"schema": mf.MANIFEST_SCHEMA,
+                  "version": mf.MANIFEST_VERSION, "defaults": {}}
+        header.update(fields)
+        return header
+
+    def _write_both(self, tmp_path, header, tasks):
+        """The same header and tasks as ``m.json`` and ``m.jsonl``."""
+        json_path = tmp_path / "m.json"
+        json_path.write_text(json.dumps(dict(header, tasks=tasks)))
+        jsonl_path = tmp_path / "m.jsonl"
+        jsonl_path.write_text("".join(
+            json.dumps(line) + "\n"
+            for line in [dict(header, count=len(tasks)), *tasks]))
+        return json_path, jsonl_path
+
+    def test_json_and_jsonl_load_equal_tasks(self, tmp_path):
+        (tmp_path / "d.dtd").write_text(DTD)
+        tasks = [_task(id="a"),
+                 _task(id="b", op="implies", fd="db.r.@a -> db.r",
+                       engine="chase", max_steps=9),
+                 {"op": "normalize", "dtd": "d.dtd", "timeout": 1}]
+        header = self._header(defaults={"seed": 3, "root": "db",
+                                        "max_nodes": 50})
+        json_path, jsonl_path = self._write_both(tmp_path, header, tasks)
+        eager, lazy = mf.load(json_path), mf.load(jsonl_path)
+        assert eager.tasks == list(lazy.iter_tasks())
+        assert len(eager.tasks) == eager.task_count == lazy.task_count == 3
+        assert (eager.seed, eager.defaults) == (lazy.seed, lazy.defaults)
+        assert eager.tasks[2].dtd_path == str(tmp_path / "d.dtd")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"schema": "repro.other"}, "discriminator"),
+        ({"version": 99}, "version 99 is not supported"),
+        ({"defaults": [1]}, "defaults must be an object"),
+        ({"defaults": {"seed": "7"}}, "defaults.seed must be an integer"),
+    ])
+    def test_header_errors_read_the_same_in_both_layouts(
+            self, tmp_path, fields, message):
+        texts = []
+        for path in self._write_both(tmp_path, self._header(**fields),
+                                     [_task()]):
+            with pytest.raises(ManifestError, match=message) as caught:
+                mf.load(path)
+            texts.append(str(caught.value).replace(str(path), "M"))
+        assert texts[0] == texts[1]
+
+    def test_iterating_a_json_manifest_builds_nothing(
+            self, tmp_path, built_tasks):
+        json_path, _ = self._write_both(
+            tmp_path, self._header(), [_task(id="a"), _task(id="b")])
+        manifest = mf.load(json_path)
+        assert built_tasks == [0, 1]            # every task, at load
+        assert [t.id for t in manifest.iter_tasks()] == ["a", "b"]
+        assert [index for index, _ in manifest.iter_indexed(
+            skip=frozenset({0}))] == [1]
+        assert built_tasks == [0, 1]
