@@ -2,9 +2,10 @@
 
 A lightweight, zero-dependency, **off-by-default** instrumentation
 layer.  :mod:`repro.obs.metrics` holds process-wide counters, gauges,
-and histogram timers; :mod:`repro.obs.trace` provides nestable spans
-with JSON-lines and tree sinks; :mod:`repro.obs.render` formats metric
-snapshots as tables (the CLI's ``--stats`` output).
+and histogram timers; :mod:`repro.obs.trace` provides nestable spans,
+flat records handed to JSON-lines or in-memory sinks;
+:mod:`repro.obs.render` formats metric snapshots as tables (the CLI's
+``--stats`` output).
 
 Enable via :func:`enable`, the CLI's ``--stats`` / ``--trace`` flags,
 or the ``REPRO_OBS=1`` environment variable (honoured at import time,
@@ -56,7 +57,6 @@ from repro.obs.trace import (
     current_span,
     get_context,
     remove_sink,
-    render_tree,
     set_context,
     span,
     task_scope,
@@ -68,7 +68,7 @@ __all__ = [
     "inc", "set_gauge", "observe", "timer", "counter_value",
     "snapshot",
     "span", "current_span", "add_sink", "remove_sink", "clear_sinks",
-    "Span", "JsonLinesSink", "InMemorySink", "render_tree",
+    "Span", "JsonLinesSink", "InMemorySink",
     "SpanContext", "set_context", "get_context", "clear_context",
     "task_scope",
     "MetricsExporter", "prometheus_text", "start_exporter",

@@ -62,6 +62,12 @@ LEDGER_VERSION = 1
 _REQUIRED_KEYS = ("schema", "version", "run", "task", "verdict",
                   "retries", "wall_ms")
 
+#: The types of the fields ``obs history`` and ``obs regress`` compute
+#: with (``reason`` and ``counters_sha`` may be absent).
+_FIELD_TYPES = {"run": str, "task": str, "verdict": str, "retries": int,
+                "wall_ms": (int, float), "reason": (str, type(None)),
+                "counters_sha": (str, type(None))}
+
 
 class LedgerError(ReproError):
     """A ledger file is unreadable, malformed, or not comparable."""
@@ -143,8 +149,8 @@ class LedgerWriter:
 def read_ledger(path: str | Path) -> list[dict]:
     """Parse a ledger file (``-`` = stdin); raises
     :class:`LedgerError` on unreadable input, bad JSON, a foreign
-    schema, or a missing required field.  A torn last record is skipped
-    with a warning (``obs.ledger.torn``)."""
+    schema, or a missing or mistyped field.  A torn last record is
+    skipped with a warning (``obs.ledger.torn``)."""
     found = records.read(path, error=LedgerError)
     if found.torn:
         records.warn_torn(found.source, "obs.ledger.torn")
@@ -165,6 +171,12 @@ def read_ledger(path: str | Path) -> list[dict]:
         for key in _REQUIRED_KEYS:
             if key not in record:
                 raise LedgerError(f"{where}: record missing {key!r}")
+        for key, types in _FIELD_TYPES.items():
+            if key in record and (not isinstance(record[key], types)
+                                  or isinstance(record[key], bool)):
+                raise LedgerError(
+                    f"{where}: {key!r} has the wrong type "
+                    f"{type(record[key]).__name__}")
         ledger.append(record)
     if not ledger:
         raise LedgerError(f"{found.source}: no ledger records "

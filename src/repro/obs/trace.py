@@ -6,19 +6,21 @@ A *span* measures one named region of work::
         ...
         sp.set("anomalous_after", 2)
 
-Spans nest via a thread-local stack, so the hierarchy mirrors the call
-structure without any plumbing.  When a span finishes it is emitted to
-every registered sink; when its whole tree finishes (the root span
-exits) the root is emitted to every registered *tree* sink.
+Spans nest via a thread-local stack, so each span's parent and depth
+mirror the call structure without any plumbing.  A span is a flat
+record: nothing links a parent to its children, only the open-span
+stack holds a span, and when it finishes it is emitted to every
+registered sink and dropped — a finished span stays in memory only
+while a sink keeps it.  Tools that want the tree (``xnf obs
+report/flame/diff``, :mod:`repro.obs.profile`) rebuild it from the
+records' ``parent`` ids.
 
 Sinks:
 
 * :class:`JsonLinesSink` — one JSON object per finished span (schema
   below), suitable for ``xnf --trace FILE``;
-* :class:`InMemorySink` — collects finished spans (and root trees) for
-  tests and in-process inspection;
-* :func:`render_tree` — a human-readable indented tree of one root
-  span.
+* :class:`InMemorySink` — collects finished spans for tests and
+  in-process inspection.
 
 JSON-lines schema **v2** (one line per span, children precede parents
 because they finish first)::
@@ -43,13 +45,11 @@ subtracts child deltas to attribute *self* counter work per span.
 come from the ambient :class:`SpanContext`: the CLI installs one
 ``trace_id`` per traced invocation, the batch runner scopes ``task``
 around each attempt (:func:`task_scope`), and each forked pool worker
-stamps its ``worker`` id.  The context is a plain serializable value
-(:meth:`SpanContext.to_wire` / :meth:`SpanContext.from_wire`) so the
-pool supervisor can propagate it across the fork boundary; workers
-buffer finished span records and ship them back with each result, and
-the parent stitches them into its own trace via
+stamps its ``worker`` id into the context the fork copied from the
+parent.  Workers buffer finished span records and ship them back with
+each result, and the parent stitches them into its own trace via
 :func:`ingest_records` — remapping ids, rebasing the clock origin by
-the handshake-measured offset, and reparenting the shipped subtree
+the handshake-measured offset, and reparenting the shipped spans
 under the currently open span.  A parallel ``--trace`` file therefore
 feeds ``xnf obs report/flame/diff`` identically to a serial run's.
 
@@ -64,7 +64,7 @@ import itertools
 import json
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable, IO, Iterator
+from typing import Any, Callable, IO
 
 from repro.obs import metrics as _metrics
 
@@ -80,43 +80,13 @@ TRACE_VERSION = 2
 class SpanContext:
     """The ambient identity stamped on every span (schema v2).
 
-    A plain, serializable value — :meth:`to_wire` / :meth:`from_wire`
-    round-trip it through pickles and JSON unchanged — so the pool
-    supervisor can hand each forked worker the parent's context with
-    the ``worker`` field filled in.
+    A frozen value: a forked pool worker keeps the copy the fork gave
+    it and stamps its own ``worker`` id with :func:`dataclasses.replace`.
     """
 
     trace_id: str | None = None
     task: str | None = None
     worker: int | None = None
-
-    def to_wire(self) -> dict[str, Any]:
-        """A plain-dict form safe to pickle or JSON-encode."""
-        return {"trace_id": self.trace_id, "task": self.task,
-                "worker": self.worker}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "SpanContext":
-        """Rebuild a context from :meth:`to_wire` output; raises
-        ``ValueError`` on a malformed payload."""
-        if not isinstance(wire, dict):
-            raise ValueError(
-                f"span context must be a dict, got "
-                f"{type(wire).__name__}")
-        trace_id = wire.get("trace_id")
-        task = wire.get("task")
-        worker = wire.get("worker")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise ValueError(f"trace_id must be a string or None, "
-                             f"got {trace_id!r}")
-        if task is not None and not isinstance(task, str):
-            raise ValueError(f"task must be a string or None, "
-                             f"got {task!r}")
-        if worker is not None and (not isinstance(worker, int)
-                                   or isinstance(worker, bool)):
-            raise ValueError(f"worker must be an int or None, "
-                             f"got {worker!r}")
-        return cls(trace_id=trace_id, task=task, worker=worker)
 
 
 #: The ambient context new spans are stamped with (one per process;
@@ -187,9 +157,10 @@ def task_scope(task_id: str) -> _TaskScope | _NullScope:
 
 
 class Span:
-    """One timed, attributed region; part of a tree of spans."""
+    """One timed, attributed region: a flat record whose parent is
+    named by ``parent_id`` alone."""
 
-    __slots__ = ("name", "attrs", "start", "end", "children",
+    __slots__ = ("name", "attrs", "start", "end",
                  "span_id", "parent_id", "depth",
                  "counters_start", "counter_deltas",
                  "trace_id", "task", "worker", "epoch")
@@ -204,7 +175,6 @@ class Span:
         self.depth = depth
         self.start = 0.0
         self.end = 0.0
-        self.children: list[Span] = []
         self.counters_start: dict[str, int] = {}
         self.counter_deltas: dict[str, int] = {}
         # Schema-v2 context fields, stamped from the ambient
@@ -269,10 +239,8 @@ _NULL_SPAN = _NullSpan()
 _ids = itertools.count(1)
 _stack = threading.local()
 
-#: Per-span sinks: called with every finished Span.
+#: Sinks: called with every finished Span.
 _sinks: list[Callable[[Span], None]] = []
-#: Tree sinks: called with every finished *root* Span.
-_tree_sinks: list[Callable[[Span], None]] = []
 
 
 class _SpanContext:
@@ -297,13 +265,9 @@ class _SpanContext:
             name: value - before.get(name, 0)
             for name, value in _metrics.counters_snapshot().items()
             if value != before.get(name, 0)}
-        stack = _stack.spans
-        stack.pop()
+        _stack.spans.pop()
         for sink in _sinks:
             sink(self.span)
-        if not stack:
-            for sink in _tree_sinks:
-                sink(self.span)
 
 
 def span(name: str, **attrs: Any) -> "_SpanContext | _NullSpan":
@@ -317,17 +281,13 @@ def span(name: str, **attrs: Any) -> "_SpanContext | _NullSpan":
     stack = getattr(_stack, "spans", None)
     if stack is None:
         stack = _stack.spans = []
-    parent = stack[-1] if stack else None
     new = Span(name, attrs, next(_ids),
-               parent.span_id if parent is not None else None,
-               len(stack))
+               stack[-1].span_id if stack else None, len(stack))
     context = _context
     if context is not None:
         new.trace_id = context.trace_id
         new.task = context.task
         new.worker = context.worker
-    if parent is not None:
-        parent.children.append(new)
     stack.append(new)
     return _SpanContext(new)
 
@@ -338,27 +298,24 @@ def current_span() -> Span | None:
     return stack[-1] if stack else None
 
 
-def add_sink(sink: Callable[[Span], None], *,
-             tree: bool = False) -> None:
-    """Register a sink for finished spans (or root trees)."""
-    (_tree_sinks if tree else _sinks).append(sink)
+def add_sink(sink: Callable[[Span], None]) -> None:
+    """Register a sink for finished spans."""
+    _sinks.append(sink)
 
 
 def remove_sink(sink: Callable[[Span], None]) -> None:
-    for registry in (_sinks, _tree_sinks):
-        while sink in registry:
-            registry.remove(sink)
+    while sink in _sinks:
+        _sinks.remove(sink)
 
 
 def clear_sinks() -> None:
     _sinks.clear()
-    _tree_sinks.clear()
 
 
 def has_sinks() -> bool:
-    """Whether any span or tree sink is registered — the pool
-    supervisor's cue that worker spans are worth shipping back."""
-    return bool(_sinks or _tree_sinks)
+    """Whether any sink is registered — a forked pool worker's cue
+    that its spans are worth shipping back."""
+    return bool(_sinks)
 
 
 def reinit_after_fork() -> None:
@@ -369,8 +326,9 @@ def reinit_after_fork() -> None:
     supervisor forks from inside its root CLI span), its sinks (which
     wrap the parent's file descriptors), and its ambient context.  All
     three are wrong in the child: the stack is replaced, the sinks are
-    dropped, and the context is cleared so the supervisor can install
-    the propagated one with the worker id filled in.
+    dropped, and the context is cleared.  A worker that wants the
+    parent's context (and to know whether the parent had sinks) reads
+    them *before* calling this, then installs its own.
     """
     global _stack
     _stack = threading.local()
@@ -392,13 +350,13 @@ def ingest_records(records: list[dict[str, Any]], *,
     sender's ``perf_counter`` origins — and its ``worker`` field
     defaulted to ``worker`` when the sender did not stamp one.
 
-    Subtree tops (records whose parent is not part of the shipment)
-    are reparented under the currently open span, so a stitched batch
-    trace is one coherent forest: every worker's ``runtime.task``
-    subtree hangs off the supervisor's root CLI span with consistent
-    depths and monotone parent/child timings.  The rebuilt spans are
-    emitted to the per-span sinks in shipment order; tree sinks fire
-    only for spans that remain roots (when no span is open here).
+    Shipment tops (records whose parent is not part of the shipment)
+    are reparented under the currently open span, and every rebuilt
+    span sits one level below its rebuilt parent (or that anchor), so
+    a stitched batch trace is one coherent forest: every worker's
+    ``runtime.task`` spans hang off the supervisor's root CLI span
+    with consistent depths and monotone parent/child timings.  The
+    rebuilt spans are emitted to the sinks in shipment order.
 
     Returns the number of spans ingested.  No-op while disabled.
     """
@@ -428,38 +386,19 @@ def ingest_records(records: list[dict[str, Any]], *,
         rebuilt.worker = record.get("worker", worker)
         rebuilt.epoch = record.get("epoch")
         spans[record["id"]] = rebuilt
-    tops: list[Span] = []
-    for record in records:
+    # Backwards through finish order, every parent is placed before
+    # its children, so each child reads its parent's final depth.
+    for record in reversed(records):
         rebuilt = spans[record["id"]]
         parent = spans.get(record.get("parent"))
-        if parent is not None and parent is not rebuilt:
+        if parent is None or parent is rebuilt:
+            parent = anchor
+        if parent is not None:
             rebuilt.parent_id = parent.span_id
-            parent.children.append(rebuilt)
-        elif anchor is not None:
-            rebuilt.parent_id = anchor.span_id
-            anchor.children.append(rebuilt)
-            tops.append(rebuilt)
-        else:
-            tops.append(rebuilt)
-    for rebuilt in spans.values():
-        rebuilt.children.sort(key=lambda s: (s.start, s.span_id))
-
-    base_depth = anchor.depth + 1 if anchor is not None else 0
-
-    def _redepth(span_: Span, depth: int) -> None:
-        span_.depth = depth
-        for child in span_.children:
-            _redepth(child, depth + 1)
-
-    for top in tops:
-        _redepth(top, base_depth)
+            rebuilt.depth = parent.depth + 1
     for record in records:
-        rebuilt = spans[record["id"]]
         for sink in _sinks:
-            sink(rebuilt)
-        if rebuilt.parent_id is None:
-            for sink in _tree_sinks:
-                sink(rebuilt)
+            sink(spans[record["id"]])
     return len(records)
 
 
@@ -476,39 +415,10 @@ class JsonLinesSink:
 
 
 class InMemorySink:
-    """Collects finished spans; ``roots`` keeps only finished trees."""
+    """Collects finished spans, in finish order."""
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        self.roots: list[Span] = []
 
     def __call__(self, span_: Span) -> None:
         self.spans.append(span_)
-        if span_.parent_id is None:
-            self.roots.append(span_)
-
-
-def render_tree(root: Span) -> str:
-    """An indented, human-readable rendering of one span tree."""
-    lines: list[str] = []
-
-    def render(span_: Span, indent: int) -> None:
-        attrs = ""
-        if span_.attrs:
-            parts = ", ".join(f"{k}={v}" for k, v in
-                              sorted(span_.attrs.items()))
-            attrs = f"  [{parts}]"
-        lines.append(f"{'  ' * indent}{span_.name}  "
-                     f"{span_.duration * 1e3:.2f} ms{attrs}")
-        for child in span_.children:
-            render(child, indent + 1)
-
-    render(root, 0)
-    return "\n".join(lines) + "\n"
-
-
-def iter_spans(root: Span) -> Iterator[Span]:
-    """Depth-first iteration over a finished span tree."""
-    yield root
-    for child in root.children:
-        yield from iter_spans(child)

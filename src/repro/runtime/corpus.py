@@ -55,10 +55,9 @@ _SIMPLE_ATTRS = ("a", "b", "c", "d")
 def _pairs(rng: random.Random, pool: list[str],
            count: int) -> list[str]:
     """``count`` distinct ``lhs -> rhs`` FDs over ``pool``, never both
-    directions of one pair: a two-cycle like ``@a -> @b, @b -> @a``
-    sends the normalizer's minimal-anomalous-FD search into a
-    multi-minute closure grind, and the corpus must stay a green
-    baseline at CI scale (200-task batches)."""
+    directions of one pair (``@a -> @b, @b -> @a``).  The normalizer
+    handles such a two-cycle; the rule stays because dropping it would
+    change the generated corpus and every baseline recorded on it."""
     fds: list[str] = []
     seen: set[tuple[str, str]] = set()
     while len(fds) < count:
@@ -105,9 +104,8 @@ def _nested_spec(rng: random.Random) -> tuple[str, list[str], list[str]]:
         "db.course.@cno -> db.course.@title",
         f"{student}.@sno -> {student}.@name",          # anomalous
         f"{{db.course, {student}.@sno}} -> {student}",
-        # NB: not the reverse "@title -> @cno": that attribute cycle
-        # sends minimal_anomalous_fd into a multi-minute closure grind,
-        # and the corpus must stay a green baseline at CI scale.
+        # NB: not the reverse "@title -> @cno": the normalizer handles
+        # that cycle, but adding it would change the generated corpus.
         "db.course.@title -> db.course",
     ]
     fds = rng.sample(candidates, rng.randint(1, 3))

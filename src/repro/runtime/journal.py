@@ -100,6 +100,17 @@ _SITE_REPLAY = _faults.register_site(
 
 _RECORD_KINDS = ("meta", "intent", "result")
 
+#: What :meth:`TaskOutcome.from_record` reads from a result record and
+#: from its payload: ``(key, allowed types, required)``.
+_NULLABLE_STR = (str, type(None))
+_RESULT_FIELDS = (("id", str, True), ("op", str, True),
+                  ("reason", _NULLABLE_STR, True),
+                  ("signature", _NULLABLE_STR, True))
+_PAYLOAD_FIELDS = (("status", str, True), ("attempts", int, True),
+                   ("delays_ms", list, True), ("failures", list, False),
+                   ("result", dict, False),
+                   ("disagreements", list, False))
+
 #: Why resume refuses results a serial run could not have committed:
 #: older versions' parallel runs committed them in completion order.
 _OLDER_PARALLEL = ("a journal written by a parallel run of an older "
@@ -155,10 +166,25 @@ def _check_record(record: object, line_no: int) -> dict:
         raise _structural(
             f"line {line_no}: index must be a non-negative integer, "
             f"got {index!r}")
-    if kind == "result" and not isinstance(record.get("payload"), dict):
-        raise _structural(
-            f"line {line_no}: result record must carry a payload "
-            f"object")
+    if kind == "result":
+        payload = record.get("payload")
+        if not isinstance(payload, dict):
+            raise _structural(
+                f"line {line_no}: result record must carry a payload "
+                f"object")
+        for where, found, fields in (
+                ("result", record, _RESULT_FIELDS),
+                ("result payload", payload, _PAYLOAD_FIELDS)):
+            for key, types, required in fields:
+                if key not in found:
+                    if required:
+                        raise _structural(f"line {line_no}: {where} is "
+                                          f"missing {key!r}")
+                elif not isinstance(found[key], types) \
+                        or isinstance(found[key], bool):
+                    raise _structural(
+                        f"line {line_no}: {where} field {key!r} has the "
+                        f"wrong type {type(found[key]).__name__}")
     return record
 
 

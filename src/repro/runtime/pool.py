@@ -51,16 +51,16 @@ re-initializes the metrics registry first thing
 (:func:`repro.obs.metrics.reinit_after_fork` — the inherited lock may
 have been held by a parent exporter thread at the instant of the
 fork) and resets the tracing module (sinks, span stack, context);
-its counters ship back as per-result deltas and its histograms as one
-raw dump at shutdown, so the parent's merged snapshot covers the whole
-pool.  When the parent is tracing, each worker also inherits the
-parent's span context (with its ``worker`` id stamped in), buffers
-every finished span record, and ships the buffer alongside each
-result; the supervisor rebases the records by the hello-handshake
-clock offset and stitches them into its own trace
-(:func:`repro.obs.trace.ingest_records`), so ``xnf batch --workers N
---trace FILE`` captures every worker's ``runtime.task`` subtree in one
-coherent forest.
+each task's counters ship back once, as its outcome's
+``counter_delta``, and its histograms as one raw dump at shutdown, so
+the parent's merged snapshot covers the whole pool.  When the parent
+is tracing, each worker keeps the span context the fork copied (with
+its ``worker`` id stamped in), buffers every finished span record, and
+ships the buffer alongside each result; the supervisor rebases the
+records by the hello-handshake clock offset and stitches them into its
+own trace (:func:`repro.obs.trace.ingest_records`), so ``xnf batch
+--workers N --trace FILE`` captures every worker's ``runtime.task``
+spans in one coherent forest.
 
 A non-:class:`~repro.errors.ReproError` escaping a task inside a
 worker is the same exception-safety breach it is on the serial path:
@@ -239,7 +239,6 @@ def _heartbeat_loop(conn: _mp_connection.Connection,
 def _worker_main(worker_id: int, runner: "BatchRunner",
                  conn: _mp_connection.Connection,
                  heartbeat_interval: float,
-                 trace_wire: dict | None = None,
                  parent_ends: tuple = ()) -> None:
     """The forked worker entrypoint: recv task, run it, send outcome.
 
@@ -256,23 +255,26 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
     handed the refused set the parent read at dispatch — that is what
     makes per-task records backend-independent.
 
-    When the parent is tracing it passes ``trace_wire`` — the
-    serialized ambient :class:`~repro.obs.trace.SpanContext` — and the
-    worker re-installs it with its own ``worker`` id, buffers every
-    finished span's record, and ships the buffer back with each
-    result, where the supervisor stitches it into the parent trace.
-    The first message on the pipe is always the clock handshake
-    (``("hello", id, perf_counter())``): the parent measures the
-    offset between the two ``perf_counter`` origins and rebases the
-    shipped span timestamps with it.
+    When the parent is tracing (a sink registered when it forked), the
+    worker keeps the ambient :class:`~repro.obs.trace.SpanContext` the
+    fork copied, read before the reset, with its own ``worker`` id
+    stamped in; it buffers every finished span's record and ships the
+    buffer back with each result, where the supervisor stitches it
+    into the parent trace.  The first message on the pipe is always
+    the clock handshake (``("hello", id, perf_counter())``): the
+    parent measures the offset between the two ``perf_counter``
+    origins and rebases the shipped span timestamps with it.
     """
     for end in parent_ends:
         end.close()
+    # What the fork copied of the parent's tracing, read before the
+    # reset below clears it.
+    traced = _obs.enabled and _trace.has_sinks()
+    context = _trace.get_context() or _trace.SpanContext()
     _obs.reinit_after_fork()
     _trace.reinit_after_fork()
     span_buffer: list[dict] = []
-    if trace_wire is not None:
-        context = _trace.SpanContext.from_wire(trace_wire)
+    if traced:
         _trace.set_context(_dc_replace(context, worker=worker_id))
         _trace.add_sink(lambda span_: span_buffer.append(
             span_.as_record()))
@@ -283,7 +285,6 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
         threading.Thread(target=_heartbeat_loop,
                          args=(conn, send_lock, heartbeat_interval),
                          daemon=True).start()
-    last_counters: dict[str, int] = {}
     while True:
         try:
             message = conn.recv()
@@ -291,13 +292,10 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
             os._exit(1)
         if message[0] == "stop":
             dump = _obs.dump_raw()
-            # Counter increments already shipped as per-result deltas;
-            # the bye carries only the unshipped remainder (plus the
-            # histograms/timers, which ship nowhere else).
-            dump["counters"] = {
-                name: value - last_counters.get(name, 0)
-                for name, value in dump["counters"].items()
-                if value != last_counters.get(name, 0)}
+            # Every counter arrived with its task's outcome; the bye
+            # carries the histograms and timers, which ship nowhere
+            # else.
+            del dump["counters"]
             with send_lock:
                 conn.send(("bye", dump))
             conn.close()
@@ -319,15 +317,10 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
             os._exit(BREACH_EXITCODE)
         if chaos is not None and chaos[1] == "post":
             _chaos_act(chaos[0], conn, send_lock)
-        counters = _obs.counters_snapshot()
-        delta = {name: value - last_counters.get(name, 0)
-                 for name, value in counters.items()
-                 if value != last_counters.get(name, 0)}
-        last_counters = counters
         spans = span_buffer[:]
         span_buffer.clear()
         with send_lock:
-            conn.send(("result", index, outcome, delta, spans))
+            conn.send(("result", index, outcome, spans))
 
 
 # -- parent side -------------------------------------------------------
@@ -522,17 +515,22 @@ class PoolBackend:
 
         def handle_result(worker: _Worker, index: int,
                           outcome: TaskOutcome,
-                          delta: dict[str, int],
-                          spans: list[dict] | None = None) -> None:
+                          spans: list[dict]) -> None:
             assignment = worker.assignment
             worker.assignment = None
             if _obs.enabled:
-                for name, value in delta.items():
+                # Unpickling makes fresh name strings per result, and
+                # the outcome lives to the summary: interned, every
+                # outcome shares one copy of each name.
+                outcome.counter_delta = {
+                    sys.intern(name): value
+                    for name, value in outcome.counter_delta.items()}
+                for name, value in outcome.counter_delta.items():
                     _obs.inc(name, value)
                 if spans:
                     # Stitch the worker's finished spans into this
                     # process's trace: fresh ids, clock origin rebased
-                    # by the handshake offset, subtree reparented
+                    # by the handshake offset, shipment tops reparented
                     # under the supervisor's open CLI span.
                     _trace.ingest_records(
                         spans, offset=worker.clock_offset,
@@ -579,8 +577,7 @@ class PoolBackend:
                 # no breach is misfiled as a requeueable crash.
                 for message in receive(worker)[0]:
                     if message[0] == "result":
-                        handle_result(worker, message[1], message[2],
-                                      message[3], message[4])
+                        handle_result(worker, *message[1:])
                     elif message[0] == "hello":
                         worker.clock_offset = \
                             time.perf_counter() - message[2]
@@ -649,15 +646,6 @@ class PoolBackend:
             if len(outcomes) < total:
                 spawn()
 
-        # Worker spans are only worth buffering and shipping when the
-        # parent has somewhere to put them; the propagated context is
-        # the parent's ambient one (trace_id and all), each worker
-        # stamping its own ``worker`` id into its copy.
-        trace_wire = None
-        if _obs.enabled and _trace.has_sinks():
-            context = _trace.get_context() or _trace.SpanContext()
-            trace_wire = context.to_wire()
-
         def spawn() -> None:
             if len(self._live) >= target:
                 return
@@ -671,7 +659,7 @@ class PoolBackend:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(worker_id, runner, child_conn, interval,
-                      trace_wire, parent_ends),
+                      parent_ends),
                 name=f"xnf-batch-worker-{worker_id}", daemon=True)
             proc.start()
             child_conn.close()
@@ -739,9 +727,7 @@ class PoolBackend:
                         worker.last_seen = time.monotonic()
                     for message in messages:
                         if message[0] == "result":
-                            handle_result(worker, message[1],
-                                          message[2], message[3],
-                                          message[4])
+                            handle_result(worker, *message[1:])
                         elif message[0] == "hello":
                             # Clock handshake: measure the offset
                             # between our perf_counter origin and the
@@ -828,6 +814,9 @@ class PoolBackend:
                     message = worker.conn.recv()
                     if message[0] == "bye":
                         _obs.merge_raw(message[1])
+                        # Free this dump before the next one arrives:
+                        # two at once set the run's peak RSS.
+                        del message
                         break
             except (EOFError, OSError):
                 pass

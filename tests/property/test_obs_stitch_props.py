@@ -1,8 +1,5 @@
-"""Property tests for span-context serialization and trace stitching.
+"""Property tests for trace stitching.
 
-The wire form of :class:`repro.obs.trace.SpanContext` crosses the
-fork/pipe boundary between the pool supervisor and its workers; the
-round-trip must be lossless for every representable context, and
 :func:`repro.obs.trace.ingest_records` must preserve span counts and
 parent/child containment for arbitrary well-formed shipments.
 """
@@ -16,7 +13,6 @@ import pytest
 
 from repro import obs
 from repro.obs import trace
-from repro.obs.trace import SpanContext
 
 
 @pytest.fixture(autouse=True)
@@ -30,28 +26,6 @@ def clean_obs():
     obs.reset()
     obs.clear_sinks()
     trace.clear_context()
-
-
-identifiers = st.text(
-    alphabet="abcdef0123456789-", min_size=1, max_size=24)
-
-contexts = st.builds(
-    SpanContext,
-    trace_id=st.none() | identifiers,
-    task=st.none() | identifiers,
-    worker=st.none() | st.integers(min_value=0, max_value=1 << 16))
-
-
-class TestWireRoundTrip:
-    @given(context=contexts)
-    def test_round_trip_is_identity(self, context):
-        assert SpanContext.from_wire(context.to_wire()) == context
-
-    @given(context=contexts)
-    def test_wire_form_is_json_plain(self, context):
-        import json
-        wire = context.to_wire()
-        assert json.loads(json.dumps(wire)) == wire
 
 
 @st.composite

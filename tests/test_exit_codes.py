@@ -151,6 +151,43 @@ class TestExit2:
                      "--journal", str(journal), "--resume"]) == 2
         assert "malformed record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", None), ("op", None), ("reason", None),
+        ("signature", None), ("payload.status", None),
+        ("payload.attempts", None), ("payload.delays_ms", None),
+        ("payload.attempts", "1"), ("payload.failures", "boom"),
+        ("payload.result", []), ("payload.disagreements", {}),
+    ])
+    def test_malformed_journal_result_on_resume(self, tmp_path, capsys,
+                                                field, value):
+        # ``None`` deletes the field; anything else replaces it with a
+        # value of the wrong type.
+        manifest = _manifest_file(
+            tmp_path, [_good_task(f"g{index}") for index in range(3)])
+        journal = tmp_path / "j.journal"
+        assert main(["batch", manifest, "--backoff-base", "0",
+                     "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        lines = journal.read_text().splitlines(keepends=True)
+        line_no = next(number for number, line
+                       in enumerate(lines, start=1)
+                       if '"record": "result"' in line)
+        record = json.loads(lines[line_no - 1])
+        *parents, key = field.split(".")
+        target = record
+        for parent in parents:
+            target = target[parent]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        lines[line_no - 1] = json.dumps(record) + "\n"
+        journal.write_text("".join(lines))
+        assert main(["batch", manifest, "--backoff-base", "0",
+                     "--journal", str(journal), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line_no}: result" in err and repr(key) in err
+
     def test_serve_port_in_use(self, capsys):
         import socket
         blocker = socket.socket()

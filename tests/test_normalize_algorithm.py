@@ -73,6 +73,20 @@ class TestCombinedAnomalies:
         assert kinds == ["create", "move"]
         assert is_in_xnf(result.dtd, result.sigma)
 
+    def test_attribute_two_cycle_normalizes(self):
+        """``@a -> @b`` and ``@b -> @a``: each FD is a minimality
+        candidate of the other, and the descent must not loop."""
+        dtd = parse_dtd("""
+            <!ELEMENT db (row*)>
+            <!ELEMENT row EMPTY>
+            <!ATTLIST row a CDATA #REQUIRED b CDATA #REQUIRED>
+        """)
+        sigma = [FD.parse("db.row.@a -> db.row.@b"),
+                 FD.parse("db.row.@b -> db.row.@a")]
+        result = normalize(dtd, sigma)
+        assert [step.kind for step in result.steps] == ["create"]
+        assert is_in_xnf(result.dtd, result.sigma)
+
     def test_progress_assertion_active(self, uni_spec):
         result = normalize(uni_spec.dtd, uni_spec.sigma,
                            check_progress=True)

@@ -196,6 +196,17 @@ class TestReadLedger:
         with pytest.raises(LedgerError, match="wall_ms"):
             read_ledger(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("run", 7), ("task", None), ("verdict", 1), ("retries", "0"),
+        ("retries", True), ("wall_ms", "12"), ("reason", 3),
+        ("counters_sha", []),
+    ])
+    def test_mistyped_field(self, tmp_path, key, value):
+        path = self._write(
+            tmp_path, [json.dumps(self._record(**{key: value}))])
+        with pytest.raises(LedgerError, match=f"{key!r} has the wrong"):
+            read_ledger(path)
+
     def test_group_runs_first_appearance_order(self):
         records = [self._record(run=run)
                    for run in ("r1", "r2", "r1", "r3")]
@@ -389,6 +400,22 @@ class TestCli:
             tmp_path, {"only": {"t-1": ("ok", 0, 1.0)}})
         assert main(["regress", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["history", "regress"])
+    def test_mistyped_ledger_exit_two(self, tmp_path, capsys, command):
+        from repro.obs.cli import main
+        path = self._ledger_file(tmp_path, {
+            "base": {"t-1": ("ok", 0, 10.0)},
+            "curr": {"t-1": ("ok", 0, 10.0)}})
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["wall_ms"] = "12"
+        path.write_text("\n".join(lines[:-1] + [json.dumps(record)])
+                        + "\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'wall_ms' has the wrong type str" in err
+        assert "Traceback" not in err
 
     def test_unreadable_ledger_exit_two(self, tmp_path, capsys):
         from repro.obs.cli import main

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import time
@@ -52,15 +53,15 @@ class TestNesting:
         with obs.span("outer") as outer:
             with obs.span("inner") as inner:
                 assert trace.current_span() is inner
-            with obs.span("inner2"):
+            with obs.span("inner2") as inner2:
                 pass
         assert outer.depth == 0
-        assert [c.name for c in outer.children] == ["inner", "inner2"]
-        assert outer.children[0].parent_id == outer.span_id
-        assert outer.children[0].depth == 1
+        assert outer.parent_id is None
+        for child in (inner, inner2):
+            assert child.parent_id == outer.span_id
+            assert child.depth == 1
         # Children finish first, the root last.
-        assert [s.name for s in sink.spans] == ["inner", "inner2", "outer"]
-        assert sink.roots == [outer]
+        assert sink.spans == [inner, inner2, outer]
 
     def test_attributes(self):
         obs.enable()
@@ -75,14 +76,23 @@ class TestNesting:
         assert sp.duration >= 0.0
         assert sp.end >= sp.start > 0.0
 
-    def test_iter_spans(self):
+    def test_finished_spans_are_held_only_by_sinks(self):
+        # Nothing links a parent to its children: with no sink
+        # registered, each finished child is garbage as soon as it
+        # leaves the stack, however long its root stays open.
         obs.enable()
-        with obs.span("root") as root:
-            with obs.span("a"):
-                with obs.span("b"):
+
+        def live_spans():
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, trace.Span))
+
+        before = live_spans()
+        with obs.span("root"):
+            for _ in range(10_000):
+                with obs.span("child"):
                     pass
-        assert [s.name for s in trace.iter_spans(root)] == \
-            ["root", "a", "b"]
+            during = live_spans()
+        assert during - before < 10
 
 
 class TestJsonLines:
@@ -129,20 +139,6 @@ class TestJsonLines:
 
 
 class TestSpanContext:
-    def test_wire_round_trip(self):
-        context = SpanContext(trace_id="abc123", task="t-1", worker=2)
-        assert SpanContext.from_wire(context.to_wire()) == context
-
-    def test_from_wire_rejects_bad_types(self):
-        with pytest.raises(ValueError):
-            SpanContext.from_wire({"trace_id": 7})
-        with pytest.raises(ValueError):
-            SpanContext.from_wire({"worker": "three"})
-        with pytest.raises(ValueError):
-            SpanContext.from_wire({"worker": True})
-        with pytest.raises(ValueError):
-            SpanContext.from_wire(["not", "a", "dict"])
-
     def test_spans_stamped_from_ambient_context(self):
         obs.enable()
         trace.set_context(SpanContext(trace_id="deadbeef", worker=4))
@@ -218,17 +214,15 @@ class TestIngestRecords:
             count = trace.ingest_records(self._worker_records(),
                                          offset=offset, worker=3)
         assert count == 2
-        assert [child.name for child in root.children] \
-            == ["runtime.task"]
-        task_span = root.children[0]
+        parse_span, task_span, _root = sink.spans
+        assert task_span.name == "runtime.task"
         assert task_span.parent_id == root.span_id
         assert task_span.depth == 1
-        assert task_span.children[0].name == "spec.parse"
-        assert task_span.children[0].depth == 2
-        assert task_span.children[0].parent_id == task_span.span_id
+        assert parse_span.name == "spec.parse"
+        assert parse_span.depth == 2
+        assert parse_span.parent_id == task_span.span_id
         # Fresh ids from this process's counter, no collisions.
-        ids = {root.span_id, task_span.span_id,
-               task_span.children[0].span_id}
+        ids = {root.span_id, task_span.span_id, parse_span.span_id}
         assert len(ids) == 3
         # Clock rebase: worker start + offset.
         assert task_span.start == pytest.approx(offset + 0.005)
@@ -261,33 +255,25 @@ class TestIngestRecords:
     def test_without_open_span_tops_stay_roots(self):
         obs.enable()
         sink = obs.InMemorySink()
-        obs.add_sink(sink, tree=True)
+        obs.add_sink(sink)
         trace.ingest_records(self._worker_records(), worker=3)
-        assert [root.name for root in sink.roots] == ["runtime.task"]
-        assert sink.roots[0].depth == 0
-        assert sink.roots[0].parent_id is None
+        parse_span, task_span = sink.spans
+        assert task_span.name == "runtime.task"
+        assert task_span.depth == 0
+        assert task_span.parent_id is None
+        assert parse_span.depth == 1
+        assert parse_span.parent_id == task_span.span_id
 
     def test_worker_default_only_fills_missing(self):
         obs.enable()
         records = [{"id": 5, "parent": None, "depth": 0, "name": "a",
                     "start": 0.0, "duration_ms": 1.0, "attrs": {}}]
-        with obs.span("root") as root:
+        sink = obs.InMemorySink()
+        obs.add_sink(sink)
+        with obs.span("root"):
             trace.ingest_records(records, worker=7)
-        assert root.children[0].worker == 7
+        assert sink.spans[0].worker == 7
 
     def test_noop_while_disabled(self):
         assert trace.ingest_records(self._worker_records()) == 0
 
-
-class TestRenderTree:
-    def test_indented_output(self):
-        obs.enable()
-        with obs.span("outer") as outer:
-            with obs.span("inner", rule="move"):
-                pass
-        text = obs.render_tree(outer)
-        lines = text.splitlines()
-        assert lines[0].startswith("outer")
-        assert lines[1].startswith("  inner")
-        assert "rule=move" in lines[1]
-        assert "ms" in lines[0]

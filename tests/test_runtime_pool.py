@@ -114,6 +114,28 @@ class TestExecution:
         assert pool.stats.crashed == 0
         assert pool.stats.spawned == 2
 
+    def test_merged_counters_match_serial_outside_the_pool(self):
+        # Each task's counters cross the pipe once, in its outcome's
+        # counter_delta: merged, they are the serial run's counters.
+        from repro import obs
+
+        def counters(backend):
+            obs.enable()
+            obs.reset()
+            try:
+                _runner(corpus.stream_manifest(40, seed=5),
+                        backend=backend).run()
+                return {name: value for name, value
+                        in obs.snapshot()["counters"].items()
+                        if not name.startswith("runtime.pool.")}
+            finally:
+                obs.reset()
+                obs.disable()
+
+        serial = counters(None)
+        assert serial["runtime.tasks"] == 40
+        assert counters(PoolBackend(2)) == serial
+
     def test_single_worker_pool_matches_serial_bytes(self):
         serial, parallel, pool = _corpus_summaries(6, 3, workers=1)
         assert json.dumps(serial, sort_keys=True) \

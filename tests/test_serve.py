@@ -262,6 +262,23 @@ class TestHandlers:
             cache=cache, defaults=defaults)
         assert (status, check["in_xnf"]) == (200, True)
 
+    def test_normalize_answers_an_attribute_two_cycle(self, cache,
+                                                      defaults):
+        # Each FD is a minimality candidate of the other; a search that
+        # revisited FDs would alternate between them on cache hits
+        # alone, holding the request thread and its admission permit.
+        status, body = handle(
+            "/v1/normalize",
+            _payload(fds="db.row.@a -> db.row.@b\n"
+                         "db.row.@b -> db.row.@a"),
+            cache=cache, defaults=defaults)
+        assert status == 200
+        status, check = handle(
+            "/v1/xnf-check",
+            {"dtd": body["dtd"], "fds": "\n".join(body["fds"])},
+            cache=cache, defaults=defaults)
+        assert (status, check["in_xnf"]) == (200, True)
+
     def test_missing_field_is_400_usage(self, cache, defaults):
         status, body = handle("/v1/implication", {"fds": ""},
                               cache=cache, defaults=defaults)
