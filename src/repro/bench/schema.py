@@ -41,7 +41,10 @@ it does not know rather than guessing.  Versions listed in
 :data:`COMPAT_VERSIONS` are read-compatible: v2 (the PR-6 obs-snapshot
 vintage — per-summary ``unit`` fields upstream of the point counters)
 changed nothing in the report shape itself, so v1 baselines still
-validate and gate against v2 reports.
+validate and gate against v2 reports.  :func:`validate` checks every
+field the comparator computes with through :func:`repro.records.check`,
+so a mistyped report is a :class:`BenchReportError` (exit 2) naming
+the benchmark, the point and the field, never a traceback.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import ReproError
+from repro.records import NUMBER, check
 
 SCHEMA_NAME = "repro.bench"
 SCHEMA_VERSION = 2
@@ -57,6 +61,15 @@ SCHEMA_VERSION = 2
 #: at :data:`SCHEMA_VERSION`; older listed versions remain readable so
 #: committed baselines survive compatible bumps.
 COMPAT_VERSIONS = frozenset({1, 2})
+
+
+#: The fields the comparator reads, as :func:`repro.records.check`
+#: reads them: ``(key, types, required)``.
+_BENCHMARK_FIELDS = (("points", list, True),
+                     ("claim", (dict, type(None)), False))
+_POINT_FIELDS = (("counters", dict, True),
+                 ("time_s", (*NUMBER, type(None)), False),
+                 ("mem_peak_kb", (*NUMBER, type(None)), False))
 
 
 class BenchReportError(ReproError):
@@ -82,10 +95,7 @@ def validate(payload: Any, *, source: str = "report") -> dict[str, Any]:
     mismatch — the comparator turns these into exit code 2, never a
     traceback.
     """
-    if not isinstance(payload, dict):
-        raise BenchReportError(
-            f"{source}: expected a JSON object, got "
-            f"{type(payload).__name__}")
+    check(payload, (), where=source, error=BenchReportError)
     if payload.get("schema") != SCHEMA_NAME:
         raise BenchReportError(
             f"{source}: not a {SCHEMA_NAME} report "
@@ -97,17 +107,15 @@ def validate(payload: Any, *, source: str = "report") -> dict[str, Any]:
             f"tool reads ({sorted(COMPAT_VERSIONS)}); regenerate the "
             f"file with `python -m repro.bench run` from the same "
             f"checkout")
-    benchmarks = payload.get("benchmarks")
-    if not isinstance(benchmarks, dict):
-        raise BenchReportError(
-            f"{source}: missing or malformed 'benchmarks' mapping")
-    for name, entry in benchmarks.items():
-        if not isinstance(entry, dict) or "points" not in entry:
-            raise BenchReportError(
-                f"{source}: benchmark {name!r} has no 'points'")
-        for point in entry["points"]:
-            if not isinstance(point, dict) or "counters" not in point:
-                raise BenchReportError(
-                    f"{source}: benchmark {name!r} has a point "
-                    f"without 'counters'")
+    check(payload, (("benchmarks", dict, True),), where=source,
+          error=BenchReportError)
+    for name, entry in payload["benchmarks"].items():
+        where = f"{source}: benchmark {name!r}"
+        check(entry, _BENCHMARK_FIELDS, where=where, error=BenchReportError)
+        for number, point in enumerate(entry["points"]):
+            at = f"{where} point {number}"
+            check(point, _POINT_FIELDS, where=at, error=BenchReportError)
+            check(point["counters"], [(counter, NUMBER, True)
+                                      for counter in point["counters"]],
+                  where=f"{at} counters", error=BenchReportError)
     return payload

@@ -14,13 +14,18 @@ Two layers, both stdlib-only:
   same snapshot always renders to the same bytes, regardless of
   ``PYTHONHASHSEED`` or dict insertion order.
 
-* :class:`MetricsExporter` — a daemon-thread
-  :class:`http.server.ThreadingHTTPServer` serving ``GET /metrics``
-  (the rendered live snapshot) and ``GET /healthz`` (a JSON liveness
-  probe), bound to localhost by default.  This is the scrape surface
-  behind ``xnf --metrics-port N`` — the first brick of ``xnf serve``:
-  while a long batch runs, the exporter publishes the ``runtime.*``
-  counters and heartbeat gauges in flight instead of only at exit.
+* :class:`MetricsExporter` — the project's one HTTP listener: a
+  daemon-thread :class:`http.server.ThreadingHTTPServer` speaking
+  HTTP/1.1 keep-alive, each response one ``sendall`` on a
+  ``TCP_NODELAY`` socket, serving ``GET /metrics`` (the rendered live
+  snapshot) and ``GET /healthz`` (a JSON liveness probe), bound to
+  localhost by default.  This is the scrape surface behind ``xnf
+  --metrics-port N``: while a long batch runs, the exporter publishes
+  the ``runtime.*`` counters and heartbeat gauges in flight instead of
+  only at exit.  ``xnf serve``'s
+  :class:`~repro.serve.server.NormalizationServer` subclasses it and
+  adds the service plane, so both share one bind, one lifecycle and
+  one wire path.
 
 Every scrape increments the ``obs.export.scrapes`` counter (visible in
 the next scrape — the exporter observes itself).
@@ -33,7 +38,7 @@ import math
 import re
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.obs import metrics as _metrics
 
@@ -42,6 +47,12 @@ if TYPE_CHECKING:
 
 #: The exposition-format content type served on ``/metrics``.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+_TEXT = "text/plain; charset=utf-8"
+
+#: How often the serving loop checks for :meth:`MetricsExporter.stop`;
+#: ``stop`` waits up to this long (``serve_forever`` defaults to 0.5 s).
+_POLL_S = 0.05
 
 #: The quantiles a summary family exports (matching the snapshot's
 #: ``p50``/``p95``/``p99`` keys).
@@ -164,23 +175,28 @@ def write_json(request: BaseHTTPRequestHandler, status: int,
 
 
 class MetricsExporter:
-    """A background HTTP server exposing the live metrics registry.
+    """The one HTTP listener: ``GET /metrics`` and ``GET /healthz``.
 
-    ``GET /metrics`` renders :func:`repro.obs.metrics.snapshot` (or a
-    caller-supplied ``snapshot_fn``) through :func:`prometheus_text`;
-    ``GET /healthz`` answers ``{"status": "ok", "uptime_s": ...}``.
+    A :class:`http.server.ThreadingHTTPServer` on a daemon thread, one
+    handler thread per HTTP/1.1 keep-alive connection, and every
+    response one :func:`write_response` on a ``TCP_NODELAY`` socket.
+    ``GET /metrics`` renders :func:`repro.obs.metrics.snapshot` through
+    :func:`prometheus_text`; ``GET /healthz`` answers ``{"status":
+    "ok", "uptime_s": ...}``; anything else is a 404, and a POST a 405
+    that closes the connection (its body stays unread).
+    :class:`repro.serve.server.NormalizationServer` is this class plus
+    the service plane, so a transport change lands here once.
+
     Binds ``host:port`` (``port=0`` picks a free ephemeral port — read
-    :attr:`port` after :meth:`start`).  The serving thread is a daemon,
-    so a crashed main thread never hangs on it; call :meth:`stop` for
-    an orderly shutdown.  Usable as a context manager.
+    :attr:`port` after :meth:`start`); a bind failure raises
+    ``OSError`` from :meth:`start`.  The serving thread is a daemon, so
+    a crashed main thread never hangs on it; call :meth:`stop` for an
+    orderly shutdown.  Usable as a context manager.
     """
 
-    def __init__(self, port: int = 0, host: str = "127.0.0.1", *,
-                 snapshot_fn: Callable[[], dict] | None = None) -> None:
+    def __init__(self, port: int = 0, host: str = "127.0.0.1") -> None:
         self.host = host
         self.requested_port = port
-        self._snapshot = snapshot_fn if snapshot_fn is not None \
-            else _metrics.snapshot
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._started_at = 0.0
@@ -190,41 +206,45 @@ class MetricsExporter:
     def start(self) -> "MetricsExporter":
         """Bind the socket and start serving in a daemon thread."""
         if self._server is not None:
-            raise RuntimeError("exporter already started")
+            raise RuntimeError("already started")
         # Imported here: http.server drags in http.client, email and
         # ssl, which every cold CLI command would otherwise pay for.
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-        exporter = self
+        owner = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
             disable_nagle_algorithm = True
 
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                exporter._handle(self)
+            def do_GET(self) -> None:   # noqa: N802 (http.server API)
+                owner._handle_get(self, self.path.split("?", 1)[0])
+
+            def do_POST(self) -> None:  # noqa: N802 (http.server API)
+                owner._handle_post(self, self.path.split("?", 1)[0])
 
             def log_message(self, *args: Any) -> None:
-                return None  # scrape traffic must not spam stderr
+                return None  # request traffic must not spam stderr
 
         self._server = ThreadingHTTPServer((self.host,
                                             self.requested_port), Handler)
         self._server.daemon_threads = True
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-obs-exporter", daemon=True)
+            target=self._server.serve_forever, args=(_POLL_S,),
+            name="repro-http", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Shut the server down and join the serving thread."""
-        if self._server is None:
+        """Close the listener and join the serving thread; abortive
+        (requests in flight are not waited for) and idempotent."""
+        server, thread = self._server, self._thread
+        if server is None:
             return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
+        self._server = self._thread = None
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
 
     def __enter__(self) -> "MetricsExporter":
         return self.start()
@@ -236,32 +256,41 @@ class MetricsExporter:
     def port(self) -> int:
         """The actually-bound port (resolves ``port=0`` requests)."""
         if self._server is None:
-            raise RuntimeError("exporter not started")
+            raise RuntimeError("not started")
         return self._server.server_address[1]
 
-    def url(self, path: str = "/metrics") -> str:
+    def url(self, path: str = "") -> str:
         return f"http://{self.host}:{self.port}{path}"
 
     # -- request handling ----------------------------------------------
 
-    def _handle(self, request: BaseHTTPRequestHandler) -> None:
-        path = request.path.split("?", 1)[0]
+    def _handle_get(self, request: BaseHTTPRequestHandler,
+                    path: str) -> None:
         if path == "/metrics":
             _metrics.inc("obs.export.scrapes")
-            body = prometheus_text(self._snapshot()).encode("utf-8")
+            body = prometheus_text(_metrics.snapshot()).encode("utf-8")
             write_response(request, 200, CONTENT_TYPE, body)
         elif path == "/healthz":
-            write_json(request, 200, {
-                "status": "ok",
-                "uptime_s": round(time.monotonic() - self._started_at, 3)})
+            write_json(request, 200, self._health())
         else:
-            body = b"not found: try /metrics or /healthz\n"
-            write_response(request, 404, "text/plain; charset=utf-8",
-                           body)
+            self._not_found(request)
+
+    def _handle_post(self, request: BaseHTTPRequestHandler,
+                     path: str) -> None:
+        write_response(request, 405, _TEXT,
+                       b"method not allowed: GET /metrics or /healthz\n",
+                       close=True)
+
+    def _health(self) -> dict:
+        return {"status": "ok",
+                "uptime_s": round(time.monotonic() - self._started_at, 3)}
+
+    def _not_found(self, request: BaseHTTPRequestHandler) -> None:
+        write_response(request, 404, _TEXT,
+                       b"not found: try /metrics or /healthz\n")
 
 
-def start_exporter(port: int = 0, host: str = "127.0.0.1", *,
-                   snapshot_fn: Callable[[], dict] | None = None,
-                   ) -> MetricsExporter:
+def start_exporter(port: int = 0,
+                   host: str = "127.0.0.1") -> MetricsExporter:
     """Start a :class:`MetricsExporter` and return it (already bound)."""
-    return MetricsExporter(port, host, snapshot_fn=snapshot_fn).start()
+    return MetricsExporter(port, host).start()

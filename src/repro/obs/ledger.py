@@ -59,14 +59,13 @@ LEDGER_SCHEMA = "repro.obs.ledger"
 #: Bump on any incompatible change to the record layout.
 LEDGER_VERSION = 1
 
-_REQUIRED_KEYS = ("schema", "version", "run", "task", "verdict",
-                  "retries", "wall_ms")
-
-#: The types of the fields ``obs history`` and ``obs regress`` compute
-#: with (``reason`` and ``counters_sha`` may be absent).
-_FIELD_TYPES = {"run": str, "task": str, "verdict": str, "retries": int,
-                "wall_ms": (int, float), "reason": (str, type(None)),
-                "counters_sha": (str, type(None))}
+#: The fields ``obs history`` and ``obs regress`` compute with, as
+#: :func:`repro.records.check` reads them: ``(key, types, required)``.
+_FIELDS = (("run", str, True), ("task", str, True),
+           ("verdict", str, True), ("retries", int, True),
+           ("wall_ms", records.NUMBER, True),
+           ("reason", (str, type(None)), False),
+           ("counters_sha", (str, type(None)), False))
 
 
 class LedgerError(ReproError):
@@ -157,9 +156,7 @@ def read_ledger(path: str | Path) -> list[dict]:
     ledger: list[dict] = []
     for lineno, record in found.lines:
         where = f"{found.source}:{lineno}"
-        if not isinstance(record, dict):
-            raise LedgerError(f"{where}: expected a ledger record, got "
-                              f"{type(record).__name__}")
+        records.check(record, (), where=where, error=LedgerError)
         if record.get("schema") != LEDGER_SCHEMA:
             raise LedgerError(
                 f"{where}: schema is {record.get('schema')!r}, "
@@ -168,16 +165,8 @@ def read_ledger(path: str | Path) -> list[dict]:
             raise LedgerError(
                 f"{where}: ledger version {record.get('version')!r} is "
                 f"not supported (expected {LEDGER_VERSION})")
-        for key in _REQUIRED_KEYS:
-            if key not in record:
-                raise LedgerError(f"{where}: record missing {key!r}")
-        for key, types in _FIELD_TYPES.items():
-            if key in record and (not isinstance(record[key], types)
-                                  or isinstance(record[key], bool)):
-                raise LedgerError(
-                    f"{where}: {key!r} has the wrong type "
-                    f"{type(record[key]).__name__}")
-        ledger.append(record)
+        ledger.append(records.check(record, _FIELDS, where=where,
+                                    error=LedgerError))
     if not ledger:
         raise LedgerError(f"{found.source}: no ledger records "
                           f"(was the run invoked with --ledger?)")

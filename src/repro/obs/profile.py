@@ -52,6 +52,24 @@ def load_trace(path: str | Path) -> list[dict]:
     return _parse_trace(*records.read_text(path, error=TraceError))
 
 
+#: The span fields the profile computes with, as
+#: :func:`repro.records.check` reads them: ``(key, types, required)``.
+_SPAN_FIELDS = (("id", int, True), ("name", str, True),
+                ("duration_ms", records.NUMBER, True),
+                ("start", records.NUMBER, False),
+                ("parent", (int, type(None)), False),
+                ("counters", (dict, type(None)), False),
+                ("attrs", dict, False),
+                ("worker", (int, type(None)), False),
+                ("epoch", (*records.NUMBER, type(None)), False))
+
+
+def _check_counters(counters: dict, where: str) -> dict:
+    """``counters``, once every value is an integer."""
+    return records.check(counters, [(name, int, True) for name in counters],
+                         where=f"{where}: counters", error=TraceError)
+
+
 def _parse_trace(source: str, text: str) -> list[dict]:
     """The span records of a trace; a torn last record (a run killed
     mid-write) is skipped with a warning (:func:`repro.records.read`)."""
@@ -60,14 +78,9 @@ def _parse_trace(source: str, text: str) -> list[dict]:
         records.warn_torn(found.source, "obs.trace.torn")
     spans: list[dict] = []
     for lineno, record in found.lines:
-        if not isinstance(record, dict):
-            raise TraceError(
-                f"{source}:{lineno}: expected a span object, got "
-                f"{type(record).__name__}")
-        for key in ("id", "name", "duration_ms"):
-            if key not in record:
-                raise TraceError(
-                    f"{source}:{lineno}: span record missing {key!r}")
+        where = f"{source}:{lineno}"
+        records.check(record, _SPAN_FIELDS, where=where, error=TraceError)
+        _check_counters(record.get("counters") or {}, where)
         spans.append(record)
     if not spans:
         raise TraceError(f"{source}: no span records "
@@ -419,10 +432,19 @@ def load_comparable(path: str | Path) -> tuple[str, dict]:
     # does.
     if isinstance(whole, dict) and "counters" in whole \
             and "duration_ms" not in whole:
-        times = {name: float(stats.get("total", 0.0)) * 1e3
-                 for name, stats in whole.get("timers", {}).items()}
-        return "snapshot", {"counters": dict(whole["counters"]),
-                            "times_ms": times}
+        where = f"{source}: snapshot"
+        records.check(whole, (("counters", dict, True),
+                              ("timers", dict, False)),
+                      where=where, error=TraceError)
+        times = {}
+        for name, stats in whole.get("timers", {}).items():
+            records.check(stats, (("total", records.NUMBER, False),),
+                          where=f"{where}: timer {name!r}",
+                          error=TraceError)
+            times[name] = float(stats.get("total", 0.0)) * 1e3
+        return "snapshot", {
+            "counters": dict(_check_counters(whole["counters"], where)),
+            "times_ms": times}
     profile = build_profile(_parse_trace(source, text))
     times = {name: stat.total_ms
              for name, stat in profile.by_name.items()}

@@ -48,9 +48,10 @@ around each attempt (:func:`task_scope`), and each forked pool worker
 stamps its ``worker`` id into the context the fork copied from the
 parent.  Workers buffer finished span records and ship them back with
 each result, and the parent stitches them into its own trace via
-:func:`ingest_records` — remapping ids, rebasing the clock origin by
-the handshake-measured offset, and reparenting the shipped spans
-under the currently open span.  A parallel ``--trace`` file therefore
+:func:`ingest_records` — remapping ids and reparenting the shipped
+spans under the currently open span.  Starts are kept as shipped:
+``time.perf_counter`` is system-wide, so a forked worker's clock is
+the parent's.  A parallel ``--trace`` file therefore
 feeds ``xnf obs report/flame/diff`` identically to a serial run's.
 
 Everything is a no-op while :mod:`repro.obs.metrics` is disabled:
@@ -337,7 +338,6 @@ def reinit_after_fork() -> None:
 
 
 def ingest_records(records: list[dict[str, Any]], *,
-                   offset: float = 0.0,
                    worker: int | None = None) -> int:
     """Stitch span records shipped from another process into this one.
 
@@ -345,10 +345,10 @@ def ingest_records(records: list[dict[str, Any]], *,
     finish order (children before parents) as a worker's buffering
     sink collected them.  Each record is rebuilt as a :class:`Span`
     with a fresh id from this process's counter (so ids never collide
-    across workers), its ``start`` rebased by ``offset`` — the
-    handshake-measured difference between this process's and the
-    sender's ``perf_counter`` origins — and its ``worker`` field
-    defaulted to ``worker`` when the sender did not stamp one.
+    across workers), its ``start`` as shipped (``perf_counter`` is
+    system-wide, so a forked sender shares this process's clock), and
+    its ``worker`` field defaulted to ``worker`` when the sender did
+    not stamp one.
 
     Shipment tops (records whose parent is not part of the shipment)
     are reparented under the currently open span, and every rebuilt
@@ -362,22 +362,12 @@ def ingest_records(records: list[dict[str, Any]], *,
     """
     if not records or not _metrics.enabled:
         return 0
-    # The handshake offset overestimates by the hello's in-pipe
-    # latency, which can push a shipment past spans that close later
-    # here (e.g. the batch root).  Every shipped span provably
-    # finished before its shipment arrived, so pull the whole
-    # shipment back just enough that nothing ends in our future —
-    # one uniform shift, intra-shipment relations untouched.
-    max_end = max(float(record.get("start", 0.0))
-                  + float(record.get("duration_ms", 0.0)) / 1e3
-                  for record in records) + offset
-    offset += min(0.0, time.perf_counter() - max_end)
     anchor = current_span()
     spans: dict[int, Span] = {}
     for record in records:
         rebuilt = Span(record["name"], dict(record.get("attrs") or {}),
                        next(_ids), None, 0)
-        rebuilt.start = float(record.get("start", 0.0)) + offset
+        rebuilt.start = float(record.get("start", 0.0))
         rebuilt.end = rebuilt.start \
             + float(record.get("duration_ms", 0.0)) / 1e3
         rebuilt.counter_deltas = dict(record.get("counters") or {})

@@ -5,6 +5,12 @@ writes a record as one line in a single write; :func:`read` leaves out
 a torn last line (no newline, or does not parse); :func:`repair` cuts
 one off before a writer appends.  Records are ASCII, so a character
 offset is a byte offset.
+
+:func:`check` is the one field check of every record a command reads
+back — journal results, ledger records, heartbeats, span traces,
+``obs diff`` snapshots and benchmark reports — so a missing or
+mistyped field raises the reader's own :class:`ReproError` naming the
+file, the line and the field (exit 2), never a traceback.
 """
 
 from __future__ import annotations
@@ -14,11 +20,15 @@ import hashlib
 import json
 import os
 import sys
-from typing import IO, Any, Callable, NamedTuple
+from typing import IO, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import ReproError
 from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
+
+
+#: The types of a JSON number (a bool is never one, see :func:`check`).
+NUMBER = (int, float)
 
 
 def fingerprint(text: str | None) -> str | None:
@@ -137,3 +147,24 @@ def read(source: str | os.PathLike, *,
                             f"valid JSON ({failure})") from failure
     torn = text.count("\n", 0, keep) + 1 if keep < len(text) else None
     return Records(source, lines, torn)
+
+
+def check(record: Any, fields: Iterable[tuple[str, Any, bool]], *,
+          where: str, error: Callable[[str], Exception]) -> dict:
+    """``record``, once it is an object whose every ``(key, types,
+    required)`` field is present when required and an instance of
+    ``types`` when present (a bool never passes: JSON ``true`` is not
+    a number).  Otherwise raises ``error(message)``, the message
+    starting with ``where``."""
+    if not isinstance(record, dict):
+        raise error(f"{where}: expected an object, got "
+                    f"{type(record).__name__}")
+    for key, types, required in fields:
+        if key not in record:
+            if required:
+                raise error(f"{where}: missing {key!r}")
+        elif not isinstance(record[key], types) \
+                or isinstance(record[key], bool):
+            raise error(f"{where}: {key!r} has the wrong type "
+                        f"{type(record[key]).__name__}")
+    return record

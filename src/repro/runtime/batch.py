@@ -200,8 +200,8 @@ def _lag(board: BreakerBoard, outcome: TaskOutcome) -> int | None:
     dispatch: the failed attempts to keep when it took a retry on a
     signature the board refuses, ``0`` when it stopped on a signature
     the board admits, and ``None`` when it ran as a serial run would
-    have.  ``worker_crash`` outcomes carry crash-board traffic only,
-    so the board never holds them back."""
+    have.  ``worker_crash`` outcomes hold worker crashes only, which
+    no breaker judges, so the board never holds them back."""
     failures = outcome.failures
     if not failures or outcome.reason == REASON_WORKER_CRASH:
         return None

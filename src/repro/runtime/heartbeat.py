@@ -51,10 +51,20 @@ HEARTBEAT_SCHEMA = "repro.runtime.heartbeat"
 #: Bump on any incompatible change to the record layout.
 HEARTBEAT_VERSION = 1
 
-_TASK_KEYS = ("total", "done", "ok", "deadletter")
-_BREAKER_KEYS = ("total", OPEN, HALF_OPEN, CLOSED)
-_WORKER_KEYS = ("target", "alive", "crashed", "requeued")
-_JOURNAL_KEYS = ("appended", "replayed", "skipped")
+#: A heartbeat's top-level fields after ``schema`` and ``version``, as
+#: :func:`repro.records.check` reads them: ``(key, types, required)``.
+_FIELDS = (("seq", int, True), ("elapsed_s", records.NUMBER, True),
+           ("tasks", dict, True), ("retries", int, True),
+           ("breakers", dict, True),
+           ("throughput_tps", (*records.NUMBER, type(None)), False),
+           ("eta_s", (*records.NUMBER, type(None)), False),
+           ("workers", dict, False), ("journal", dict, False))
+
+#: The integer fields of each object field.
+_SECTIONS = {"tasks": ("total", "done", "ok", "deadletter"),
+             "breakers": ("total", OPEN, HALF_OPEN, CLOSED),
+             "workers": ("target", "alive", "crashed", "requeued"),
+             "journal": ("appended", "replayed", "skipped")}
 
 
 class HeartbeatWriter:
@@ -195,76 +205,41 @@ def validate_heartbeat(record: object) -> dict:
     used by the unit tests and the CI smoke job over every line of a
     live run's heartbeat file.
     """
-    if not isinstance(record, dict):
-        raise ValueError(f"heartbeat must be an object, got "
-                         f"{type(record).__name__}")
+    record = records.check(record, (), where="heartbeat",
+                           error=ValueError)
     if record.get("schema") != HEARTBEAT_SCHEMA:
         raise ValueError(f"schema={record.get('schema')!r}, expected "
                          f"{HEARTBEAT_SCHEMA!r}")
     if record.get("version") != HEARTBEAT_VERSION:
         raise ValueError(f"version={record.get('version')!r}, expected "
                          f"{HEARTBEAT_VERSION}")
-    if not isinstance(record.get("seq"), int) or record["seq"] < 1:
-        raise ValueError(f"seq must be a positive int, got "
-                         f"{record.get('seq')!r}")
-    if not isinstance(record.get("elapsed_s"), (int, float)) \
-            or record["elapsed_s"] < 0:
-        raise ValueError(f"elapsed_s must be a non-negative number, "
-                         f"got {record.get('elapsed_s')!r}")
-    tasks = record.get("tasks")
-    if not isinstance(tasks, dict):
-        raise ValueError("missing 'tasks' object")
-    for key in _TASK_KEYS:
-        if not isinstance(tasks.get(key), int) or tasks[key] < 0:
-            raise ValueError(f"tasks.{key} must be a non-negative "
-                             f"int, got {tasks.get(key)!r}")
+    records.check(record, _FIELDS, where="heartbeat", error=ValueError)
+    numbers = {key: record.get(key) for key in
+               ("seq", "elapsed_s", "retries", "throughput_tps", "eta_s")}
+    for section, keys in _SECTIONS.items():
+        if section in record:
+            records.check(record[section], [(key, int, True)
+                                            for key in keys],
+                          where=f"heartbeat {section}", error=ValueError)
+            numbers.update((f"{section}.{key}", record[section][key])
+                           for key in keys)
+    for name, value in numbers.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative, got "
+                             f"{value!r}")
+    if record["seq"] < 1:
+        raise ValueError(f"seq must be positive, got {record['seq']!r}")
+    tasks = record["tasks"]
     if tasks["done"] != tasks["ok"] + tasks["deadletter"]:
         raise ValueError(f"tasks.done={tasks['done']} != ok+deadletter="
                          f"{tasks['ok'] + tasks['deadletter']}")
     if tasks["done"] > tasks["total"]:
         raise ValueError(f"tasks.done={tasks['done']} exceeds "
                          f"total={tasks['total']}")
-    if not isinstance(record.get("retries"), int) \
-            or record["retries"] < 0:
-        raise ValueError(f"retries must be a non-negative int, got "
-                         f"{record.get('retries')!r}")
-    breakers = record.get("breakers")
-    if not isinstance(breakers, dict):
-        raise ValueError("missing 'breakers' object")
-    for key in _BREAKER_KEYS:
-        if not isinstance(breakers.get(key), int) or breakers[key] < 0:
-            raise ValueError(f"breakers[{key!r}] must be a "
-                             f"non-negative int, got "
-                             f"{breakers.get(key)!r}")
-    for key in ("throughput_tps", "eta_s"):
-        value = record.get(key)
-        if value is not None and (not isinstance(value, (int, float))
-                                  or value < 0):
-            raise ValueError(f"{key} must be null or a non-negative "
-                             f"number, got {value!r}")
-    if "workers" in record:
-        workers = record["workers"]
-        if not isinstance(workers, dict):
-            raise ValueError("'workers' must be an object when present")
-        for key in _WORKER_KEYS:
-            if not isinstance(workers.get(key), int) \
-                    or workers[key] < 0:
-                raise ValueError(f"workers.{key} must be a "
-                                 f"non-negative int, got "
-                                 f"{workers.get(key)!r}")
-        if workers["alive"] > workers["target"]:
-            raise ValueError(f"workers.alive={workers['alive']} "
-                             f"exceeds target={workers['target']}")
-    if "journal" in record:
-        journal = record["journal"]
-        if not isinstance(journal, dict):
-            raise ValueError("'journal' must be an object when present")
-        for key in _JOURNAL_KEYS:
-            if not isinstance(journal.get(key), int) \
-                    or journal[key] < 0:
-                raise ValueError(f"journal.{key} must be a "
-                                 f"non-negative int, got "
-                                 f"{journal.get(key)!r}")
+    workers = record.get("workers")
+    if workers is not None and workers["alive"] > workers["target"]:
+        raise ValueError(f"workers.alive={workers['alive']} "
+                         f"exceeds target={workers['target']}")
     return record
 
 

@@ -105,7 +105,8 @@ _RECORD_KINDS = ("meta", "intent", "result")
 _NULLABLE_STR = (str, type(None))
 _RESULT_FIELDS = (("id", str, True), ("op", str, True),
                   ("reason", _NULLABLE_STR, True),
-                  ("signature", _NULLABLE_STR, True))
+                  ("signature", _NULLABLE_STR, True),
+                  ("payload", dict, True))
 _PAYLOAD_FIELDS = (("status", str, True), ("attempts", int, True),
                    ("delays_ms", list, True), ("failures", list, False),
                    ("result", dict, False),
@@ -148,8 +149,8 @@ def _structural(message: str) -> JournalError:
 
 
 def _check_record(record: object, line_no: int) -> dict:
-    if not isinstance(record, dict):
-        raise _structural(f"line {line_no}: record must be an object")
+    record = records.check(record, (), where=f"line {line_no}",
+                           error=_structural)
     kind = record.get("record")
     if kind not in _RECORD_KINDS:
         raise _structural(
@@ -167,24 +168,11 @@ def _check_record(record: object, line_no: int) -> dict:
             f"line {line_no}: index must be a non-negative integer, "
             f"got {index!r}")
     if kind == "result":
-        payload = record.get("payload")
-        if not isinstance(payload, dict):
-            raise _structural(
-                f"line {line_no}: result record must carry a payload "
-                f"object")
-        for where, found, fields in (
-                ("result", record, _RESULT_FIELDS),
-                ("result payload", payload, _PAYLOAD_FIELDS)):
-            for key, types, required in fields:
-                if key not in found:
-                    if required:
-                        raise _structural(f"line {line_no}: {where} is "
-                                          f"missing {key!r}")
-                elif not isinstance(found[key], types) \
-                        or isinstance(found[key], bool):
-                    raise _structural(
-                        f"line {line_no}: {where} field {key!r} has the "
-                        f"wrong type {type(found[key]).__name__}")
+        records.check(record, _RESULT_FIELDS,
+                      where=f"line {line_no}: result", error=_structural)
+        records.check(record["payload"], _PAYLOAD_FIELDS,
+                      where=f"line {line_no}: result payload",
+                      error=_structural)
     return record
 
 

@@ -36,13 +36,13 @@ processes.  The design goals, in priority order:
    counters, :class:`PoolStats`, stderr).  Each crash becomes a
    :class:`~repro.errors.WorkerCrash` (transient, per
    :func:`~repro.runtime.retry.is_transient`) judged by a dedicated
-   :class:`~repro.runtime.retry.RetryPolicy` crash budget and a
-   parent-side crash board keyed by crash signature
-   (``crash:signal:SIGKILL``, ``crash:unpicklable-result``,
-   ``crash:stall``, ...) that never reaches the summary.  Only a task
-   that exhausts its *crash budget* surfaces, as a dead letter with
-   reason ``worker_crash`` — and a task that deterministically kills
-   every worker it lands on does so deterministically.
+   :class:`~repro.runtime.retry.RetryPolicy` crash budget alone: no
+   breaker watches crashes, so every task gets its whole budget.  Only
+   a task that exhausts it surfaces, as a dead letter with reason
+   ``worker_crash`` and the crash signature (``crash:signal:SIGKILL``,
+   ``crash:unpicklable-result``, ``crash:stall``, ...) — and a task
+   that deterministically kills every worker it lands on does so
+   deterministically.
 
 Workers are forked (``multiprocessing.get_context("fork")``): the
 manifest, spec corpus, and runner configuration are shared
@@ -56,11 +56,12 @@ each task's counters ship back once, as its outcome's
 the parent's merged snapshot covers the whole pool.  When the parent
 is tracing, each worker keeps the span context the fork copied (with
 its ``worker`` id stamped in), buffers every finished span record, and
-ships the buffer alongside each result; the supervisor rebases the
-records by the hello-handshake clock offset and stitches them into its
-own trace (:func:`repro.obs.trace.ingest_records`), so ``xnf batch
---workers N --trace FILE`` captures every worker's ``runtime.task``
-spans in one coherent forest.
+ships the buffer alongside each result; the supervisor stitches them
+into its own trace (:func:`repro.obs.trace.ingest_records`), so ``xnf
+batch --workers N --trace FILE`` captures every worker's
+``runtime.task`` spans in one coherent forest.  Span starts need no
+rebase: ``time.perf_counter`` is a system-wide clock, so a forked
+worker reads the same clock as its parent.
 
 A non-:class:`~repro.errors.ReproError` escaping a task inside a
 worker is the same exception-safety breach it is on the serial path:
@@ -94,7 +95,7 @@ from repro.runtime.batch import (
     TaskOutcome,
     error_chain,
 )
-from repro.runtime.breaker import BreakerBoard, failure_signature
+from repro.runtime.breaker import failure_signature
 from repro.runtime.manifest import Task
 from repro.runtime.retry import RetryPolicy
 
@@ -260,10 +261,7 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
     fork copied, read before the reset, with its own ``worker`` id
     stamped in; it buffers every finished span's record and ships the
     buffer back with each result, where the supervisor stitches it
-    into the parent trace.  The first message on the pipe is always
-    the clock handshake (``("hello", id, perf_counter())``): the
-    parent measures the offset between the two ``perf_counter``
-    origins and rebases the shipped span timestamps with it.
+    into the parent trace.
     """
     for end in parent_ends:
         end.close()
@@ -279,8 +277,6 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
         _trace.add_sink(lambda span_: span_buffer.append(
             span_.as_record()))
     send_lock = threading.Lock()
-    with send_lock:
-        conn.send(("hello", worker_id, time.perf_counter()))
     if heartbeat_interval > 0:
         threading.Thread(target=_heartbeat_loop,
                          args=(conn, send_lock, heartbeat_interval),
@@ -336,7 +332,7 @@ class _Assignment:
     #: Failure records (batch-summary shape) for those deaths, kept in
     #: case the crash budget runs out and we must dead-letter.
     crash_failures: list[dict] = field(default_factory=list)
-    #: Signature of the most recent crash (breaker bookkeeping).
+    #: Signature of the most recent crash (the dead letter's).
     crash_signature: str | None = None
     #: The worker that last held this task (steal accounting).
     last_worker: int | None = None
@@ -348,7 +344,7 @@ class _Worker:
     """Parent-side handle of one worker process."""
 
     __slots__ = ("id", "proc", "conn", "assignment", "last_seen",
-                 "kill_reason", "stopping", "clock_offset")
+                 "kill_reason", "stopping")
 
     def __init__(self, worker_id: int, proc, conn) -> None:
         self.id = worker_id
@@ -360,10 +356,6 @@ class _Worker:
         #: death handler can report *why* (stall, corrupt pipe).
         self.kill_reason: str | None = None
         self.stopping = False
-        #: perf_counter-origin difference measured from the worker's
-        #: hello handshake; added to shipped span timestamps so the
-        #: stitched trace shares one clock.
-        self.clock_offset = 0.0
 
 
 class PoolBackend:
@@ -452,7 +444,6 @@ class PoolBackend:
         crash_policy = RetryPolicy(retries=self.crash_retries,
                                    backoff_base_ms=0.0,
                                    seed=runner.policy.seed)
-        crash_board = BreakerBoard()
         # Journal-completed tasks are pre-merged and never dispatched;
         # without a journal this is the plain indexed manifest walk.
         task_iter: Iterator[tuple[int, Task]] = \
@@ -529,23 +520,15 @@ class PoolBackend:
                     _obs.inc(name, value)
                 if spans:
                     # Stitch the worker's finished spans into this
-                    # process's trace: fresh ids, clock origin rebased
-                    # by the handshake offset, shipment tops reparented
-                    # under the supervisor's open CLI span.
-                    _trace.ingest_records(
-                        spans, offset=worker.clock_offset,
-                        worker=worker.id)
+                    # process's trace: fresh ids, shipment tops
+                    # reparented under the supervisor's open CLI span.
+                    _trace.ingest_records(spans, worker=worker.id)
             if assignment is None or assignment.index != index:
                 # A result for a task this worker no longer owns can
                 # only mean supervisor state corruption; fail loudly.
                 raise RuntimeError(
                     f"pool protocol violation: worker {worker.id} "
                     f"returned task index {index} it does not own")
-            if assignment.crash_signature is not None:
-                # The task survived its crashes: close that breaker,
-                # mirroring the serial success-after-failure rule.
-                crash_board.get(
-                    assignment.crash_signature).record_success()
             finish(assignment, outcome)
 
         def receive(worker: _Worker) -> tuple[list, bool]:
@@ -578,9 +561,6 @@ class PoolBackend:
                 for message in receive(worker)[0]:
                     if message[0] == "result":
                         handle_result(worker, *message[1:])
-                    elif message[0] == "hello":
-                        worker.clock_offset = \
-                            time.perf_counter() - message[2]
                     elif message[0] == "breach":
                         breach_report = message[1]
             try:
@@ -627,20 +607,14 @@ class PoolBackend:
                      "signature": sig, "transient": True,
                      "chain": error_chain(error)})
                 assignment.crash_signature = sig
-                breaker = crash_board.get(sig)
                 if crash_policy.should_retry(
                         error, assignment.crash_attempts):
-                    if breaker.allows_retries():
-                        assignment.crash_attempts += 1
-                        pending.appendleft(assignment)
-                        self.stats.requeued += 1
-                        if _obs.enabled:
-                            _obs.inc("runtime.pool.requeued")
-                    else:
-                        breaker.record_skip()
-                        dead_letter(assignment)
+                    assignment.crash_attempts += 1
+                    pending.appendleft(assignment)
+                    self.stats.requeued += 1
+                    if _obs.enabled:
+                        _obs.inc("runtime.pool.requeued")
                 else:
-                    breaker.record_failure()
                     dead_letter(assignment)
             # Keep the pool at strength while there is work left.
             if len(outcomes) < total:
@@ -728,15 +702,6 @@ class PoolBackend:
                     for message in messages:
                         if message[0] == "result":
                             handle_result(worker, *message[1:])
-                        elif message[0] == "hello":
-                            # Clock handshake: measure the offset
-                            # between our perf_counter origin and the
-                            # worker's (the recv latency makes it a
-                            # slight overestimate, which only shifts
-                            # stitched spans later — never before
-                            # their dispatch).
-                            worker.clock_offset = \
-                                time.perf_counter() - message[2]
                         elif message[0] == "hb":
                             pass
                         elif message[0] == "breach":

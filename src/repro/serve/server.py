@@ -1,20 +1,21 @@
 """The HTTP transport of ``xnf serve``.
 
-One :class:`ThreadingHTTPServer` (the :class:`repro.obs.export.
-MetricsExporter` pattern — stdlib-only, daemon serving thread, one
-handler thread per connection) carries both planes on a single port:
+:class:`NormalizationServer` is the :class:`repro.obs.export.
+MetricsExporter` — the one listener: its bind, daemon serving thread,
+one handler thread per keep-alive connection, one-``sendall`` responses
+on ``TCP_NODELAY`` sockets, ``GET /metrics`` and ``GET /healthz`` —
+plus the service plane, all on a single port:
 
-* the **service plane** — ``POST /v1/implication`` / ``/v1/xnf-check``
-  / ``/v1/normalize`` with JSON bodies, each request passing the
+* ``POST /v1/implication`` / ``/v1/xnf-check`` / ``/v1/normalize``
+  with JSON bodies, each request passing the
   :class:`~repro.serve.admission.AdmissionGate` before its body is even
   read (shedding must stay cheap under overload) and then running
   through the pure handlers in :mod:`repro.serve.handlers` under a
   thread-scoped guard budget;
-* the **control plane** — ``GET /metrics`` (Prometheus text of the
-  live registry, including every ``serve.*`` series), ``GET /healthz``
-  (liveness: 200 for the whole process lifetime, draining included)
-  and ``GET /readyz`` (readiness: 503 the instant a drain starts, so
-  load balancers stop routing before the listener goes away).
+* ``GET /readyz`` (readiness: 503 the instant a drain starts, so load
+  balancers stop routing before the listener goes away) and the
+  ``draining`` field of ``GET /healthz`` (liveness: 200 for the whole
+  process lifetime, draining included).
 
 Shutdown is :meth:`NormalizationServer.drain`: flip the gate (new
 work refused with 503, queued waiters bounced), wait for in-flight
@@ -42,16 +43,17 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.obs import metrics as _obs
-from repro.obs.export import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from repro.obs.export import prometheus_text, write_json, write_response
+from repro.obs.export import MetricsExporter, write_json
 from repro.serve import handlers
 from repro.serve.admission import AdmissionGate, Decision
 from repro.serve.cache import SpecCache
 from repro.serve.handlers import ENDPOINTS, BudgetDefaults
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler
 
 #: Default cap on request bodies; a DTD larger than this is a client
 #: error, not a workload.
@@ -82,13 +84,14 @@ def _refusal(status: int, kind: str, type_name: str,
                       else 2, "kind": kind}}
 
 
-class NormalizationServer:
+class NormalizationServer(MetricsExporter):
     """The long-running ``(D, Σ)`` service behind ``xnf serve``.
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).  A bind failure (port in use, bad host) raises
     ``OSError`` from :meth:`start` — the CLI maps it to the structural
-    exit code 2.
+    exit code 2.  :meth:`stop` closes without draining (tests);
+    :meth:`drain` is the graceful shutdown.
     """
 
     def __init__(self, port: int = 0, host: str = "127.0.0.1", *,
@@ -99,8 +102,7 @@ class NormalizationServer:
                  defaults: BudgetDefaults | None = None,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  retry_after_s: int = 1) -> None:
-        self.host = host
-        self.requested_port = port
+        super().__init__(port, host)
         self.drain_deadline_s = drain_deadline_s
         self.max_body_bytes = max_body_bytes
         self.retry_after_s = retry_after_s
@@ -110,41 +112,8 @@ class NormalizationServer:
         self.cache = SpecCache(capacity=cache_capacity)
         self.defaults = defaults if defaults is not None \
             else BudgetDefaults()
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self._started_at = 0.0
         self._drain_lock = threading.Lock()
         self._drain_result: bool | None = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> "NormalizationServer":
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def do_GET(self) -> None:   # noqa: N802 (http.server API)
-                outer._handle_get(self)
-
-            def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                outer._handle_post(self)
-
-            def log_message(self, *args: Any) -> None:
-                return None  # request traffic must not spam stderr
-
-        self._server = ThreadingHTTPServer(
-            (self.host, self.requested_port), Handler)
-        self._server.daemon_threads = True
-        self._started_at = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve", daemon=True)
-        self._thread.start()
-        return self
 
     def drain(self, deadline_s: float | None = None) -> bool:
         """Graceful shutdown: refuse new work, finish in-flight, close.
@@ -165,56 +134,15 @@ class NormalizationServer:
                 if _obs.enabled:
                     _obs.inc("serve.drain.clean" if clean
                              else "serve.drain.deadline_expired")
-                self._close()
+                self.stop()
                 self._drain_result = clean
             return self._drain_result
 
-    def stop(self) -> None:
-        """Abortive shutdown for tests: close without draining."""
-        self._close()
-
-    def _close(self) -> None:
-        server, thread = self._server, self._thread
-        if server is None:
-            return
-        self._server = None
-        self._thread = None
-        server.shutdown()
-        server.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "NormalizationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("server not started")
-        return self._server.server_address[1]
-
-    def url(self, path: str = "") -> str:
-        return f"http://{self.host}:{self.port}{path}"
-
     # -- control plane -------------------------------------------------
 
-    def _handle_get(self, request: BaseHTTPRequestHandler) -> None:
-        path = request.path.split("?", 1)[0]
-        if path == "/metrics":
-            if _obs.enabled:
-                _obs.inc("obs.export.scrapes")
-            body = prometheus_text(_obs.snapshot()).encode("utf-8")
-            write_response(request, 200, _PROM_CONTENT_TYPE, body)
-        elif path == "/healthz":
-            payload = {"status": "ok",
-                       "draining": self.gate.draining,
-                       "uptime_s": round(
-                           time.monotonic() - self._started_at, 3)}
-            write_json(request, 200, payload)
-        elif path == "/readyz":
+    def _handle_get(self, request: BaseHTTPRequestHandler,
+                    path: str) -> None:
+        if path == "/readyz":
             if self.gate.draining:
                 write_json(request, 503, _refusal(
                     503, "draining", "Draining", "server is draining"))
@@ -225,15 +153,21 @@ class NormalizationServer:
                 405, "usage", "MethodNotAllowed",
                 f"{path} accepts POST only"))
         else:
-            write_json(request, 404, _refusal(
-                404, "usage", "NotFound",
-                "try /v1/implication, /v1/xnf-check, /v1/normalize, "
-                "/metrics, /healthz, /readyz"))
+            super()._handle_get(request, path)
+
+    def _health(self) -> dict:
+        return {**super()._health(), "draining": self.gate.draining}
+
+    def _not_found(self, request: BaseHTTPRequestHandler) -> None:
+        write_json(request, 404, _refusal(
+            404, "usage", "NotFound",
+            "try /v1/implication, /v1/xnf-check, /v1/normalize, "
+            "/metrics, /healthz, /readyz"))
 
     # -- service plane -------------------------------------------------
 
-    def _handle_post(self, request: BaseHTTPRequestHandler) -> None:
-        endpoint = request.path.split("?", 1)[0]
+    def _handle_post(self, request: BaseHTTPRequestHandler,
+                     endpoint: str) -> None:
         started = time.perf_counter()
         # A response sent before the body is read closes the
         # connection, or the body would be parsed as the next request.

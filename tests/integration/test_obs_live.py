@@ -32,6 +32,11 @@ from repro.runtime.heartbeat import (
 
 LIVE_TASKS = int(os.environ.get("REPRO_OBS_LIVE_TASKS", "40"))
 
+#: The checkout under test: subprocesses run its ``src``, not whatever
+#: copy of the package the interpreter would find.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 
 @pytest.fixture(autouse=True)
 def clean_obs():
@@ -225,12 +230,12 @@ class TestProfileAcceptance:
             result = subprocess.run(
                 [sys.executable, "-m", "repro.obs", "report",
                  str(trace)],
-                capture_output=True, cwd="/root/repo", env=env)
+                capture_output=True, cwd=REPO_ROOT, env=env)
             assert result.returncode == 0, result.stderr
             flame = subprocess.run(
                 [sys.executable, "-m", "repro.obs", "flame",
                  str(trace)],
-                capture_output=True, cwd="/root/repo", env=env)
+                capture_output=True, cwd=REPO_ROOT, env=env)
             assert flame.returncode == 0, flame.stderr
             outputs[seed] = result.stdout + flame.stdout
         assert outputs["0"] == outputs["4242"]

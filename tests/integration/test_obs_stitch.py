@@ -1,8 +1,8 @@
 """Cross-process trace stitching acceptance (the ISSUE tentpole).
 
 A parallel ``--trace`` batch must produce ONE coherent trace forest —
-every worker's ``runtime.task`` subtree rebased onto the parent's
-clock under the batch root — that downstream tooling (``obs report``
+every worker's ``runtime.task`` subtree on the parent's clock under
+the batch root — that downstream tooling (``obs report``
 / ``flame`` / ``diff``) consumes identically to a serial trace.
 """
 
@@ -36,6 +36,11 @@ TASKS = 96
 pytestmark = pytest.mark.skipif(
     not pool_available(), reason="fork start method unavailable")
 
+#: The checkout under test: subprocesses run its ``src``, not whatever
+#: copy of the package the interpreter would find.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 
 def run_traced_batch(tmp_path, tag, *, workers, hash_seed="0"):
     """Run a traced+ledgered batch in a subprocess (so the
@@ -49,7 +54,7 @@ def run_traced_batch(tmp_path, tag, *, workers, hash_seed="0"):
     result = subprocess.run(
         [sys.executable, "-m", "repro", "batch", str(manifest_path),
          "--workers", str(workers), "--trace", str(trace_path)],
-        capture_output=True, cwd="/root/repo", env=env)
+        capture_output=True, cwd=REPO_ROOT, env=env)
     assert result.returncode == 0, result.stderr
     return load_trace(trace_path)
 
@@ -161,7 +166,7 @@ class TestStdinTraces:
             result = subprocess.run(
                 [sys.executable, "-m", "repro.obs", *args],
                 input=payload, capture_output=True, text=True,
-                cwd="/root/repo", env=env)
+                cwd=REPO_ROOT, env=env)
             assert result.returncode == 0, result.stderr
             assert expect in result.stdout
 
@@ -176,7 +181,7 @@ class TestStdinTraces:
             [sys.executable, "-m", "repro.obs", "diff",
              str(trace_path), "-"],
             input=json.dumps(record) + "\n", capture_output=True,
-            text=True, cwd="/root/repo", env=env)
+            text=True, cwd=REPO_ROOT, env=env)
         assert result.returncode == 0, result.stderr
         assert "OK: no counter regressions" in result.stdout
 
@@ -185,6 +190,6 @@ class TestStdinTraces:
         result = subprocess.run(
             [sys.executable, "-m", "repro.obs", "report", "-"],
             input="", capture_output=True, text=True,
-            cwd="/root/repo", env=env)
+            cwd=REPO_ROOT, env=env)
         assert result.returncode == 2
         assert "no span records" in result.stderr

@@ -55,35 +55,25 @@ def span_forests(draw):
 
 class TestIngestProperties:
     @settings(max_examples=50, deadline=None)
-    @given(records=span_forests(),
-           offset=st.floats(min_value=-100.0, max_value=100.0,
-                            allow_nan=False))
-    def test_count_structure_and_rebase(self, records, offset):
-        import time
+    @given(records=span_forests())
+    def test_count_structure_and_rebase(self, records):
         obs.disable()  # reset between hypothesis examples
         obs.enable()
         obs.clear_sinks()
         sink = obs.InMemorySink()
         obs.add_sink(sink)
         with obs.span("anchor") as anchor:
-            ingested = trace.ingest_records(records, offset=offset,
-                                            worker=1)
-            ingest_done = time.perf_counter()
+            ingested = trace.ingest_records(records, worker=1)
         assert ingested == len(records)
 
         by_name = {span_.name: span_ for span_ in sink.spans
                    if span_.name != "anchor"}
         assert len(by_name) == len(records)
-        # The rebase applies ONE uniform shift: the requested offset,
-        # pulled back only if it would place spans in our future
-        # (shipped spans provably finished before arrival).
-        shifts = {round(by_name[f"span-{r['id']}"].start - r["start"],
-                        6) for r in records}
-        assert max(shifts) - min(shifts) <= 1e-5
-        assert min(shifts) <= offset + 1e-6
         for record in records:
             rebuilt = by_name[f"span-{record['id']}"]
-            assert rebuilt.end <= ingest_done + 1e-6
+            # No rebase: perf_counter is system-wide, so a forked
+            # worker's starts are already on this process's clock.
+            assert rebuilt.start == record["start"]
             assert rebuilt.duration * 1e3 \
                 == pytest.approx(record["duration_ms"], abs=1e-6)
             assert rebuilt.worker == 1

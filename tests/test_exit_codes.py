@@ -188,6 +188,48 @@ class TestExit2:
         err = capsys.readouterr().err
         assert f"line {line_no}: result" in err and repr(key) in err
 
+    @pytest.mark.parametrize("kind, change, field", [
+        ("trace", {"duration_ms": "abc"}, "duration_ms"),
+        ("trace", {"counters": "x"}, "counters"),
+        ("trace", {"id": [1]}, "id"),
+        ("snapshot", {"counters": 5}, "counters"),
+        ("snapshot", {"counters": {"a": "x"}}, "a"),
+        ("snapshot", {"timers": {"t": {"total": "x"}}}, "total"),
+        ("bench", {"counters": 5}, "counters"),
+        ("bench", {"points": 7}, "points"),
+    ])
+    def test_mistyped_record_read_back(self, tmp_path, capsys, kind,
+                                       change, field):
+        """A mistyped field in a trace (``obs report``), a snapshot
+        (``obs diff``) or a benchmark report (``bench compare``) is
+        named on stderr with exit 2, never a traceback."""
+        from repro.bench.cli import main as bench_main
+        from repro.bench.schema import envelope
+        good = tmp_path / "good.json"
+        bad = tmp_path / "bad.json"
+        if kind == "trace":
+            record = {"id": 1, "parent": None, "name": "root",
+                      "start": 0.0, "duration_ms": 8.0, **change}
+            bad.write_text(json.dumps(record) + "\n")
+            code = main(["obs", "report", str(bad)])
+        elif kind == "snapshot":
+            good.write_text(json.dumps({"counters": {"a": 1}}))
+            bad.write_text(json.dumps({"counters": {"a": 1}, **change}))
+            code = main(["obs", "diff", str(good), str(bad)])
+        else:
+            payload = envelope(suite="quick", repeat=1)
+            entry = payload["benchmarks"]["grp.bench"] = {
+                "points": [{"value": 4, "counters": {"chase.steps": 1}}]}
+            good.write_text(json.dumps(payload))
+            (entry if field == "points" else entry["points"][0]).update(
+                change)
+            bad.write_text(json.dumps(payload))
+            code = bench_main(["compare", str(good), str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err and repr(field) in err, err
+        assert "Traceback" not in err
+
     def test_serve_port_in_use(self, capsys):
         import socket
         blocker = socket.socket()

@@ -211,13 +211,28 @@ class TestExporter:
                 self._get(exporter.url("/nope"))
         assert excinfo.value.code == 404
 
-    def test_custom_snapshot_fn(self):
-        with MetricsExporter(
-                port=0,
-                snapshot_fn=lambda: {"counters": {"fixed": 9}},
-        ) as exporter:
-            _, body, _ = self._get(exporter.url("/metrics"))
-        assert "fixed_total 9" in body
+    def test_keep_alive_and_post_refused(self):
+        """One listener for serve and the exporter: HTTP/1.1 keep-alive,
+        and a POST is a 405 that closes the connection (the exporter
+        never reads a body)."""
+        import http.client
+        with MetricsExporter(port=0) as exporter:
+            conn = http.client.HTTPConnection(exporter.host,
+                                              exporter.port, timeout=5)
+            try:
+                for _ in range(2):
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    assert (response.status, response.version,
+                            response.will_close) == (200, 11, False)
+                conn.request("POST", "/metrics", body=b"{}")
+                response = conn.getresponse()
+                response.read()
+                assert (response.status, response.will_close) \
+                    == (405, True)
+            finally:
+                conn.close()
 
     def test_port_property_requires_start(self):
         exporter = MetricsExporter(port=0)

@@ -70,7 +70,7 @@ class TestLoadTrace:
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "arr.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.raises(TraceError, match="expected a span object"):
+        with pytest.raises(TraceError, match="expected an object"):
             prof.load_trace(path)
 
 

@@ -222,6 +222,33 @@ class TestCrashBookkeeping:
         assert pool.stats.dead_lettered == 1
         assert pool.stats.crashed == 3
 
+    def test_crash_budget_alone_bounds_poison_tasks(self):
+        """Seven poison tasks in a row each spend their whole crash
+        budget: no breaker watches crashes, so ``runtime.breaker.*``
+        stays unset while the summary has no breakers."""
+        from repro import obs
+        chaos = {f"corpus-{index:04d}": {attempt: ("sigkill", "pre")
+                                         for attempt in range(3)}
+                 for index in range(7)}
+        pool = PoolBackend(2, crash_retries=2, chaos=chaos)
+        obs.enable()
+        obs.reset()
+        try:
+            summary = _runner(corpus.stream_manifest(12, seed=1),
+                              backend=pool).run()
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.reset()
+            obs.disable()
+        assert summary["breakers"] == {}
+        assert [name for name in counters
+                if name.startswith("runtime.breaker.")] == []
+        letters = summary["dead_letters"]
+        assert [letter["id"] for letter in letters] == list(chaos)
+        assert [letter["attempts"] for letter in letters] == [3] * 7
+        assert summary["counts"]["ok"] == 5
+        assert pool.stats.crashed == 21
+
     def test_recovered_crash_is_invisible_in_the_summary(self):
         chaos = {"corpus-0002": {0: ("sigkill", "pre")}}
         serial = _runner(corpus.stream_manifest(6, seed=9)).run()
