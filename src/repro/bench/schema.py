@@ -70,6 +70,11 @@ _BENCHMARK_FIELDS = (("points", list, True),
 _POINT_FIELDS = (("counters", dict, True),
                  ("time_s", (*NUMBER, type(None)), False),
                  ("mem_peak_kb", (*NUMBER, type(None)), False))
+#: A claim's fitted exponent is its ``slope`` (polynomial) or its
+#: ``base`` (exponential).
+_CLAIM_FIELDS = (("statement", str, True), ("bound", str, True),
+                 ("passed", bool, True), ("slope", NUMBER, False),
+                 ("base", NUMBER, False))
 
 
 class BenchReportError(ReproError):
@@ -112,6 +117,13 @@ def validate(payload: Any, *, source: str = "report") -> dict[str, Any]:
     for name, entry in payload["benchmarks"].items():
         where = f"{source}: benchmark {name!r}"
         check(entry, _BENCHMARK_FIELDS, where=where, error=BenchReportError)
+        claim = entry.get("claim")
+        if claim is not None:
+            check(claim, _CLAIM_FIELDS, where=f"{where} claim",
+                  error=BenchReportError)
+            if "slope" not in claim and "base" not in claim:
+                raise BenchReportError(
+                    f"{where} claim: missing 'slope' or 'base'")
         for number, point in enumerate(entry["points"]):
             at = f"{where} point {number}"
             check(point, _POINT_FIELDS, where=at, error=BenchReportError)

@@ -32,12 +32,6 @@ coNP-hard engines degrade instead of hanging: ``implies`` prints
 ``unknown`` with the tripped limit, every other subcommand aborts with
 a diagnostic, and the process exits with code 4.
 
-Resumability (see ``docs/ROBUSTNESS.md``): ``xnf normalize
---checkpoint FILE`` snapshots the run after every applied transform;
-adding ``--resume`` restarts from the snapshot and produces output
-identical to an uninterrupted run.  A checkpoint with the wrong schema
-version or a different (D, Σ) fingerprint exits with code 2.
-
 Fault injection (testing only): setting ``REPRO_FAULTS`` to a
 ``site[:kind[:after]],...`` spec (``REPRO_FAULTS_SEED`` seeds it)
 installs a deterministic fault plan around the whole run — see
@@ -51,14 +45,13 @@ an optional differential engine ensemble (``--ensemble
 {off,check,strict}``).  The machine-readable JSON summary — including
 the dead-letter report accounting for every unrecoverable task — goes
 to **stdout**; human-facing progress and ``--stats`` tables go to
-stderr, so ``xnf batch m.json | jq .`` always parses.  ``--heartbeat
-FILE`` appends one schema-versioned JSON-lines progress record (tasks
-done/ok/dead-lettered, retries, breaker states, throughput, ETA) at
-most every ``--heartbeat-interval`` seconds (``-`` writes them to
-stderr, keeping stdout parseable), and publishes the same numbers as
-``runtime.batch.*`` gauges for a concurrent ``--metrics-port`` scrape.
-``--workers N`` runs the tasks on a supervised process pool whose
-summary is byte-identical to a serial run's.  ``--journal FILE``
+stderr, so ``xnf batch m.json | jq .`` always parses.  Live progress
+is the ``--metrics-port`` scrape: ``runtime_tasks_total`` and its
+``ok``/``deadletter`` splits rise as tasks commit, against the
+``runtime_batch_tasks_total`` gauge of the manifest's size
+(``docs/OBSERVABILITY.md``).  ``--workers N`` runs the tasks on a
+supervised process pool whose summary is byte-identical to a serial
+run's.  ``--journal FILE``
 write-ahead-journals the run (fsync'd intent/result records, results
 in index order); after a supervisor death — SIGKILL, OOM, power loss
 — re-running with ``--resume`` skips completed tasks, re-dispatches
@@ -85,8 +78,8 @@ Exit codes (uniform across subcommands; the full table is pinned by
     0  success / positive answer (implied, in XNF, batch all ok)
     1  negative answer (not implied, not in XNF, violations found,
        every batch task dead-lettered)
-    2  usage error (bad flags or arguments; argparse, bad checkpoint,
-       bad batch manifest, bad/mismatched batch journal)
+    2  usage error (bad flags or arguments; argparse, bad batch
+       manifest, bad/mismatched batch journal)
     3  input or pipeline error (any ReproError: parse failure,
        invalid FD, unsupported feature, ...) — message on stderr
     4  resource limit reached (--timeout / --max-steps / ... tripped
@@ -111,7 +104,6 @@ from pathlib import Path as FilePath
 
 from repro import guard, obs
 from repro.errors import (
-    CheckpointError,
     JournalError,
     ManifestError,
     ReproError,
@@ -156,27 +148,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    from repro.normalize import checkpoint as ckpt
     spec = _load_spec(args.dtd, args.fds, args.root)
-    checkpoint_path = getattr(args, "checkpoint", None)
-    resume = None
-    if getattr(args, "resume", False):
-        if not checkpoint_path:
-            raise CheckpointError("--resume requires --checkpoint FILE")
-        resume = ckpt.load(checkpoint_path)
-        print(f"resuming from {checkpoint_path} "
-              f"({resume.rounds_completed} step(s) already applied)",
-              file=sys.stderr)
-    on_step = None
-    if checkpoint_path:
-        if resume is None:
-            # A fresh run starts the file afresh; each save appends.
-            FilePath(checkpoint_path).unlink(missing_ok=True)
-        on_step = lambda cp: ckpt.save(checkpoint_path, cp)  # noqa: E731
-    result = spec.normalize(resume=resume, on_step=on_step)
-    if checkpoint_path:
-        # The run converged; the checkpoint has served its purpose.
-        FilePath(checkpoint_path).unlink(missing_ok=True)
+    result = spec.normalize()
     for index, step in enumerate(result.steps, start=1):
         print(f"step {index}: {step.description}", file=sys.stderr)
     print(serialize_dtd(result.dtd), end="")
@@ -291,8 +264,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         pool = PoolBackend(workers, crash_retries=args.crash_retries,
                            stall_timeout=args.stall_timeout)
     # Everything opened below closes, last opened first, on every way
-    # out: the heartbeat writer emits its final record before its
-    # stream closes.
+    # out.
     closing = contextlib.ExitStack()
     journal = None
     if args.journal:
@@ -312,27 +284,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   f"{journal.in_flight} in flight at interruption",
                   file=sys.stderr)
     with closing:
-        consumers = []
-        heartbeat_file = getattr(args, "heartbeat", None)
-        if heartbeat_file:
-            from repro.runtime.heartbeat import HeartbeatWriter
-            # stdout is reserved for the JSON summary; "-" streams the
-            # heartbeats to stderr so `xnf batch m.json | jq .` parses.
-            heartbeat_stream = sys.stderr
-            if heartbeat_file != "-":
-                try:
-                    heartbeat_stream = open(heartbeat_file, "w")
-                except OSError as error:
-                    print(f"error: cannot open heartbeat file: {error}",
-                          file=sys.stderr)
-                    return EXIT_ERROR
-                closing.callback(heartbeat_stream.close)
-            writer = HeartbeatWriter(
-                heartbeat_stream, total=manifest.task_count, board=board,
-                pool=pool, journal=journal,
-                interval_s=args.heartbeat_interval)
-            closing.callback(writer.close)
-            consumers.append(writer.task_done)
+        on_task_done = None
         ledger_file = getattr(args, "ledger", None)
         if ledger_file:
             from repro.obs.ledger import LedgerWriter
@@ -346,17 +298,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return EXIT_ERROR
             closing.callback(ledger_stream.close)
-            consumers.append(LedgerWriter(
+            on_task_done = LedgerWriter(
                 ledger_stream, manifest=manifest,
-                fsync=args.ledger_fsync).task_done)
-        if not consumers:
-            on_task_done = None
-        elif len(consumers) == 1:
-            on_task_done = consumers[0]
-        else:
-            def on_task_done(outcome):
-                for consumer in consumers:
-                    consumer(outcome)
+                fsync=args.ledger_fsync).task_done
         summary = batch_mod.run_batch(
             manifest, policy=policy, board=board,
             ensemble_mode=args.ensemble,
@@ -373,10 +317,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
              "disagreement(s)" if args.ensemble != "off" else ""),
           file=sys.stderr)
     if journal is not None:
-        jstats = journal.stats()
-        print(f"journal: {jstats['appended']} record(s) appended, "
-              f"{jstats['skipped']} task(s) skipped as complete, "
-              f"{jstats['replayed']} re-dispatched", file=sys.stderr)
+        print(f"journal: {journal.appended} record(s) appended, "
+              f"{journal.skipped} task(s) skipped as complete, "
+              f"{journal.replayed} re-dispatched", file=sys.stderr)
     if pool is not None:
         stats = pool.stats
         print(f"pool: {stats.workers} worker(s), "
@@ -531,12 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("dtd")
     norm.add_argument("fds")
     norm.add_argument("-o", "--output", help="directory for the results")
-    norm.add_argument("--checkpoint", metavar="FILE",
-                      help="snapshot the run to FILE after every applied "
-                      "transform (deleted on success)")
-    norm.add_argument("--resume", action="store_true",
-                      help="restart from the checkpoint in --checkpoint "
-                      "FILE instead of from scratch")
     norm.set_defaults(func=_cmd_normalize)
 
     imp = sub.add_parser("implies", parents=[common],
@@ -660,14 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="SIGKILL and requeue a worker silent for "
                      "this long with a task in flight; 0 disables "
                      "stall detection (default 0)")
-    bat.add_argument("--heartbeat", metavar="FILE",
-                     help="append JSON-lines progress heartbeats to "
-                     "FILE while the batch runs ('-' streams them to "
-                     "stderr)")
-    bat.add_argument("--heartbeat-interval", type=_nonneg_float,
-                     default=1.0, metavar="SECONDS",
-                     help="minimum seconds between heartbeat records; "
-                     "0 emits one per completed task (default 1)")
     bat.add_argument("--ledger", metavar="FILE",
                      help="append one run-ledger record per task to "
                      "FILE (query with `xnf obs history`, gate with "
@@ -838,11 +767,10 @@ def main(argv: list[str] | None = None) -> int:
                                in sorted(error.partial.items()))
             print(f"partial progress: {detail}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CheckpointError, JournalError, ManifestError) as error:
-        # A bad/mismatched checkpoint or journal or an unusable batch
-        # manifest is a usage problem, not a pipeline failure: the
-        # flags/arguments named something that cannot apply to this
-        # invocation.
+    except (JournalError, ManifestError) as error:
+        # A bad/mismatched journal or an unusable batch manifest is a
+        # usage problem, not a pipeline failure: the flags/arguments
+        # named something that cannot apply to this invocation.
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     except ReproError as error:

@@ -151,7 +151,7 @@ class WorkerCrash(ReproError):
 
     The parent supervisor of :class:`repro.runtime.pool.PoolBackend`
     never sees the original failure — the whole worker process is gone
-    (SIGKILL, OOM kill, a corrupted result stream, a heartbeat stall)
+    (SIGKILL, OOM kill, a corrupted result stream, a stall with no ping)
     — so it manufactures this error to stand in for the attempt that
     died with it.  ``detail`` names the detection source in a stable,
     deterministic vocabulary (``signal:SIGKILL``, ``exitcode:70``,
@@ -193,14 +193,6 @@ class EnsembleDisagreementError(ReproError):
         self.record = record
 
 
-class CheckpointError(ReproError):
-    """Raised for unusable normalization checkpoints: malformed JSON,
-    a schema-version mismatch, or a checkpoint recorded for a different
-    ``(D, Σ)`` than the one being resumed.  The CLI maps this to exit
-    code 2 (usage error): the flags named a checkpoint that cannot
-    apply to this invocation."""
-
-
 class JournalError(ReproError):
     """Raised for unusable batch journals: malformed records in the
     body of the file, a schema-version mismatch, a duplicated task
@@ -208,10 +200,10 @@ class JournalError(ReproError):
     breaker configuration than the one being resumed, or a torn append
     (the record did not reach the file intact, so the batch must stop
     rather than continue past a hole in the log).  The CLI maps this to
-    exit code 2 (usage error), like :class:`CheckpointError` and
-    :class:`ManifestError`: the flags named a journal that cannot apply
-    to this invocation.  A *torn trailing record* is explicitly not an
-    error — resume truncates it with a counted warning."""
+    exit code 2 (usage error), like :class:`ManifestError`: the flags
+    named a journal that cannot apply to this invocation.  A *torn
+    trailing record* is explicitly not an error — resume truncates it
+    with a counted warning."""
 
 
 class NormalizationError(ReproError):

@@ -100,7 +100,6 @@ _INSTRUMENTED_MODULES = (
     "repro.fd.closure",
     "repro.tuples.extract",
     "repro.normalize.algorithm",
-    "repro.normalize.checkpoint",
     "repro.runtime.journal",
     "repro.serve.admission",
     "repro.serve.cache",

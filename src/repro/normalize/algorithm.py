@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import (
-    CheckpointError,
     NormalizationError,
-    ReproError,
     ResourceExhausted,
     UnsupportedFeatureError,
 )
@@ -37,7 +35,6 @@ from repro.faults import plan as _faults
 from repro.fd.implication import EngineName, ImplicationEngine
 from repro.fd.model import FD
 from repro.guard import budget as _guard
-from repro.normalize import checkpoint as _checkpoint
 from repro.normalize.transforms import (
     NewElementNames,
     TransformStep,
@@ -61,9 +58,6 @@ DEFAULT_MAX_STEPS = 100
 _SITE_ROUND = _faults.register_site(
     "normalize.round", "normalize",
     "the top of each Figure 4 fixpoint round")
-_SITE_CHECKPOINT = _faults.register_site(
-    "normalize.checkpoint", "normalize",
-    "after each applied transform, once the checkpoint is snapshotted")
 
 
 @dataclass
@@ -91,10 +85,6 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
               naming: Callable[[int, FD], NewElementNames] | None = None,
               max_steps: int = DEFAULT_MAX_STEPS,
               check_progress: bool = True,
-              resume: "_checkpoint.NormalizationCheckpoint | None" = None,
-              on_step: Callable[
-                  ["_checkpoint.NormalizationCheckpoint"], None,
-              ] | None = None,
               oracle: ImplicationEngine | None = None,
               ) -> NormalizationResult:
     """Run the XNF decomposition algorithm to completion.
@@ -103,39 +93,14 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
     with the step index and the minimal anomalous FD); by default names
     derive from the involved attributes (``info``, attribute stems).
 
-    ``on_step`` receives a :class:`NormalizationCheckpoint` after every
-    applied transform; ``resume`` restarts from one (the checkpoint must
-    fingerprint-match the *original* ``(dtd, sigma)`` passed here).  A
-    resumed run is deterministic: it yields the same final DTD and Σ as
-    the uninterrupted run, with pre-checkpoint steps represented by
-    description-only records that cannot migrate documents.
-
     Each ``(D, Σ)`` the run visits gets one :class:`ImplicationEngine`:
     the engine that checks a step's progress decides the next round.
     ``oracle``, an engine the caller already holds on ``(dtd, sigma)``
-    with the same ``engine``, decides round 1 (without ``resume``,
-    which starts from the checkpoint's ``(D, Σ)`` instead).
+    with the same ``engine``, decides round 1.
     """
-    original_sigma = [fd.validate(dtd) for fd in sigma]
-    origin = ""
-    if resume is not None or on_step is not None:
-        origin = _checkpoint.fingerprint(dtd, original_sigma)
     current_dtd = dtd
-    current_sigma = original_sigma
+    current_sigma = _preprocess(dtd, [fd.validate(dtd) for fd in sigma])
     steps: list[TransformStep] = []
-    if resume is not None:
-        resume.matches(origin)
-        current_dtd, restored_sigma, recorded = resume.restore()
-        try:
-            current_sigma = [fd.validate(current_dtd)
-                             for fd in restored_sigma]
-        except ReproError as error:
-            raise CheckpointError(
-                "checkpoint Sigma is inconsistent with its DTD: "
-                f"{error}") from error
-        steps = list(recorded)
-        oracle = None
-    current_sigma = _preprocess(current_dtd, current_sigma)
     # AP(D, Σ) of the current pair, once computed: a progress check's
     # ``after`` is the next round's ``before``.
     before: frozenset[Path] | None = None
@@ -172,16 +137,6 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
                     steps.append(step)
                     current_dtd = step.dtd
                     current_sigma = _preprocess(current_dtd, step.sigma)
-                    if on_step is not None:
-                        on_step(
-                            _checkpoint.NormalizationCheckpoint.capture(
-                                origin, current_dtd, current_sigma,
-                                steps))
-                    if _faults.active:
-                        # Fires *after* the snapshot is handed out, so
-                        # an injected fault here models "killed right
-                        # after saving" — the resume path's best case.
-                        _faults.fire(_SITE_CHECKPOINT)
                     if _obs.enabled:
                         _obs.inc("normalize.rounds")
                         _obs.inc(f"normalize.steps.{step.kind}")
@@ -206,7 +161,7 @@ def normalize(dtd: DTD, sigma: Iterable[FD], *,
                         before = after
     except ResourceExhausted as error:
         # Partial progress: the transforms applied before the trip are
-        # sound individually, so surface them for diagnostics/resume.
+        # sound individually, so surface them for diagnostics.
         error.partial.setdefault("engine", "normalize")
         error.partial.setdefault("rounds_completed", len(steps))
         error.partial.setdefault(

@@ -21,8 +21,8 @@ Two layers, both stdlib-only:
   snapshot) and ``GET /healthz`` (a JSON liveness probe), bound to
   localhost by default.  This is the scrape surface behind ``xnf
   --metrics-port N``: while a long batch runs, the exporter publishes
-  the ``runtime.*`` counters and heartbeat gauges in flight instead of
-  only at exit.  ``xnf serve``'s
+  the ``runtime.*`` counters and gauges in flight instead of only at
+  exit.  ``xnf serve``'s
   :class:`~repro.serve.server.NormalizationServer` subclasses it and
   adds the service plane, so both share one bind, one lifecycle and
   one wire path.

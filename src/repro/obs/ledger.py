@@ -1,8 +1,8 @@
 """The batch run ledger: an append-only history of every task run.
 
 ``xnf batch --ledger FILE`` attaches a :class:`LedgerWriter` to the
-batch runner's per-task completion hook.  For every terminal task it
-appends one schema-versioned record (:mod:`repro.records`)::
+batch runner's per-task completion hook, whose one consumer it is.
+For every terminal task it appends one schema-versioned record (:mod:`repro.records`)::
 
     {"schema": "repro.obs.ledger", "version": 1,
      "run": "9f3a1c2b4d5e", "ts": 1754700000.123,
@@ -87,9 +87,8 @@ class LedgerWriter:
 
     ``manifest`` supplies the run-level provenance fields; ``run``
     defaults to a fresh random id; ``clock`` is injectable for
-    deterministic tests.  :meth:`task_done` matches the batch runner's
-    ``on_task_done`` seam, so the writer composes with the heartbeat
-    writer behind one hook.
+    deterministic tests.  :meth:`task_done` is the batch runner's
+    ``on_task_done`` hook.
     """
 
     def __init__(self, stream: IO[str], *, manifest,

@@ -85,7 +85,32 @@ def _parse_trace(source: str, text: str) -> list[dict]:
     if not spans:
         raise TraceError(f"{source}: no span records "
                          f"(was the run traced with --trace?)")
+    _check_acyclic(source, found.lines)
     return spans
+
+
+def _check_acyclic(source: str, lines: list[tuple[int, dict]]) -> None:
+    """Raise :class:`TraceError` at the first span whose ``parent``
+    chain loops (a span that is its own parent is a root, as in
+    :func:`build_forest`); a loop of any length has no root to fold
+    from."""
+    parents = {record["id"]: record.get("parent") for _, record in lines}
+    rooted: set[int] = set()
+    for lineno, record in lines:
+        chain: dict[int, None] = {}     # insertion-ordered
+        span = record["id"]
+        while span in parents and span not in rooted:
+            if span in chain:
+                loop = list(chain)
+                loop = loop[loop.index(span):] + [span]
+                raise TraceError(
+                    f"{source}:{lineno}: span {record['id']}: 'parent' "
+                    f"links form a cycle ({' -> '.join(map(str, loop))})")
+            chain[span] = None
+            if parents[span] == span:
+                break
+            span = parents[span]
+        rooted.update(chain)
 
 
 # -- the span forest ---------------------------------------------------

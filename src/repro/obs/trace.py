@@ -34,7 +34,7 @@ because they finish first)::
 (``time.perf_counter``), useful for ordering, not wall-clock time.
 Root spans (``parent: null``) additionally carry ``"v": 2`` and an
 ``"epoch"`` wall-clock anchor (``time.time()`` at span entry), so a
-trace correlates with heartbeat timestamps and Prometheus scrapes.
+trace correlates with ledger timestamps and Prometheus scrapes.
 ``counters`` (added for the profiling observatory, absent when empty)
 holds the **counter deltas** observed between span entry and exit —
 boundary snapshots of :func:`repro.obs.metrics.counters_snapshot` —
@@ -254,7 +254,7 @@ class _SpanContext:
         self.span.counters_start = _metrics.counters_snapshot()
         if self.span.parent_id is None:
             # Root spans get the schema-v2 wall-clock anchor, so the
-            # trace correlates with heartbeats and exporter scrapes.
+            # trace correlates with ledgers and exporter scrapes.
             self.span.epoch = time.time()
         self.span.start = time.perf_counter()
         return self.span

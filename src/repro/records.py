@@ -1,16 +1,16 @@
 """Record files: the JSON-lines format of the batch journal, the run
-ledger, heartbeats, span traces and normalization checkpoints, whose
-rules docs/ROBUSTNESS.md § "Record files" states.  :func:`append`
-writes a record as one line in a single write; :func:`read` leaves out
-a torn last line (no newline, or does not parse); :func:`repair` cuts
-one off before a writer appends.  Records are ASCII, so a character
-offset is a byte offset.
+ledger and span traces, whose rules docs/ROBUSTNESS.md § "Record
+files" states.  :func:`append` writes a record to an open stream as
+one line in a single write; :func:`read` leaves out a torn last line
+(no newline, or does not parse); :func:`repair` cuts one off before a
+writer appends.  Records are ASCII, so a character offset is a byte
+offset.
 
 :func:`check` is the one field check of every record a command reads
-back — journal results, ledger records, heartbeats, span traces,
-``obs diff`` snapshots and benchmark reports — so a missing or
-mistyped field raises the reader's own :class:`ReproError` naming the
-file, the line and the field (exit 2), never a traceback.
+back — journal results, ledger records, span traces, ``obs diff``
+snapshots and benchmark reports — so a missing or mistyped field
+raises the reader's own :class:`ReproError` naming the file, the line
+and the field (exit 2), never a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
 
 
-#: The types of a JSON number (a bool is never one, see :func:`check`).
+#: The types of a JSON number (a bool is not one, see :func:`check`).
 NUMBER = (int, float)
 
 
@@ -38,25 +38,16 @@ def fingerprint(text: str | None) -> str | None:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def append(target: IO[str] | str | os.PathLike, record: dict, *,
-           fsync: bool = False, site: str | None = None) -> bool:
-    """Append ``record`` to a stream, or to the file at a path (opened,
-    repaired and closed around it).  ``site``, a fault site, is applied
-    to the line before anything is touched; ``False`` means it tore the
-    line, and the caller must stop appending."""
+def append(stream: IO[str], record: dict, *, fsync: bool = False,
+           site: str | None = None) -> bool:
+    """Append ``record`` to ``stream``.  ``site``, a fault site, is
+    applied to the line before anything is touched; ``False`` means it
+    tore the line, and the caller must stop appending.  A failure
+    raises :class:`ReproError` and closes the stream (its buffer would
+    only fail again) unless it is stdout or stderr."""
     line = json.dumps(record, sort_keys=True) + "\n"
     if site is not None and _faults.active:
         line = _faults.mangle(site, line)
-    if hasattr(target, "write"):
-        return _write(target, line, fsync)
-    with open(target, "a+", encoding="utf-8") as stream:
-        repair(stream)
-        return _write(stream, line, fsync)
-
-
-def _write(stream: IO[str], line: str, fsync: bool) -> bool:
-    """A failure raises :class:`ReproError` and closes the stream (its
-    buffer would only fail again) unless it is stdout or stderr."""
     try:
         stream.write(line)
         stream.flush()
@@ -153,9 +144,9 @@ def check(record: Any, fields: Iterable[tuple[str, Any, bool]], *,
           where: str, error: Callable[[str], Exception]) -> dict:
     """``record``, once it is an object whose every ``(key, types,
     required)`` field is present when required and an instance of
-    ``types`` when present (a bool never passes: JSON ``true`` is not
-    a number).  Otherwise raises ``error(message)``, the message
-    starting with ``where``."""
+    ``types`` when present (a bool passes only where ``types`` names
+    ``bool``: JSON ``true`` is not a number).  Otherwise raises
+    ``error(message)``, the message starting with ``where``."""
     if not isinstance(record, dict):
         raise error(f"{where}: expected an object, got "
                     f"{type(record).__name__}")
@@ -163,8 +154,11 @@ def check(record: Any, fields: Iterable[tuple[str, Any, bool]], *,
         if key not in record:
             if required:
                 raise error(f"{where}: missing {key!r}")
-        elif not isinstance(record[key], types) \
-                or isinstance(record[key], bool):
+            continue
+        value = record[key]
+        allowed = types if isinstance(types, tuple) else (types,)
+        if not isinstance(value, allowed) \
+                or isinstance(value, bool) and bool not in allowed:
             raise error(f"{where}: {key!r} has the wrong type "
-                        f"{type(record[key]).__name__}")
+                        f"{type(value).__name__}")
     return record

@@ -24,12 +24,13 @@ Built in this order, each piece usable on its own:
   ``--journal`` / ``--resume``; a resume rebuilds each committed
   task's :class:`~repro.runtime.batch.TaskOutcome` from its result
   record;
-* :mod:`~repro.runtime.heartbeat` — schema-versioned live progress
-  records;
 * :mod:`~repro.runtime.corpus` — seeded spec-corpus generation for
   chaos and acceptance runs (streamable at any size).
 
-The CLI front door is ``xnf batch MANIFEST`` (see ``repro.cli``).
+The CLI front door is ``xnf batch MANIFEST`` (see ``repro.cli``).  A
+run's live progress is its metrics: the ``runtime.*`` counters and
+gauges, which ``--metrics-port`` serves while it runs, against the
+``runtime.batch.tasks.total`` gauge the runner sets once per run.
 """
 
 from __future__ import annotations

@@ -326,10 +326,9 @@ class BatchRunner:
         self.ensemble_mode = ensemble_mode
         self._sleep = sleeper if sleeper is not None \
             else (lambda ms: time.sleep(ms / 1000.0))
-        #: Live-telemetry hook (heartbeats, progress gauges): called
-        #: with each terminal :class:`TaskOutcome` — in index order on
-        #: both backends.  ``None`` (the default) keeps the happy path
-        #: hook-free.
+        #: Per-task hook (the run ledger): called with each terminal
+        #: :class:`TaskOutcome` — in index order on both backends.
+        #: ``None`` (the default) keeps the happy path hook-free.
         self.on_task_done = on_task_done
         self.backend = backend if backend is not None else SerialBackend()
         #: Optional :class:`repro.runtime.journal.BatchJournal`.  The
@@ -503,7 +502,13 @@ class BatchRunner:
     # -- the batch -----------------------------------------------------
 
     def run(self) -> dict:
-        """Execute every task; return the JSON-ready batch summary."""
+        """Execute every task; return the JSON-ready batch summary.
+        With obs on, the ``runtime.batch.tasks.total`` gauge holds the
+        manifest's size for the run, the denominator of its live
+        progress (``runtime.tasks`` and ``runtime.journal.skipped``)."""
+        if _obs.enabled:
+            _obs.set_gauge("runtime.batch.tasks.total",
+                           self.manifest.task_count)
         try:
             return self.summarize(self.backend.run(self))
         finally:

@@ -59,7 +59,7 @@ def failure_signature(error: ReproError) -> str:
 
     Faults group by their injection site, budget trips by the tripped
     limit, worker crashes by their detection source (the signal name,
-    the exit code, a corrupted result pipe, a heartbeat stall),
+    the exit code, a corrupted result pipe, a stall),
     everything else by exception type — the granularity at which "this
     keeps happening" is meaningful.
     """
@@ -200,13 +200,6 @@ class BreakerBoard:
         so a task can be handed it at dispatch."""
         return frozenset(signature for signature, breaker
                          in self._breakers.items() if breaker.refuses())
-
-    def state_counts(self) -> dict[str, int]:
-        """How many breakers sit in each state right now."""
-        counts = {CLOSED: 0, OPEN: 0, HALF_OPEN: 0}
-        for breaker in self._breakers.values():
-            counts[breaker.state] += 1
-        return counts
 
     def publish_open_gauge(self) -> None:
         """Refresh the ``runtime.breaker.open`` gauge (count of

@@ -311,11 +311,6 @@ class BatchJournal:
                       "signature": outcome.signature,
                       "payload": outcome.to_json()})
 
-    def stats(self) -> dict:
-        """Journal state for heartbeats: monotone counters only."""
-        return {"appended": self.appended, "replayed": self.replayed,
-                "skipped": self.skipped}
-
     def close(self) -> None:
         self._stream.close()
 

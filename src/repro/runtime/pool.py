@@ -8,7 +8,7 @@ processes.  The design goals, in priority order:
    for what is in flight: it hands each worker exactly one task at a
    time over a private duplex pipe and does not forget the assignment
    until the result message arrives.  A worker that dies — non-zero
-   exit, ``SIGKILL``, a corrupted result pipe, a heartbeat stall —
+   exit, ``SIGKILL``, a corrupted result pipe, a stall (no ping) —
    has its in-flight task requeued at the front of the queue, where
    the next idle worker (usually a different one — that is the
    work-stealing) picks it up.
@@ -25,8 +25,8 @@ processes.  The design goals, in priority order:
    retry the board now refuses is truncated away, and a task that
    stopped on a signature the board now admits is requeued at the
    front with the exact set (counted as
-   ``runtime.pool.wasted_attempts``).  Journal, ledger and heartbeat
-   records therefore come out in index order too.
+   ``runtime.pool.wasted_attempts``).  Journal and ledger records
+   therefore come out in index order too.
 3. **A recovered crash leaves no trace in the report.**  Worker
    crashes are nondeterministic in *timing* (which attempt of which
    task a ``SIGKILL`` lands on depends on scheduling), so a task that
@@ -214,7 +214,7 @@ def _chaos_act(action: str, conn: _mp_connection.Connection,
             conn.send_bytes(b"\x80\x04this is not a pickle")
         time.sleep(3600)
     elif action == "sigstop":
-        # Freeze the whole process — heartbeat thread included, which
+        # Freeze the whole process — ping thread included, which
         # is what distinguishes a wedged worker from a slow task.  The
         # parent's stall detector must SIGKILL us.
         os.kill(os.getpid(), signal.SIGSTOP)
@@ -223,9 +223,9 @@ def _chaos_act(action: str, conn: _mp_connection.Connection,
         raise AssertionError(f"unknown chaos action {action!r}")
 
 
-def _heartbeat_loop(conn: _mp_connection.Connection,
-                    send_lock: threading.Lock,
-                    interval: float) -> None:  # pragma: no cover - timing
+def _ping_loop(conn: _mp_connection.Connection,
+               send_lock: threading.Lock,
+               interval: float) -> None:  # pragma: no cover - timing
     """Daemon thread: periodic liveness pings so the parent's stall
     detector can tell "slow task" from "wedged worker"."""
     while True:
@@ -239,7 +239,7 @@ def _heartbeat_loop(conn: _mp_connection.Connection,
 
 def _worker_main(worker_id: int, runner: "BatchRunner",
                  conn: _mp_connection.Connection,
-                 heartbeat_interval: float,
+                 ping_interval: float,
                  parent_ends: tuple = ()) -> None:
     """The forked worker entrypoint: recv task, run it, send outcome.
 
@@ -277,9 +277,9 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
         _trace.add_sink(lambda span_: span_buffer.append(
             span_.as_record()))
     send_lock = threading.Lock()
-    if heartbeat_interval > 0:
-        threading.Thread(target=_heartbeat_loop,
-                         args=(conn, send_lock, heartbeat_interval),
+    if ping_interval > 0:
+        threading.Thread(target=_ping_loop,
+                         args=(conn, send_lock, ping_interval),
                          daemon=True).start()
     while True:
         try:
@@ -423,15 +423,6 @@ class PoolBackend:
         self.stats = PoolStats()
         self._live: dict[int, _Worker] = {}
         self._next_id = 0
-
-    # -- liveness (heartbeat integration) ------------------------------
-
-    def liveness(self) -> dict:
-        """Point-in-time worker liveness for the heartbeat stream."""
-        return {"target": self.stats.workers or self.workers,
-                "alive": len(self._live),
-                "crashed": self.stats.crashed,
-                "requeued": self.stats.requeued}
 
     # -- the supervision loop ------------------------------------------
 
@@ -759,7 +750,7 @@ class PoolBackend:
         """Stop idle workers, collecting their metrics dumps (the
         ``bye`` message).
 
-        A worker with heartbeats enabled may have ``hb`` pings queued
+        A worker with stall pings enabled may have ``hb`` pings queued
         ahead of its bye, so each pipe is drained until the bye, EOF,
         or the deadline — one blind recv would swallow the dump.
         """

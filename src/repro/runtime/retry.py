@@ -20,8 +20,8 @@ when a repeat of the same attempt could plausibly end differently.
   (``steps`` / ``branches`` / ``nodes``) — **permanent**: the engines
   are deterministic, so the same budget buys the same trip.
 * :class:`~repro.errors.WorkerCrash` — **transient**: the death of a
-  pool worker (signal, OOM kill, corrupted result pipe, heartbeat
-  stall) says something about the environment, not necessarily about
+  pool worker (signal, OOM kill, corrupted result pipe, a stall with
+  no ping) says something about the environment, not necessarily about
   the task, so the supervisor requeues it — under its *own* crash
   budget, so a task that deterministically kills every worker it
   lands on still dead-letters (reason ``worker_crash``) rather than

@@ -6,7 +6,7 @@ Parsing the DTD, validating Σ, and (especially) re-deriving the
 implication engine's internal state per request would throw that
 warmth away.  :class:`SpecCache` keeps the most recently used
 :class:`~repro.spec.XMLSpec` objects alive, keyed by the same sha-256
-fingerprints the journal, ledger and checkpoint files use
+fingerprints the journal and ledger files use
 (:func:`repro.records.fingerprint`), so a cache key never depends
 on whitespace-insignificant differences being equal — only on the
 exact request text, root override, and engine choice.

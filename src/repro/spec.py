@@ -133,18 +133,11 @@ class XMLSpec:
 
     def normalize(self, *, naming: Callable[[int, FD], NewElementNames]
                   | None = None,
-                  check_progress: bool = True,
-                  resume=None, on_step=None) -> NormalizationResult:
-        """The Figure 4 decomposition algorithm.
-
-        ``resume``/``on_step`` thread through to
-        :func:`repro.normalize.algorithm.normalize` for checkpointed,
-        resumable runs.  Round 1 of a fresh run is decided by
-        :attr:`oracle`.
-        """
+                  check_progress: bool = True) -> NormalizationResult:
+        """The Figure 4 decomposition algorithm; :attr:`oracle`
+        decides its round 1."""
         return normalize(self.dtd, self.sigma, engine=self.engine,
                          naming=naming, check_progress=check_progress,
-                         resume=resume, on_step=on_step,
                          oracle=self.oracle)
 
     def normalize_simple(self, *, naming: Callable[[int, FD],

@@ -1,5 +1,5 @@
-"""Live-observability acceptance: scrape a running batch, validate
-heartbeats, and hold the profiler to its coverage bar.
+"""Live-observability acceptance: scrape a running batch, watch its
+gauges drain, and hold the profiler to its coverage bar.
 
 Scale knob: ``REPRO_OBS_LIVE_TASKS`` sets the batch size (CI: 200;
 default 40 keeps the local tier-1 run fast).
@@ -7,7 +7,6 @@ default 40 keeps the local tier-1 run fast).
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -24,11 +23,6 @@ from repro.obs.profile import load_profile
 from repro.runtime import corpus
 from repro.runtime import manifest as mf
 from repro.runtime.batch import run_batch
-from repro.runtime.breaker import BreakerBoard
-from repro.runtime.heartbeat import (
-    HeartbeatWriter,
-    validate_heartbeat_lines,
-)
 
 LIVE_TASKS = int(os.environ.get("REPRO_OBS_LIVE_TASKS", "40"))
 
@@ -66,12 +60,12 @@ def live_manifest() -> mf.Manifest:
 
 class TestLiveScrape:
     def test_metrics_increase_during_batch(self):
-        """The tentpole acceptance: /metrics answers *during* the run
-        with valid text whose runtime counters are present and
-        growing."""
+        """/metrics answers *during* the run with valid text whose
+        runtime counters are present and growing, against the run's
+        size in ``runtime_batch_tasks_total``."""
         obs.enable()
         manifest = live_manifest()
-        checkpoints = sorted({1, LIVE_TASKS // 2, LIVE_TASKS})
+        scrape_points = sorted({1, LIVE_TASKS // 2, LIVE_TASKS})
         samples: list[float] = []
         bodies: list[str] = []
         done = 0
@@ -82,16 +76,18 @@ class TestLiveScrape:
             def hook(outcome) -> None:
                 nonlocal done
                 done += 1
-                if done in checkpoints:
+                if done in scrape_points:
                     body = scrape(url)
                     bodies.append(body)
                     samples.append(
                         series_value(body, "runtime_tasks_total"))
+                    assert series_value(
+                        body, "runtime_batch_tasks_total") == LIVE_TASKS
 
             summary = run_batch(manifest, on_task_done=hook)
 
         assert summary["counts"]["lost"] == 0
-        assert len(samples) == len(checkpoints)
+        assert len(samples) == len(scrape_points)
         # Present, non-zero, and strictly increasing across the run.
         assert all(value > 0 for value in samples)
         assert samples == sorted(samples)
@@ -104,68 +100,6 @@ class TestLiveScrape:
         # The batch drives the engines, so implication work shows up.
         assert re.search(r"^implication_\w+ [1-9]", final,
                          flags=re.MULTILINE)
-
-    def test_heartbeats_for_a_real_batch(self):
-        obs.enable()
-        manifest = live_manifest()
-        board = BreakerBoard()
-        stream = io.StringIO()
-        writer = HeartbeatWriter(stream, total=len(manifest.tasks),
-                                 board=board, interval_s=0.0)
-        summary = run_batch(manifest, board=board,
-                            on_task_done=writer.task_done)
-        writer.close()
-        records = validate_heartbeat_lines(stream.getvalue())
-        assert len(records) == len(manifest.tasks)
-        last = records[-1]
-        assert last["tasks"]["done"] == len(manifest.tasks)
-        assert last["tasks"]["ok"] == summary["counts"]["ok"]
-        assert last["tasks"]["deadletter"] == summary["counts"]["failed"]
-        # The live gauges mirror the last record.
-        gauges = obs.snapshot()["gauges"]
-        assert gauges["runtime.batch.tasks.done"] \
-            == len(manifest.tasks)
-
-
-class TestCliBatch:
-    def test_heartbeat_file_end_to_end(self, tmp_path, capsys):
-        manifest_path = tmp_path / "batch.json"
-        manifest_path.write_text(json.dumps(
-            corpus.generate_manifest(8, seed=3)))
-        heartbeat_path = tmp_path / "hb.jsonl"
-        code = main(["batch", str(manifest_path),
-                     "--heartbeat", str(heartbeat_path),
-                     "--heartbeat-interval", "0"])
-        summary = json.loads(capsys.readouterr().out)
-        records = validate_heartbeat_lines(heartbeat_path.read_text())
-        assert code in (0, 5)
-        assert records[-1]["tasks"]["done"] \
-            == summary["counts"]["total"] == 8
-
-    def test_heartbeat_dash_goes_to_stderr(self, tmp_path, capsys):
-        manifest_path = tmp_path / "batch.json"
-        manifest_path.write_text(json.dumps(
-            corpus.generate_manifest(3, seed=3)))
-        code = main(["batch", str(manifest_path), "--heartbeat", "-",
-                     "--heartbeat-interval", "0"])
-        captured = capsys.readouterr()
-        assert code in (0, 5)
-        json.loads(captured.out)  # stdout stays pure JSON
-        heartbeat_lines = [line for line in captured.err.splitlines()
-                           if line.startswith("{")]
-        assert validate_heartbeat_lines("\n".join(heartbeat_lines))
-
-    def test_unwritable_heartbeat_file_is_an_error(self, tmp_path,
-                                                   capsys):
-        manifest_path = tmp_path / "batch.json"
-        manifest_path.write_text(json.dumps(
-            corpus.generate_manifest(1, seed=3)))
-        code = main(["batch", str(manifest_path),
-                     "--heartbeat", str(tmp_path / "no" / "dir.jsonl")])
-        assert code == 3
-        assert "cannot open heartbeat file" \
-            in capsys.readouterr().err
-
 
 class TestProfileAcceptance:
     def _scaled_files(self, tmp_path, k: int = 8):

@@ -32,7 +32,6 @@ from repro.dtd.parser import parse_dtd
 from repro.fd.chase import chase_implies
 from repro.fd.implication import ImplicationEngine
 from repro.fd.model import FD, parse_fds
-from repro.normalize import checkpoint as ckpt
 from repro.normalize.algorithm import normalize
 from repro.tuples.extract import tuples_of
 from repro.xmltree.conformance import conforms, conforms_unordered
@@ -75,9 +74,8 @@ def _no_leaked_plans():
 def _drive_pipeline() -> None:
     """One end-to-end run visiting every registered fault site:
     both parsers, ordered + multiset conformance, the closure and
-    chase implication engines, tuple extraction, normalization, a
-    checkpoint save (the atomic-write crash window), and a batch
-    journal append + resume read-back."""
+    chase implication engines, tuple extraction, normalization, and a
+    batch journal append + resume read-back."""
     dtd = parse_dtd(UNIVERSITY_DTD)
     sigma = parse_fds(UNIVERSITY_FDS)
     doc = parse_xml(UNIVERSITY_DOCUMENT)
@@ -88,9 +86,6 @@ def _drive_pipeline() -> None:
     engine.implies(FD.parse(TRUE_QUERY))
     normalize(dtd, sigma)
     with tempfile.TemporaryDirectory() as tmp:
-        snapshot = ckpt.NormalizationCheckpoint.capture(
-            ckpt.fingerprint(dtd, sigma), dtd, sigma, [])
-        ckpt.save(os.path.join(tmp, "drive.ckpt"), snapshot)
         _drive_journal(os.path.join(tmp, "drive.journal"))
     chase_implies(parse_dtd(DISJUNCTIVE_DTD),
                   [FD.parse("r.a -> r.c.@x"), FD.parse("r.b -> r.c.@x")],
@@ -140,8 +135,7 @@ class TestRegistry:
             "fd.chase.branch", "fd.chase.step",
             "fd.closure.iteration",
             "tuples.extract.node",
-            "normalize.round", "normalize.checkpoint",
-            "checkpoint.save",
+            "normalize.round",
             "runtime.journal.append", "runtime.journal.replay",
         }
 

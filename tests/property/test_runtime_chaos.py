@@ -40,7 +40,7 @@ ENSEMBLE_SPECS = int(os.environ.get("REPRO_ENSEMBLE_SPECS", "40"))
 TASK_SITES = (
     "dtd.parser.input", "dtd.parser.decl",
     "fd.closure.iteration", "fd.chase.branch", "fd.chase.step",
-    "normalize.round", "normalize.checkpoint",
+    "normalize.round",
 )
 
 

@@ -336,78 +336,6 @@ class TestErrorPositions:
         assert "line 2" in err
 
 
-class TestCheckpointCLI:
-    def _spec_files(self, tmp_path, k=3):
-        from repro.datasets.generators import scaled_university_spec
-        from repro.dtd.serializer import serialize_dtd
-        spec = scaled_university_spec(k)
-        dtd = tmp_path / "u.dtd"
-        dtd.write_text(serialize_dtd(spec.dtd))
-        fds = tmp_path / "u.fds"
-        fds.write_text("".join(f"{fd}\n" for fd in spec.sigma))
-        return str(dtd), str(fds)
-
-    def test_interrupt_and_resume_byte_identical(self, tmp_path, capsys,
-                                                 monkeypatch):
-        dtd, fds = self._spec_files(tmp_path)
-        ckpt = str(tmp_path / "run.ckpt")
-        base = main(["normalize", dtd, fds])
-        assert base == 0
-        expected = capsys.readouterr().out
-
-        monkeypatch.setenv("REPRO_FAULTS",
-                           "normalize.checkpoint:exception:1")
-        assert main(["normalize", dtd, fds, "--checkpoint", ckpt]) == 3
-        capsys.readouterr()
-        monkeypatch.delenv("REPRO_FAULTS")
-        import os
-        assert os.path.exists(ckpt)
-
-        assert main(["normalize", dtd, fds, "--checkpoint", ckpt,
-                     "--resume"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == expected
-        assert "resuming from" in captured.err
-        # consumed on success
-        assert not os.path.exists(ckpt)
-
-    def test_version_mismatch_is_exit_2(self, tmp_path, capsys,
-                                        monkeypatch):
-        import json
-        dtd, fds = self._spec_files(tmp_path)
-        ckpt = tmp_path / "run.ckpt"
-        monkeypatch.setenv("REPRO_FAULTS", "normalize.checkpoint")
-        assert main(["normalize", dtd, fds,
-                     "--checkpoint", str(ckpt)]) == 3
-        monkeypatch.delenv("REPRO_FAULTS")
-        payload = json.loads(ckpt.read_text())
-        payload["version"] = 99
-        ckpt.write_text(json.dumps(payload))
-        assert main(["normalize", dtd, fds, "--checkpoint", str(ckpt),
-                     "--resume"]) == 2
-        assert "version" in capsys.readouterr().err
-
-    def test_resume_without_checkpoint_is_exit_2(self, tmp_path,
-                                                 capsys):
-        dtd, fds = self._spec_files(tmp_path, k=1)
-        assert main(["normalize", dtd, fds, "--resume"]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
-
-    def test_fingerprint_mismatch_is_exit_2(self, tmp_path, capsys,
-                                            monkeypatch):
-        dtd, fds = self._spec_files(tmp_path)
-        other = tmp_path / "other"
-        other.mkdir()
-        other_dtd, other_fds = self._spec_files(other, k=2)
-        ckpt = str(tmp_path / "run.ckpt")
-        monkeypatch.setenv("REPRO_FAULTS", "normalize.checkpoint")
-        assert main(["normalize", dtd, fds, "--checkpoint", ckpt]) == 3
-        monkeypatch.delenv("REPRO_FAULTS")
-        assert main(["normalize", other_dtd, other_fds,
-                     "--checkpoint", ckpt, "--resume"]) == 2
-        assert "different" in capsys.readouterr().err
-
-
 class TestFaultsEnv:
     def test_repro_faults_injects(self, university_files, capsys,
                                   monkeypatch):
@@ -455,7 +383,7 @@ class TestBenchResourceLimits:
 
 
 class TestRobustnessCounters:
-    """faults.* / checkpoint.* counters surface in --stats output."""
+    """faults.* counters surface in --stats output."""
 
     def test_faults_injected_in_stats(self, university_files, capsys,
                                       monkeypatch):
@@ -464,25 +392,6 @@ class TestRobustnessCounters:
         err = capsys.readouterr().err
         assert "faults.injected" in err
         assert "faults.injected.exception" in err
-
-    def test_checkpoint_saved_in_stats(self, tmp_path, capsys,
-                                       university_files):
-        ckpt = str(tmp_path / "c.ckpt")
-        assert main(["normalize", *university_files,
-                     "--checkpoint", ckpt, "--stats"]) == 0
-        assert "checkpoint.saved" in capsys.readouterr().err
-
-    def test_checkpoint_restored_in_stats(self, tmp_path, capsys,
-                                          university_files, monkeypatch):
-        ckpt = str(tmp_path / "c.ckpt")
-        monkeypatch.setenv("REPRO_FAULTS", "normalize.checkpoint")
-        assert main(["normalize", *university_files,
-                     "--checkpoint", ckpt]) == 3
-        monkeypatch.delenv("REPRO_FAULTS")
-        capsys.readouterr()
-        assert main(["normalize", *university_files, "--checkpoint",
-                     ckpt, "--resume", "--stats"]) == 0
-        assert "checkpoint.restored" in capsys.readouterr().err
 
     def test_bench_isolation_resets_fault_plans(self):
         from repro import faults

@@ -5,7 +5,7 @@ one invocation that actually produces it::
 
     0  success / positive answer
     1  negative answer (and: every batch task dead-lettered)
-    2  usage error (argparse, bad checkpoint, bad batch manifest)
+    2  usage error (argparse, bad batch manifest)
     3  input / pipeline error (any other ReproError)
     4  resource limit tripped before the answer was decided
     5  partial batch failure (some ok, some dead-lettered)
@@ -103,13 +103,6 @@ class TestExit2:
             main(["batch", manifest, "--retries", "-3"])
         assert info.value.code == 2
 
-    def test_bad_checkpoint(self, university, tmp_path, capsys):
-        dtd, fds = university
-        bad = tmp_path / "bad.ckpt"
-        bad.write_text("{}")
-        assert main(["normalize", dtd, fds, "--checkpoint", str(bad),
-                     "--resume"]) == 2
-
     def test_bad_batch_manifest(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text('{"schema": "something-else"}')
@@ -197,12 +190,16 @@ class TestExit2:
         ("snapshot", {"timers": {"t": {"total": "x"}}}, "total"),
         ("bench", {"counters": 5}, "counters"),
         ("bench", {"points": 7}, "points"),
+        ("trace", {"parent": 2}, "parent"),     # 1 -> 2 -> 1
+        ("bench", {"claim": {"passed": False}}, "statement"),
     ])
     def test_mistyped_record_read_back(self, tmp_path, capsys, kind,
                                        change, field):
         """A mistyped field in a trace (``obs report``), a snapshot
         (``obs diff``) or a benchmark report (``bench compare``) is
-        named on stderr with exit 2, never a traceback."""
+        named on stderr with exit 2, never a traceback.  So are a
+        trace whose parent links loop and a claim without its
+        ``statement``."""
         from repro.bench.cli import main as bench_main
         from repro.bench.schema import envelope
         good = tmp_path / "good.json"
@@ -210,7 +207,10 @@ class TestExit2:
         if kind == "trace":
             record = {"id": 1, "parent": None, "name": "root",
                       "start": 0.0, "duration_ms": 8.0, **change}
-            bad.write_text(json.dumps(record) + "\n")
+            child = {"id": 2, "parent": 1, "name": "child",
+                     "start": 1.0, "duration_ms": 2.0}
+            bad.write_text(json.dumps(record) + "\n"
+                           + json.dumps(child) + "\n")
             code = main(["obs", "report", str(bad)])
         elif kind == "snapshot":
             good.write_text(json.dumps({"counters": {"a": 1}}))
@@ -219,10 +219,12 @@ class TestExit2:
         else:
             payload = envelope(suite="quick", repeat=1)
             entry = payload["benchmarks"]["grp.bench"] = {
-                "points": [{"value": 4, "counters": {"chase.steps": 1}}]}
+                "points": [{"value": 4, "counters": {"chase.steps": 1}}],
+                "claim": {"statement": "Theorem 3", "bound": "cubic",
+                          "slope": 1.0, "passed": True}}
             good.write_text(json.dumps(payload))
-            (entry if field == "points" else entry["points"][0]).update(
-                change)
+            (entry["points"][0] if "counters" in change else entry) \
+                .update(change)
             bad.write_text(json.dumps(payload))
             code = bench_main(["compare", str(good), str(bad)])
         err = capsys.readouterr().err

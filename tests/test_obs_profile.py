@@ -73,6 +73,26 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="expected an object"):
             prof.load_trace(path)
 
+    @pytest.mark.parametrize("length", [2, 3, 7])
+    def test_parent_cycle_of_any_length(self, tmp_path, length):
+        # A root, a span hanging off a cycle, then the cycle itself:
+        # the error names the first line whose chain reaches it.
+        records = [span(100, "root", 9.0), span(50, "tail", 1.0, parent=1)]
+        records += [span(i, f"s{i}", 1.0, parent=i % length + 1)
+                    for i in range(1, length + 1)]
+        path = write_trace(tmp_path / "cycle.jsonl", records)
+        loop = " -> ".join(map(str, [*range(1, length + 1), 1]))
+        with pytest.raises(TraceError, match=f"cycle.jsonl:2: span 50: "
+                           f"'parent' links form a cycle \\({loop}\\)"):
+            prof.load_trace(path)
+
+    def test_self_parent_is_a_root(self, tmp_path):
+        path = write_trace(tmp_path / "self.jsonl",
+                           [span(1, "root", 5.0, parent=1),
+                            span(2, "child", 2.0, parent=1)])
+        [root] = prof.build_forest(prof.load_trace(path))
+        assert [child.span_id for child in root.children] == [2]
+
 
 class TestForest:
     def test_parent_links_and_child_order(self):

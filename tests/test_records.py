@@ -1,14 +1,14 @@
-"""One record-file rule for five files (repro.records).
+"""One record-file rule for three files (repro.records).
 
-The batch journal, the run ledger, batch heartbeats, span traces and
-normalization checkpoints share one append, one torn-tail rule and one
-repair.  Each test here runs over all five, written by their real
-writers and read back by their real readers:
+The batch journal, the run ledger and span traces share one append,
+one torn-tail rule and one repair.  Each test here runs over all
+three, written by their real writers and read back by their real
+readers:
 
 * a cut at every byte offset inside the last record reads back as
-  exactly the intact prefix, with one torn warning (heartbeat
-  validation, which checks finished files, rejects the cut instead);
-* a cut file appended to once more reads whole;
+  exactly the intact prefix, with one torn warning;
+* a cut file appended to once more reads whole (the journal and the
+  ledger: a trace is written once);
 * a cut inside an earlier line raises the reader's own error class;
 * ``os.fsync`` runs exactly where each file promises it.
 """
@@ -23,10 +23,7 @@ import pytest
 
 from repro import records
 from repro.cli import main
-from repro.errors import CheckpointError, JournalError
-from repro.datasets.generators import scaled_university_spec
-from repro.normalize import checkpoint as ck
-from repro.normalize.algorithm import normalize
+from repro.errors import JournalError
 from repro.obs import metrics
 from repro.obs.ledger import LedgerError, LedgerWriter, read_ledger
 from repro.obs.profile import TraceError, load_trace
@@ -34,7 +31,6 @@ from repro.runtime import journal as jm
 from repro.runtime import manifest as mf
 from repro.runtime.batch import TaskOutcome, run_batch
 from repro.runtime.breaker import BreakerBoard
-from repro.runtime.heartbeat import HeartbeatWriter, validate_heartbeat_lines
 from repro.runtime.retry import RetryPolicy
 
 DTD = ("<!ELEMENT db (r*)>\n<!ELEMENT r EMPTY>\n"
@@ -140,47 +136,6 @@ class Trace:
     torn_warnings = Ledger.torn_warnings
 
 
-class Checkpoint:
-    error = CheckpointError
-
-    def write(self, path):
-        spec = scaled_university_spec(3)
-        self.saved = []
-
-        def save(checkpoint):
-            self.saved.append(checkpoint)
-            ck.save(path, checkpoint)
-        normalize(spec.dtd, list(spec.sigma), on_step=save)
-        return _lines(path)
-
-    @staticmethod
-    def view(intact):
-        return intact[-1]
-
-    def read(self, path):
-        return ck.load(path).record()
-
-    torn_warnings = Ledger.torn_warnings
-
-    def append(self, path):
-        ck.save(path, self.saved[-1])
-
-
-class Heartbeat:
-    error = ValueError
-
-    def write(self, path):
-        with open(path, "w") as stream:
-            writer = HeartbeatWriter(stream, total=3, interval_s=0)
-            for task in _manifest().tasks:
-                writer.task_done(TaskOutcome(task=task, status="ok",
-                                             attempts=1))
-        return _lines(path)
-
-    def read(self, path):
-        return validate_heartbeat_lines(path.read_text())
-
-
 def _spec_files(directory):
     dtd, fds = directory / "s.dtd", directory / "s.fds"
     dtd.write_text(DTD)
@@ -188,10 +143,8 @@ def _spec_files(directory):
     return dtd, fds
 
 
-READERS = {"journal": Journal, "ledger": Ledger, "trace": Trace,
-           "checkpoint": Checkpoint}
-KINDS = {**READERS, "heartbeat": Heartbeat}
-APPENDERS = ["journal", "ledger", "checkpoint"]
+READERS = {"journal": Journal, "ledger": Ledger, "trace": Trace}
+APPENDERS = ["journal", "ledger"]
 
 
 def _written(kind, tmp_path, name):
@@ -219,21 +172,6 @@ def test_every_cut_in_the_last_record_reads_the_intact_prefix(
         assert kind.torn_warnings(capsys) == 1, f"cut at {cut}"
 
 
-def test_heartbeat_validation_rejects_every_cut_in_the_last_record(
-        tmp_path):
-    kind = Heartbeat()
-    path, data, written = _written(kind, tmp_path, "f.heartbeat")
-    start = _last_record_start(data)
-    # The last cut leaves a whole record short of its newline only:
-    # validate_heartbeat_lines takes joined lines, so it reads whole.
-    for cut in range(start + 1, len(data) - 1):
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match=f"line {len(written)}"):
-            kind.read(path)
-    path.write_bytes(data[:-1])
-    assert kind.read(path) == written
-
-
 @pytest.mark.parametrize("name", APPENDERS)
 def test_a_cut_file_appended_to_once_more_reads_whole(tmp_path, capsys,
                                                       name):
@@ -249,17 +187,15 @@ def test_a_cut_file_appended_to_once_more_reads_whole(tmp_path, capsys,
         if name == "journal":
             assert not jm.read_journal(str(path)).torn
             assert kind.read(path) == ([0, 1, 2], 0)
-        elif name == "ledger":
-            assert len(read_ledger(path)) == 2 * len(written) - 1
         else:
-            assert kind.read(path) == written[-1]
+            assert len(read_ledger(path)) == 2 * len(written) - 1
         assert kind.torn_warnings(capsys) == 0
         path.write_bytes(data)
 
 
-@pytest.mark.parametrize("name", sorted(KINDS))
+@pytest.mark.parametrize("name", sorted(READERS))
 def test_a_cut_inside_an_earlier_line_is_structural(tmp_path, name):
-    kind = KINDS[name]()
+    kind = READERS[name]()
     path, data, _written_records = _written(kind, tmp_path, f"f.{name}")
     lines = data.splitlines(keepends=True)
     lines[1] = lines[1][:len(lines[1]) // 2] + b"\n"
@@ -323,16 +259,3 @@ class TestFsync:
         assert main(["batch", manifest_file, "--ledger",
                      str(tmp_path / "l"), *flags]) == 0
         assert len(fsyncs) == expected
-
-    def test_heartbeats_never_fsync(self, tmp_path, capsys, fsyncs,
-                                    manifest_file):
-        assert main(["batch", manifest_file, "--heartbeat",
-                     str(tmp_path / "h"), "--heartbeat-interval",
-                     "0"]) == 0
-        assert len(_lines(tmp_path / "h")) == len(TASKS)
-        assert fsyncs == []
-
-    def test_checkpoints_never_fsync(self, tmp_path, fsyncs):
-        kind = Checkpoint()
-        assert len(kind.write(tmp_path / "c")) == 3
-        assert fsyncs == []

@@ -18,7 +18,6 @@ from repro.runtime import journal as jm
 from repro.runtime import manifest as mf
 from repro.runtime.batch import BatchRunner, TaskOutcome, run_batch, settle
 from repro.runtime.breaker import BreakerBoard
-from repro.runtime.heartbeat import HeartbeatWriter, validate_heartbeat
 from repro.runtime.retry import RetryPolicy
 
 GOOD_DTD = "<!ELEMENT r (a*)>\n<!ELEMENT a EMPTY>"
@@ -428,36 +427,6 @@ class TestReplayedOutcome:
             "dtd_sha": None, "fds_sha": None, "reason": None,
             "signature": None, "payload": payload})
         assert outcome.to_json() == payload
-
-
-class TestHeartbeatIntegration:
-    def test_journal_state_in_heartbeats(self, tmp_path):
-        import io
-        path = tmp_path / "j.journal"
-        manifest = _manifest()
-        kwargs = _fresh()
-        journal = _open(path, manifest, kwargs)
-        stream = io.StringIO()
-        writer = HeartbeatWriter(stream, total=8,
-                                 board=kwargs["board"],
-                                 journal=journal, interval_s=0)
-        run_batch(manifest, journal=journal,
-                  on_task_done=writer.task_done, **kwargs)
-        journal.close()
-        records = [json.loads(line) for line
-                   in stream.getvalue().splitlines()]
-        assert records, "heartbeats should have been emitted"
-        for record in records:
-            validate_heartbeat(record)
-            assert set(record["journal"]) == {"appended", "replayed",
-                                              "skipped"}
-        # meta + 8 intents + 8 results
-        assert records[-1]["journal"]["appended"] == 17
-
-    def test_no_journal_key_without_a_journal(self):
-        import io
-        writer = HeartbeatWriter(io.StringIO(), total=1, interval_s=0)
-        assert "journal" not in writer.record()
 
 
 class TestStreamingResume:

@@ -274,16 +274,6 @@ class TestCrashBookkeeping:
         assert pool.stats.spawned == 3
         assert pool.stats.crashed == 1
 
-    def test_liveness_reports_pool_shape(self):
-        chaos = {"corpus-0001": {0: ("sigkill", "pre")}}
-        pool = PoolBackend(2, chaos=chaos)
-        _runner(corpus.stream_manifest(6, seed=9), backend=pool).run()
-        liveness = pool.liveness()
-        assert liveness["target"] == 2
-        assert liveness["alive"] == 0            # pool shut down
-        assert liveness["crashed"] == 1
-        assert liveness["requeued"] == 1
-
 
 class TestStallDetection:
     def test_wedged_worker_is_killed_and_task_requeued(self):
@@ -301,7 +291,7 @@ class TestStallDetection:
 class TestBreakerArbitration:
     """In-task breaker state lives in the parent: workers keep none,
     and each committed task's traffic is settled on the runner's own
-    board — the one the summary reports and a heartbeat stream watches
+    board — the one the summary reports and ``/metrics`` watches
     live."""
 
     def test_worker_failures_reach_the_runner_board(self):
@@ -336,32 +326,6 @@ class TestBreakerArbitration:
         assert entry["consecutive_failures"] == 2
         assert json.dumps(serial, sort_keys=True) \
             == json.dumps(parallel, sort_keys=True)
-
-    def test_heartbeat_sees_breaker_activity_during_pool_runs(self):
-        import io
-
-        from repro.runtime.heartbeat import (
-            HeartbeatWriter,
-            validate_heartbeat_lines,
-        )
-        board = BreakerBoard()
-        pool = PoolBackend(2)
-        manifest = mf.build(_mixed_tasks())
-        stream = io.StringIO()
-        writer = HeartbeatWriter(stream, total=manifest.task_count,
-                                 board=board, pool=pool,
-                                 interval_s=0.0)
-        runner = BatchRunner(
-            manifest,
-            policy=RetryPolicy(retries=1, backoff_base_ms=0),
-            board=board, backend=pool,
-            on_task_done=writer.task_done, sleeper=lambda ms: None)
-        runner.run()
-        writer.close()
-        records = validate_heartbeat_lines(stream.getvalue())
-        # A task's failure is settled on the board before its hook
-        # call, so by the final beat the breaker is visible.
-        assert records[-1]["breakers"]["total"] >= 1
 
 
 def _flaky_runner(threshold, backend=None, count=16, head_s=0.0):
@@ -500,7 +464,7 @@ class TestOrderedCommit:
 
 class TestGracefulShutdown:
     def test_heartbeats_ahead_of_the_bye_do_not_swallow_the_dump(self):
-        # With --stall-timeout > 0 a worker's heartbeat thread keeps
+        # With --stall-timeout > 0 a worker's ping thread keeps
         # pinging until the stop is processed, so 'hb' messages can
         # sit in the pipe ahead of the 'bye'; the drain must skip
         # them rather than discard the metrics dump.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import (
     FDSyntaxError,
     EnsembleDisagreementError,
@@ -151,3 +152,47 @@ class TestBreakerBoard:
         board.get("site:z").record_failure()
         board.get("site:a").record_failure()
         assert list(board.snapshot()) == ["site:a", "site:z"]
+
+
+class TestBreakerTelemetry:
+    @pytest.fixture(autouse=True)
+    def clean_obs(self):
+        obs.disable()
+        obs.reset()
+        yield
+        obs.disable()
+        obs.reset()
+
+    def test_transition_counters(self):
+        obs.enable()
+        board = BreakerBoard(threshold=2, probe_interval=1)
+        breaker = board.get("site:x")
+        breaker.record_failure()
+        breaker.record_failure()  # trips: CLOSED -> OPEN
+        assert obs.counter_value(
+            "runtime.breaker.transitions.open") == 1
+        breaker.record_skip()
+        assert breaker.allows_retries()  # probe: OPEN -> HALF_OPEN
+        assert obs.counter_value(
+            "runtime.breaker.transitions.half_open") == 1
+        breaker.record_success()  # HALF_OPEN -> CLOSED
+        assert obs.counter_value(
+            "runtime.breaker.transitions.closed") == 1
+
+    def test_open_gauge_tracks_count(self):
+        obs.enable()
+        board = BreakerBoard(threshold=1)
+        board.get("site:a").record_failure()
+        assert obs.snapshot()["gauges"]["runtime.breaker.open"] == 1
+        board.get("site:b").record_failure()
+        assert obs.snapshot()["gauges"]["runtime.breaker.open"] == 2
+        board.get("site:a").record_success()
+        assert obs.snapshot()["gauges"]["runtime.breaker.open"] == 1
+
+    def test_reasserting_state_emits_nothing(self):
+        obs.enable()
+        board = BreakerBoard(threshold=1)
+        breaker = board.get("site:x")
+        breaker.record_success()  # already CLOSED: no transition
+        assert obs.counter_value(
+            "runtime.breaker.transitions.closed") == 0
