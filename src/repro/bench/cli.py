@@ -133,13 +133,15 @@ def render_report(payload: dict) -> str:
                 label = ("" if point.get("value") is None
                          else f"  {entry.get('param', 'n')}="
                               f"{point['value']}")
+                time_s = point.get("time_s")
+                time_text = (f"{time_s * 1e3:9.2f} ms"
+                             if time_s is not None else "-")
                 mem = point.get("mem_peak_kb")
                 mem_text = (f"  peak={mem:8.1f} KiB"
                             if mem is not None else "")
                 key_ops = sum(point["counters"].values())
                 lines.append(
-                    f"  {name:<34}{label:<14} "
-                    f"time={point['time_s'] * 1e3:9.2f} ms"
+                    f"  {name:<34}{label:<14} time={time_text}"
                     f"{mem_text}  ops={key_ops}")
     claims = [(name, entry["claim"])
               for name, entry in sorted(payload["benchmarks"].items())

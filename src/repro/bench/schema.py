@@ -42,9 +42,10 @@ it does not know rather than guessing.  Versions listed in
 vintage — per-summary ``unit`` fields upstream of the point counters)
 changed nothing in the report shape itself, so v1 baselines still
 validate and gate against v2 reports.  :func:`validate` checks every
-field the comparator computes with through :func:`repro.records.check`,
-so a mistyped report is a :class:`BenchReportError` (exit 2) naming
-the benchmark, the point and the field, never a traceback.
+field the comparator and ``report`` compute with through
+:func:`repro.records.check`, so a mistyped report is a
+:class:`BenchReportError` (exit 2) naming the benchmark, the point and
+the field, never a traceback.
 """
 
 from __future__ import annotations
@@ -63,18 +64,22 @@ SCHEMA_VERSION = 2
 COMPAT_VERSIONS = frozenset({1, 2})
 
 
-#: The fields the comparator reads, as :func:`repro.records.check`
-#: reads them: ``(key, types, required)``.
+#: The fields the comparator and ``report`` read, as
+#: :func:`repro.records.check` reads them: ``(key, types, required)``.
+_REPORT_FIELDS = (("suite", str, True), ("repeat", int, True),
+                  ("benchmarks", dict, True))
 _BENCHMARK_FIELDS = (("points", list, True),
                      ("claim", (dict, type(None)), False))
 _POINT_FIELDS = (("counters", dict, True),
                  ("time_s", (*NUMBER, type(None)), False),
                  ("mem_peak_kb", (*NUMBER, type(None)), False))
-#: A claim's fitted exponent is its ``slope`` (polynomial) or its
-#: ``base`` (exponential).
 _CLAIM_FIELDS = (("statement", str, True), ("bound", str, True),
-                 ("passed", bool, True), ("slope", NUMBER, False),
-                 ("base", NUMBER, False))
+                 ("passed", bool, True), ("counter", str, True),
+                 ("kind", str, True))
+#: A claim's fit by its ``kind``: the fitted exponent, the exponent
+#: fitted to wall time, and the bound the first is held to.
+_FIT_FIELDS = {"polynomial": ("slope", "time_slope", "max_slope"),
+               "exponential": ("base", "time_base", "min_base")}
 
 
 class BenchReportError(ReproError):
@@ -112,18 +117,21 @@ def validate(payload: Any, *, source: str = "report") -> dict[str, Any]:
             f"tool reads ({sorted(COMPAT_VERSIONS)}); regenerate the "
             f"file with `python -m repro.bench run` from the same "
             f"checkout")
-    check(payload, (("benchmarks", dict, True),), where=source,
-          error=BenchReportError)
+    check(payload, _REPORT_FIELDS, where=source, error=BenchReportError)
     for name, entry in payload["benchmarks"].items():
         where = f"{source}: benchmark {name!r}"
         check(entry, _BENCHMARK_FIELDS, where=where, error=BenchReportError)
         claim = entry.get("claim")
         if claim is not None:
-            check(claim, _CLAIM_FIELDS, where=f"{where} claim",
-                  error=BenchReportError)
-            if "slope" not in claim and "base" not in claim:
+            at = f"{where} claim"
+            check(claim, _CLAIM_FIELDS, where=at, error=BenchReportError)
+            fit = _FIT_FIELDS.get(claim["kind"])
+            if fit is None:
                 raise BenchReportError(
-                    f"{where} claim: missing 'slope' or 'base'")
+                    f"{at}: 'kind' must be one of {sorted(_FIT_FIELDS)}, "
+                    f"got {claim['kind']!r}")
+            check(claim, [(key, NUMBER, True) for key in fit], where=at,
+                  error=BenchReportError)
         for number, point in enumerate(entry["points"]):
             at = f"{where} point {number}"
             check(point, _POINT_FIELDS, where=at, error=BenchReportError)

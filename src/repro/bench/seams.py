@@ -24,10 +24,9 @@ The gates, each a seam per unit of work:
   ``_execute`` (the ``runtime.*`` workload);
 * ``obs-export`` — ``BatchRunner.commit`` with a no-op
   ``on_task_done`` hook attached, per corpus task;
-* ``ledger`` — ``_run_task``'s measurement wrapper and the null
-  ``task_scope``, per corpus task;
-* ``journal`` — the skip-set test, ``journal_intent`` and ``commit``
-  without a journal, per corpus task;
+* ``ledger`` — ``_run_task``'s measurement wrapper, per corpus task;
+* ``journal`` — the skip-set test and ``commit`` without a journal,
+  per corpus task;
 * ``serve`` — two clock reads, one admission round trip and the
   disabled ``account`` call, per warm cache-hit query on a keep-alive
   connection.
@@ -147,7 +146,6 @@ def obs_export_gate(loops: int, repeats: int,
 
 def ledger_gate(loops: int, repeats: int,
                 tasks: int = 30) -> tuple[float, float]:
-    from repro.obs import trace as _trace
     from repro.runtime.batch import TaskOutcome
     runner, task, direct = _corpus(tasks)
     outcome = TaskOutcome(task=task)
@@ -156,8 +154,6 @@ def ledger_gate(loops: int, repeats: int,
     def wrapper(loops: int) -> None:
         for _ in range(loops):
             runner._run_task(task)
-            with _trace.task_scope(task.id):
-                pass
 
     return measure(direct, tasks, [(wrapper, 1)], loops, repeats)
 
@@ -173,7 +169,6 @@ def journal_gate(loops: int, repeats: int,
         for index in range(loops):
             if index in skip:
                 continue
-            runner.journal_intent(index, task)
             runner.commit(0, outcome, outcomes)
 
     return measure(direct, tasks, [(seam, 1)], loops, repeats)

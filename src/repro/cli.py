@@ -51,15 +51,16 @@ is the ``--metrics-port`` scrape: ``runtime_tasks_total`` and its
 ``runtime_batch_tasks_total`` gauge of the manifest's size
 (``docs/OBSERVABILITY.md``).  ``--workers N`` runs the tasks on a
 supervised process pool whose summary is byte-identical to a serial
-run's.  ``--journal FILE``
-write-ahead-journals the run (fsync'd intent/result records, results
-in index order); after a supervisor death — SIGKILL, OOM, power loss
-— re-running with ``--resume`` skips completed tasks, re-dispatches
-in-flight ones, and produces a summary byte-identical to an
-uninterrupted serial run (the journal format and resume contract are
-specified in ``docs/ROBUSTNESS.md``).  A journal that cannot apply to
-the invocation — wrong manifest fingerprint, policy, or breaker knobs,
-or results out of index order — exits with code 2.
+run's.  ``--journal FILE`` journals the run (a meta record, then one
+fsync'd result record per task as it commits, in index order); after
+a supervisor death — SIGKILL, OOM, power loss — re-running with
+``--resume`` skips the tasks that have a result, runs the rest, and
+produces a summary byte-identical to an uninterrupted serial run (the
+journal format and resume contract are specified in
+``docs/ROBUSTNESS.md``).  A journal that cannot apply to the
+invocation — another journal version, wrong manifest fingerprint,
+policy, or breaker knobs, or results out of index order — exits with
+code 2.
 
 Service mode (see ``docs/SERVE.md``): ``xnf serve`` runs the pipeline
 as a long-lived HTTP/JSON daemon.  The budget flags change meaning
@@ -280,8 +281,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         closing.callback(journal.close)
         if args.resume:
             print(f"journal: resuming from {args.journal}: "
-                  f"{journal.skipped} task(s) already complete, "
-                  f"{journal.in_flight} in flight at interruption",
+                  f"{journal.skipped} task(s) already complete",
                   file=sys.stderr)
     with closing:
         on_task_done = None
@@ -318,8 +318,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
           file=sys.stderr)
     if journal is not None:
         print(f"journal: {journal.appended} record(s) appended, "
-              f"{journal.skipped} task(s) skipped as complete, "
-              f"{journal.replayed} re-dispatched", file=sys.stderr)
+              f"{journal.skipped} task(s) skipped as complete",
+              file=sys.stderr)
     if pool is not None:
         stats = pool.stats
         print(f"pool: {stats.workers} worker(s), "
@@ -607,15 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
                      "cost; by default ledger durability is "
                      "flush-only — docs/OBSERVABILITY.md)")
     bat.add_argument("--journal", metavar="FILE",
-                     help="write-ahead journal: append an fsync'd "
-                     "intent record before each dispatch and a result "
+                     help="journal the run: append an fsync'd result "
                      "record as each task commits, in index order, so "
                      "a killed supervisor can --resume without redoing "
                      "or losing any completed task")
     bat.add_argument("--resume", action="store_true",
                      help="replay the --journal FILE: verify its meta "
-                     "fingerprints (mismatch exits 2), skip completed "
-                     "tasks, re-dispatch in-flight ones, and emit a "
+                     "fingerprints (mismatch exits 2), skip the tasks "
+                     "that have a result, run the rest, and emit a "
                      "summary byte-identical to an uninterrupted "
                      "serial run (docs/ROBUSTNESS.md)")
     bat.set_defaults(func=_cmd_batch)
@@ -728,13 +727,6 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_ERROR
             sink = obs.JsonLinesSink(trace_stream)
             obs.add_sink(sink)
-            # One trace id per invocation: every span of this run —
-            # including spans shipped back from forked pool workers —
-            # carries it, so stitched records are attributable to the
-            # invocation that produced them.
-            import uuid
-            obs.set_context(
-                obs.SpanContext(trace_id=uuid.uuid4().hex[:16]))
     fault_plan = None
     fault_spec = os.environ.get("REPRO_FAULTS", "")
     if fault_spec:
@@ -781,7 +773,6 @@ def main(argv: list[str] | None = None) -> int:
             exporter.stop()
         if sink is not None:
             obs.remove_sink(sink)
-            obs.clear_context()
             assert trace_stream is not None
             trace_stream.close()
         if want_stats:

@@ -50,16 +50,11 @@ from repro.obs.trace import (
     InMemorySink,
     JsonLinesSink,
     Span,
-    SpanContext,
     add_sink,
-    clear_context,
     clear_sinks,
     current_span,
-    get_context,
     remove_sink,
-    set_context,
     span,
-    task_scope,
 )
 
 __all__ = [
@@ -69,8 +64,6 @@ __all__ = [
     "snapshot",
     "span", "current_span", "add_sink", "remove_sink", "clear_sinks",
     "Span", "JsonLinesSink", "InMemorySink",
-    "SpanContext", "set_context", "get_context", "clear_context",
-    "task_scope",
     "MetricsExporter", "prometheus_text", "start_exporter",
 ]
 

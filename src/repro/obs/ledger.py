@@ -64,6 +64,7 @@ LEDGER_VERSION = 1
 _FIELDS = (("run", str, True), ("task", str, True),
            ("verdict", str, True), ("retries", int, True),
            ("wall_ms", records.NUMBER, True),
+           ("ts", (*records.NUMBER, type(None)), False),
            ("reason", (str, type(None)), False),
            ("counters_sha", (str, type(None)), False))
 
@@ -147,8 +148,9 @@ class LedgerWriter:
 def read_ledger(path: str | Path) -> list[dict]:
     """Parse a ledger file (``-`` = stdin); raises
     :class:`LedgerError` on unreadable input, bad JSON, a foreign
-    schema, or a missing or mistyped field.  A torn last record is
-    skipped with a warning (``obs.ledger.torn``)."""
+    schema, a missing or mistyped field, or a ``ts`` that is not a
+    Unix time.  A torn last record is skipped with a warning
+    (``obs.ledger.torn``)."""
     found = records.read(path, error=LedgerError)
     if found.torn:
         records.warn_torn(found.source, "obs.ledger.torn")
@@ -166,6 +168,7 @@ def read_ledger(path: str | Path) -> list[dict]:
                 f"not supported (expected {LEDGER_VERSION})")
         ledger.append(records.check(record, _FIELDS, where=where,
                                     error=LedgerError))
+        records.check_time(record, "ts", where=where, error=LedgerError)
     if not ledger:
         raise LedgerError(f"{found.source}: no ledger records "
                           f"(was the run invoked with --ledger?)")

@@ -80,6 +80,7 @@ def _parse_trace(source: str, text: str) -> list[dict]:
     for lineno, record in found.lines:
         where = f"{source}:{lineno}"
         records.check(record, _SPAN_FIELDS, where=where, error=TraceError)
+        records.check_time(record, "epoch", where=where, error=TraceError)
         _check_counters(record.get("counters") or {}, where)
         spans.append(record)
     if not spans:
@@ -287,23 +288,18 @@ class TaskStat:
 
 
 def fold_by_task(profile: Profile) -> list[TaskStat]:
-    """Group ``runtime.task`` spans by their manifest task id.
-
-    Schema-v2 records carry the id in the ``task`` field; v1 batch
-    traces fall back to the span's ``task`` attribute.  Ordered by
-    total wall time (desc), then task id — deterministic per trace.
+    """Group ``runtime.task`` spans by their manifest task id, the
+    span's ``task`` attribute.  Ordered by total wall time (desc), then
+    task id — deterministic per trace.
     """
     stats: dict[str, TaskStat] = {}
     for root in profile.roots:
         for node, _stack in _walk(root, ()):
             if node.name != TASK_SPAN:
                 continue
-            task = node.record.get("task") \
-                or node.record.get("attrs", {}).get("task") \
-                or "<unattributed>"
-            stat = stats.get(str(task))
-            if stat is None:
-                stat = stats[str(task)] = TaskStat(str(task))
+            task = str(node.record.get("attrs", {}).get("task")
+                       or "<unattributed>")
+            stat = stats.setdefault(task, TaskStat(task))
             stat.runs += 1
             stat.total_ms += node.duration_ms
             worker = node.record.get("worker")

@@ -27,8 +27,7 @@ because they finish first)::
 
     {"id": 3, "parent": 1, "depth": 1, "name": "chase.branch",
      "start": 0.123, "duration_ms": 4.56, "attrs": {"steps": 7},
-     "counters": {"chase.steps": 12},
-     "trace_id": "9f1c2d3e4a5b6c7d", "task": "corpus-0001", "worker": 2}
+     "counters": {"chase.steps": 12}, "worker": 2}
 
 ``start`` is seconds since the process clock origin
 (``time.perf_counter``), useful for ordering, not wall-clock time.
@@ -41,18 +40,18 @@ boundary snapshots of :func:`repro.obs.metrics.counters_snapshot` —
 cumulative over the span's children; :mod:`repro.obs.profile`
 subtracts child deltas to attribute *self* counter work per span.
 
-``trace_id`` / ``task`` / ``worker`` (schema v2, absent when unset)
-come from the ambient :class:`SpanContext`: the CLI installs one
-``trace_id`` per traced invocation, the batch runner scopes ``task``
-around each attempt (:func:`task_scope`), and each forked pool worker
-stamps its ``worker`` id into the context the fork copied from the
-parent.  Workers buffer finished span records and ship them back with
-each result, and the parent stitches them into its own trace via
-:func:`ingest_records` — remapping ids and reparenting the shipped
-spans under the currently open span.  Starts are kept as shipped:
-``time.perf_counter`` is system-wide, so a forked worker's clock is
-the parent's.  A parallel ``--trace`` file therefore
-feeds ``xnf obs report/flame/diff`` identically to a serial run's.
+A span carries no ambient context: the batch runner names the task in
+its ``runtime.task`` span's ``task`` attribute, and every span below
+it belongs to that task through its ``parent``.  Forked pool workers
+buffer finished span records and ship them back with each result, and
+the parent stitches them into its own trace via
+:func:`ingest_records` — remapping ids, reparenting the shipped spans
+under the currently open span and stamping each with the ``worker``
+(schema v2, absent on spans the parent ran itself) that ran it.
+Starts are kept as shipped: ``time.perf_counter`` is system-wide, so a
+forked worker's clock is the parent's.  A parallel ``--trace`` file
+therefore feeds ``xnf obs report/flame/diff`` identically to a serial
+run's.
 
 Everything is a no-op while :mod:`repro.obs.metrics` is disabled:
 :func:`span` then returns a shared null context manager and allocates
@@ -64,7 +63,6 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass, replace
 from typing import Any, Callable, IO
 
 from repro.obs import metrics as _metrics
@@ -72,89 +70,11 @@ from repro.obs import metrics as _metrics
 import time
 
 #: Trace record schema version, stamped as ``"v"`` on root spans.
-#: v2 adds the ``epoch`` root anchor and the ``trace_id`` / ``task`` /
-#: ``worker`` context fields; v1 records (no marker) still load.
+#: v2 adds the ``epoch`` root anchor and the ``worker`` field; v1
+#: records (no marker) still load.  Earlier v2 writers also stamped
+#: every span with a per-run trace id and its task id, which readers
+#: ignore.
 TRACE_VERSION = 2
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """The ambient identity stamped on every span (schema v2).
-
-    A frozen value: a forked pool worker keeps the copy the fork gave
-    it and stamps its own ``worker`` id with :func:`dataclasses.replace`.
-    """
-
-    trace_id: str | None = None
-    task: str | None = None
-    worker: int | None = None
-
-
-#: The ambient context new spans are stamped with (one per process;
-#: workers install their own copy after the fork).
-_context: SpanContext | None = None
-
-
-def set_context(context: SpanContext | None) -> None:
-    """Install the ambient span context (``None`` clears it)."""
-    global _context
-    _context = context
-
-
-def get_context() -> SpanContext | None:
-    """The ambient span context, if one is installed."""
-    return _context
-
-
-def clear_context() -> None:
-    set_context(None)
-
-
-class _NullScope:
-    """Shared do-nothing scope returned while tracing is off — the
-    disabled path allocates nothing (mirrors ``_NullSpan``)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class _TaskScope:
-    """Context manager that stamps ``task`` onto the ambient context
-    for the duration of the ``with`` body, restoring on exit."""
-
-    __slots__ = ("task_id", "previous")
-
-    def __init__(self, task_id: str) -> None:
-        self.task_id = task_id
-
-    def __enter__(self) -> None:
-        self.previous = _context
-        set_context(SpanContext(task=self.task_id)
-                    if self.previous is None
-                    else replace(self.previous, task=self.task_id))
-
-    def __exit__(self, *exc_info) -> None:
-        set_context(self.previous)
-
-
-def task_scope(task_id: str) -> _TaskScope | _NullScope:
-    """Stamp ``task`` onto every span opened inside the ``with`` body.
-
-    Used by the batch runner around each task attempt, so both the
-    serial and the pool path produce per-task attributable traces
-    (``xnf obs report --by-task``).  Free while observability is off.
-    """
-    if not _metrics.enabled:
-        return _NULL_SCOPE
-    return _TaskScope(task_id)
 
 
 class Span:
@@ -163,8 +83,7 @@ class Span:
 
     __slots__ = ("name", "attrs", "start", "end",
                  "span_id", "parent_id", "depth",
-                 "counters_start", "counter_deltas",
-                 "trace_id", "task", "worker", "epoch")
+                 "counters_start", "counter_deltas", "worker", "epoch")
 
     def __init__(self, name: str, attrs: dict[str, Any],
                  span_id: int, parent_id: int | None,
@@ -178,11 +97,8 @@ class Span:
         self.end = 0.0
         self.counters_start: dict[str, int] = {}
         self.counter_deltas: dict[str, int] = {}
-        # Schema-v2 context fields, stamped from the ambient
-        # SpanContext at creation (None values are omitted from the
-        # record); ``epoch`` is the wall-clock anchor of root spans.
-        self.trace_id: str | None = None
-        self.task: str | None = None
+        # Schema-v2 fields: the pool worker a stitched span ran on
+        # (omitted when None) and the wall-clock anchor of root spans.
         self.worker: int | None = None
         self.epoch: float | None = None
 
@@ -208,10 +124,6 @@ class Span:
         }
         if self.counter_deltas:
             record["counters"] = dict(self.counter_deltas)
-        if self.trace_id is not None:
-            record["trace_id"] = self.trace_id
-        if self.task is not None:
-            record["task"] = self.task
         if self.worker is not None:
             record["worker"] = self.worker
         if self.parent_id is None:
@@ -244,7 +156,7 @@ _stack = threading.local()
 _sinks: list[Callable[[Span], None]] = []
 
 
-class _SpanContext:
+class _OpenSpan:
     __slots__ = ("span",)
 
     def __init__(self, span_: Span) -> None:
@@ -271,7 +183,7 @@ class _SpanContext:
             sink(self.span)
 
 
-def span(name: str, **attrs: Any) -> "_SpanContext | _NullSpan":
+def span(name: str, **attrs: Any) -> "_OpenSpan | _NullSpan":
     """Open a nested span (``with span(...) as sp:``).
 
     Returns the shared null span while observability is disabled, so
@@ -284,13 +196,8 @@ def span(name: str, **attrs: Any) -> "_SpanContext | _NullSpan":
         stack = _stack.spans = []
     new = Span(name, attrs, next(_ids),
                stack[-1].span_id if stack else None, len(stack))
-    context = _context
-    if context is not None:
-        new.trace_id = context.trace_id
-        new.task = context.task
-        new.worker = context.worker
     stack.append(new)
-    return _SpanContext(new)
+    return _OpenSpan(new)
 
 
 def current_span() -> Span | None:
@@ -324,17 +231,15 @@ def reinit_after_fork() -> None:
     :func:`repro.obs.metrics.reinit_after_fork`).
 
     A forked worker inherits the parent's open span stack (the batch
-    supervisor forks from inside its root CLI span), its sinks (which
-    wrap the parent's file descriptors), and its ambient context.  All
-    three are wrong in the child: the stack is replaced, the sinks are
-    dropped, and the context is cleared.  A worker that wants the
-    parent's context (and to know whether the parent had sinks) reads
-    them *before* calling this, then installs its own.
+    supervisor forks from inside its root CLI span) and its sinks
+    (which wrap the parent's file descriptors).  Both are wrong in the
+    child: the stack is replaced and the sinks are dropped.  A worker
+    that wants to know whether the parent had sinks reads
+    :func:`has_sinks` *before* calling this, then installs its own.
     """
     global _stack
     _stack = threading.local()
     clear_sinks()
-    clear_context()
 
 
 def ingest_records(records: list[dict[str, Any]], *,
@@ -371,8 +276,6 @@ def ingest_records(records: list[dict[str, Any]], *,
         rebuilt.end = rebuilt.start \
             + float(record.get("duration_ms", 0.0)) / 1e3
         rebuilt.counter_deltas = dict(record.get("counters") or {})
-        rebuilt.trace_id = record.get("trace_id")
-        rebuilt.task = record.get("task")
         rebuilt.worker = record.get("worker", worker)
         rebuilt.epoch = record.get("epoch")
         spans[record["id"]] = rebuilt

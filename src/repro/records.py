@@ -10,7 +10,8 @@ offset.
 back — journal results, ledger records, span traces, ``obs diff``
 snapshots and benchmark reports — so a missing or mistyped field
 raises the reader's own :class:`ReproError` naming the file, the line
-and the field (exit 2), never a traceback.
+and the field (exit 2), never a traceback.  :func:`check_time` does
+the same for a Unix time a reader renders as a date.
 """
 
 from __future__ import annotations
@@ -162,3 +163,19 @@ def check(record: Any, fields: Iterable[tuple[str, Any, bool]], *,
             raise error(f"{where}: {key!r} has the wrong type "
                         f"{type(value).__name__}")
     return record
+
+
+def check_time(record: dict, key: str, *, where: str,
+               error: Callable[[str], Exception]) -> None:
+    """Raise ``error(message)`` unless ``record[key]`` (a number or null
+    once :func:`check` passed it) is absent, null or a Unix time that
+    ``datetime.fromtimestamp`` converts (``NaN`` and ``1e20`` are not)."""
+    if record.get(key) is None:
+        return
+    # Imported here: only the readers that print a date get this far.
+    from datetime import datetime, timezone
+    try:
+        datetime.fromtimestamp(record[key], tz=timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        raise error(f"{where}: {key!r} is not a Unix time: "
+                    f"{record[key]!r}") from None

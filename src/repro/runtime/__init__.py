@@ -20,10 +20,10 @@ Built in this order, each piece usable on its own:
 * :mod:`~repro.runtime.pool` — the supervised process-pool backend:
   parallel execution with crash detection, task requeue, and commits
   in index order, so its report is byte-identical to the serial one;
-* :mod:`~repro.runtime.journal` — the write-ahead journal behind
-  ``--journal`` / ``--resume``; a resume rebuilds each committed
-  task's :class:`~repro.runtime.batch.TaskOutcome` from its result
-  record;
+* :mod:`~repro.runtime.journal` — the journal behind ``--journal`` /
+  ``--resume``: one result record per committed task, from which a
+  resume rebuilds its :class:`~repro.runtime.batch.TaskOutcome` and
+  runs every task without one;
 * :mod:`~repro.runtime.corpus` — seeded spec-corpus generation for
   chaos and acceptance runs (streamable at any size).
 

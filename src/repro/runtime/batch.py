@@ -282,7 +282,6 @@ class SerialBackend:
         # manifest-order walk.
         outcomes = dict(runner.replayed_outcomes())
         for index, task in runner.pending_tasks():
-            runner.journal_intent(index, task)
             # Each task reads the board its commit settles against, so
             # settle never sends one back here.
             committed = runner.commit(index, runner._run_task(task),
@@ -365,11 +364,6 @@ class BatchRunner:
             settle(self.board, outcomes[index])
         return outcomes
 
-    def journal_intent(self, index: int, task: Task) -> None:
-        """Record that ``task`` is about to be dispatched."""
-        if self.journal is not None:
-            self.journal.intent(index, task)
-
     def commit(self, index: int, outcome: "TaskOutcome",
                outcomes: dict) -> bool:
         """The one commit path of a finished task, on every backend, in
@@ -428,19 +422,18 @@ class BatchRunner:
         ensemble = self.ensemble_mode != "off" or task.engine == "ensemble"
         if not (_obs.enabled or ensemble or task.budgeted):
             return self._execute(task)
-        with _trace.task_scope(task.id):
-            with _trace.span("runtime.task", task=task.id, op=task.op,
-                             attempt=outcome.attempts):
-                with guard.limits(**task.budget_kwargs()):
-                    if not ensemble:
+        with _trace.span("runtime.task", task=task.id, op=task.op,
+                         attempt=outcome.attempts):
+            with guard.limits(**task.budget_kwargs()):
+                if not ensemble:
+                    return self._execute(task)
+                with _ensemble.session(self.ensemble_mode) as sess:
+                    try:
                         return self._execute(task)
-                    with _ensemble.session(self.ensemble_mode) as sess:
-                        try:
-                            return self._execute(task)
-                        finally:
-                            outcome.disagreements.extend(
-                                record.to_json()
-                                for record in sess.disagreements)
+                    finally:
+                        outcome.disagreements.extend(
+                            record.to_json()
+                            for record in sess.disagreements)
 
     def _run_task(self, task: Task,
                   refused: frozenset[str] | None = None) -> TaskOutcome:

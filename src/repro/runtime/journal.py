@@ -2,25 +2,22 @@
 
 The worker pool makes *worker* crashes recoverable; this module makes
 the batch survive the death of the **supervisor** itself.  ``xnf batch
---journal FILE`` appends a write-ahead log of the run: one ``meta``
-record pinning everything that shapes the summary bytes, an ``intent``
-record before each task is dispatched, and a ``result`` record
-carrying the task's full terminal outcome once it commits — in index
+--journal FILE`` appends a log of the run: one ``meta`` record pinning
+everything that shapes the summary bytes, then one ``result`` record
+carrying each task's full terminal outcome as it commits — in index
 order on both backends.  ``--resume`` replays that log, skips
-completed tasks, re-dispatches the ones that were in flight when the
-parent died, and emits a merged summary **byte-identical** to an
-uninterrupted serial run: the batch determinism contract, extended
-across process lifetimes.
+completed tasks, runs every task that has no result, and emits a
+merged summary **byte-identical** to an uninterrupted serial run: the
+batch determinism contract, extended across process lifetimes.
 
 The journal file is JSON-lines::
 
-    {"record": "meta", "schema": "repro.runtime.journal", "version": 1,
+    {"record": "meta", "schema": "repro.runtime.journal", "version": 2,
      "manifest": "batch.jsonl", "manifest_sha": "d05b54…", "seed": 7,
      "count": 100000, "ensemble": "off",
      "policy": {"retries": 2, "backoff_base_ms": 100.0,
                 "multiplier": 2.0, "seed": 7},
      "breaker": {"threshold": 5, "probe_interval": 8}}
-    {"record": "intent", "index": 0, "id": "corpus-000000"}
     {"record": "result", "index": 0, "id": "corpus-000000",
      "op": "check", "dtd_sha": "…", "fds_sha": null,
      "reason": null, "signature": null,
@@ -36,7 +33,8 @@ Design decisions, each load-bearing:
   meta record affects summary bytes (manifest identity via the same
   ``source:seed:count`` fingerprint the run ledger uses, retry policy,
   breaker knobs, ensemble mode); a mismatch is a structural error —
-  the journal cannot apply to this invocation.  Per-task ``dtd_sha`` /
+  the journal cannot apply to this invocation.  So is a journal of
+  another :data:`JOURNAL_VERSION`.  Per-task ``dtd_sha`` /
   ``fds_sha`` fingerprints are recorded in each result for audit, but
   deliberately *not* re-verified on resume: checking them would force
   a spec-file read per completed task, defeating the streaming-skip
@@ -50,12 +48,12 @@ Design decisions, each load-bearing:
   :func:`~repro.runtime.batch.settle`, the rule the live commit
   applies — and the board ends exactly where the interrupted run left
   it.  A replayed outcome that settle would cut short or send back
-  (possible only in a journal an older version's parallel run wrote,
-  or one edited by hand) is refused the same way.
-* **Intent without result ⇒ re-dispatch.**  The task may have partially
-  executed before the crash; every op is a pure function of its spec
-  inputs, so re-execution is idempotent.  Counted as
-  ``runtime.journal.replayed``.
+  (possible only in an edited journal) is refused the same way, and
+  so is a result whose status or failures replay cannot rebuild.
+* **No result ⇒ run again.**  A task may have partially executed
+  before the crash; every op is a pure function of its spec inputs,
+  so re-execution is idempotent.  Dispatch is therefore not recorded:
+  the result is the one record a task writes.
 
 Fault sites ``runtime.journal.append`` / ``runtime.journal.replay``
 accept the ``truncate`` kind: at the append site it simulates a
@@ -81,7 +79,8 @@ from repro.runtime.manifest import Manifest, Task
 from repro.runtime.retry import RetryPolicy
 
 #: Bump on any incompatible change to the journal record layout.
-JOURNAL_VERSION = 1
+#: Version 2 dropped version 1's per-dispatch ``intent`` records.
+JOURNAL_VERSION = 2
 
 #: The ``schema`` discriminator stamped on every journal meta record.
 JOURNAL_SCHEMA = "repro.runtime.journal"
@@ -98,12 +97,14 @@ _SITE_REPLAY = _faults.register_site(
     "(truncate = losing an arbitrary tail of the journal)",
     kinds=_faults.INPUT_KINDS)
 
-_RECORD_KINDS = ("meta", "intent", "result")
+_RECORD_KINDS = ("meta", "result")
 
-#: What :meth:`TaskOutcome.from_record` reads from a result record and
-#: from its payload: ``(key, allowed types, required)``.
+#: What :meth:`TaskOutcome.from_record` reads from a result record, from
+#: its payload and from each failure the breakers settle: ``(key,
+#: allowed types, required)``.
 _NULLABLE_STR = (str, type(None))
-_RESULT_FIELDS = (("id", str, True), ("op", str, True),
+_RESULT_FIELDS = (("index", int, True), ("id", str, True),
+                  ("op", str, True),
                   ("reason", _NULLABLE_STR, True),
                   ("signature", _NULLABLE_STR, True),
                   ("payload", dict, True))
@@ -111,11 +112,8 @@ _PAYLOAD_FIELDS = (("status", str, True), ("attempts", int, True),
                    ("delays_ms", list, True), ("failures", list, False),
                    ("result", dict, False),
                    ("disagreements", list, False))
-
-#: Why resume refuses results a serial run could not have committed:
-#: older versions' parallel runs committed them in completion order.
-_OLDER_PARALLEL = ("a journal written by a parallel run of an older "
-                   "version cannot be resumed")
+_FAILURE_FIELDS = (("signature", str, True), ("chain", list, True))
+_STATUSES = ("ok", "dead-letter")
 
 
 def _warn_stderr(message: str) -> None:
@@ -148,30 +146,43 @@ def _structural(message: str) -> JournalError:
     return JournalError(f"journal: {message}")
 
 
-def _check_record(record: object, line_no: int) -> dict:
-    record = records.check(record, (), where=f"line {line_no}",
-                           error=_structural)
+def _check_record(record: object, source: str, line_no: int) -> dict:
+    """``record`` once it is a meta record of this version on line 1,
+    or a result record that replay can rebuild and settle."""
+    where = f"{source}: line {line_no}"
+    record = records.check(record, (), where=where, error=_structural)
     kind = record.get("record")
     if kind not in _RECORD_KINDS:
         raise _structural(
-            f"line {line_no}: record kind must be one of "
+            f"{where}: record kind must be one of "
             f"{list(_RECORD_KINDS)}, got {kind!r}")
     if kind == "meta":
         if line_no != 1:
             raise _structural(
-                f"line {line_no}: meta record only allowed on line 1")
+                f"{where}: meta record only allowed on line 1")
+        if record.get("version") != JOURNAL_VERSION:
+            raise _structural(
+                f"{where}: journal version {record.get('version')!r} "
+                f"cannot be resumed, expected version "
+                f"{JOURNAL_VERSION}; re-run the batch without --resume")
         return record
-    index = record.get("index")
-    if not isinstance(index, int) or isinstance(index, bool) \
-            or index < 0:
-        raise _structural(
-            f"line {line_no}: index must be a non-negative integer, "
-            f"got {index!r}")
-    if kind == "result":
-        records.check(record, _RESULT_FIELDS,
-                      where=f"line {line_no}: result", error=_structural)
-        records.check(record["payload"], _PAYLOAD_FIELDS,
-                      where=f"line {line_no}: result payload",
+    records.check(record, _RESULT_FIELDS, where=f"{where}: result",
+                  error=_structural)
+    if record["index"] < 0:
+        raise _structural(f"{where}: result: 'index' is negative")
+    where = f"{where}: result payload"
+    payload = records.check(record["payload"], _PAYLOAD_FIELDS,
+                            where=where, error=_structural)
+    if payload["status"] not in _STATUSES:
+        raise _structural(f"{where}: 'status' must be one of "
+                          f"{list(_STATUSES)}, got {payload['status']!r}")
+    failures = payload.get("failures", [])
+    if payload["status"] == "dead-letter" and not failures:
+        raise _structural(f"{where}: a dead-letter needs at least one "
+                          f"entry in 'failures'")
+    for number, failure in enumerate(failures):
+        records.check(failure, _FAILURE_FIELDS,
+                      where=f"{where}: failure {number}",
                       error=_structural)
     return record
 
@@ -181,7 +192,6 @@ class _JournalState:
 
     def __init__(self) -> None:
         self.meta: dict | None = None
-        self.intents: set[int] = set()
         self.results: dict[int, dict] = {}
         self.torn: bool = False
 
@@ -193,24 +203,22 @@ def read_journal(path: str) -> _JournalState:
     state = _JournalState()
     state.torn = found.torn is not None
     for line_no, record in found.lines:
-        record = _check_record(record, line_no)
+        record = _check_record(record, found.source, line_no)
         if record["record"] == "meta":
             state.meta = record
-        elif record["record"] == "intent":
-            state.intents.add(record["index"])
-        else:
-            index = record["index"]
-            if index in state.results:
-                raise _structural(
-                    f"line {line_no}: duplicate result for task "
-                    f"index {index}")
-            if index != len(state.results):
-                raise _structural(
-                    f"line {line_no}: result for task index {index} "
-                    f"out of index order (expected {len(state.results)})"
-                    f"; {_OLDER_PARALLEL}")
-            state.results[index] = record
-    if state.meta is None and (state.intents or state.results):
+            continue
+        index = record["index"]
+        if index in state.results:
+            raise _structural(
+                f"{found.source}: line {line_no}: duplicate result for "
+                f"task index {index}")
+        if index != len(state.results):
+            raise _structural(
+                f"{found.source}: line {line_no}: result for task index "
+                f"{index} out of index order (expected "
+                f"{len(state.results)})")
+        state.results[index] = record
+    if state.meta is None and state.results:
         raise _structural("first record must be the meta record")
     return state
 
@@ -227,28 +235,22 @@ def _verify_meta(found: dict, expected: dict, path: str) -> None:
 
 
 class BatchJournal:
-    """The write-ahead journal of one ``xnf batch`` run.
+    """The journal of one ``xnf batch`` run.
 
-    Build via :func:`open_journal`.  The runner calls :meth:`intent`
-    before dispatching a task and :meth:`result` when its terminal
-    outcome commits; both append one fsync'd line.  On resume,
-    :attr:`completed_indices` / :meth:`completed_outcomes` carry the
-    replayed state.
+    Build via :func:`open_journal`.  The runner calls :meth:`result`
+    when a task's terminal outcome commits, which appends one fsync'd
+    line.  On resume, :attr:`completed_indices` /
+    :meth:`completed_outcomes` carry the replayed state.
     """
 
     def __init__(self, path: str, stream: IO[str], *,
                  completed: dict[int, TaskOutcome] | None = None,
-                 pending_intents: frozenset[int] = frozenset(),
                  fsync: bool = True) -> None:
         self.path = path
         self._stream = stream
         self._fsync = fsync
         self._completed = dict(completed or {})
-        #: Indices that had an intent but no result when the journal
-        #: was read back: the in-flight set at the moment of death.
-        self._pending_intents = set(pending_intents)
         self.appended = 0
-        self.replayed = 0
         self.skipped = len(self._completed)
         if _obs.enabled and self.skipped:
             _obs.inc("runtime.journal.skipped", self.skipped)
@@ -273,11 +275,6 @@ class BatchJournal:
     def completed_indices(self) -> frozenset[int]:
         return frozenset(self._completed)
 
-    @property
-    def in_flight(self) -> int:
-        """How many tasks had an intent but no result on read-back."""
-        return len(self._pending_intents)
-
     def completed_outcomes(self) -> dict[int, TaskOutcome]:
         return dict(self._completed)
 
@@ -286,20 +283,13 @@ class BatchJournal:
         settled before it contradict it (see
         :meth:`~repro.runtime.batch.BatchRunner.replayed_outcomes`)."""
         return _structural(f"result for task index {index} disagrees "
-                           f"with the circuit breakers settled before "
-                           f"it; {_OLDER_PARALLEL}")
+                           f"with the circuit breakers settled before it")
 
     def intent(self, index: int, task: Task) -> None:
-        if index in self._pending_intents:
-            # This exact task already has an intent on file from the
-            # interrupted run: it is being re-dispatched, not newly
-            # dispatched, and the journal already says so.
-            self.replayed += 1
-            if _obs.enabled:
-                _obs.inc("runtime.journal.replayed")
-            return
-        self._append({"record": "intent", "index": index,
-                      "id": task.id})
+        """Append nothing: a task without a result runs again on
+        resume, so dispatch needs no record.  The method stays because
+        the end-to-end benchmark's replay (``xnfbench/replay.py``)
+        patches it by name to time the journal layer."""
 
     def result(self, index: int, outcome: TaskOutcome) -> None:
         task = outcome.task
@@ -333,10 +323,9 @@ def open_journal(path: str, *, manifest: Manifest,
     Fresh runs truncate the file and write the meta record.  Resumes
     cut a torn last record off the file (counted warning), read it
     back, verify the meta record against this invocation, and return
-    a journal pre-loaded with the completed outcomes and in-flight
-    intents.  A resume against a missing or record-less file degrades
-    to a fresh run with a warning — the parent may have died before
-    the first append.
+    a journal pre-loaded with the completed outcomes.  A resume
+    against a missing or record-less file degrades to a fresh run with
+    a warning — the parent may have died before the first append.
     """
     expected = meta_record(manifest, policy, board, ensemble_mode)
     if resume and os.path.exists(path):
@@ -359,8 +348,6 @@ def open_journal(path: str, *, manifest: Manifest,
                 path, stream,
                 completed={index: TaskOutcome.from_record(record)
                            for index, record in state.results.items()},
-                pending_intents=frozenset(
-                    state.intents - set(state.results)),
                 fsync=fsync)
         stream.close()
         warn(f"journal {path} has no meta record; starting fresh")

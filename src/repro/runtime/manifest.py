@@ -183,7 +183,7 @@ class Manifest:
         """Yield ``(index, task)`` pairs, omitting indices in ``skip``.
 
         The index is the task's stable position in manifest order —
-        the identity the batch journal keys intent/result records on,
+        the identity the batch journal keys result records on,
         so a ``--resume`` can skip completed work without trusting
         anything but the manifest's ordering.  A JSON manifest yields
         the tasks it validated at load; a stream builds them now.

@@ -50,18 +50,18 @@ copy-on-write, so dispatch messages carry only the task.  Each worker
 re-initializes the metrics registry first thing
 (:func:`repro.obs.metrics.reinit_after_fork` — the inherited lock may
 have been held by a parent exporter thread at the instant of the
-fork) and resets the tracing module (sinks, span stack, context);
-each task's counters ship back once, as its outcome's
-``counter_delta``, and its histograms as one raw dump at shutdown, so
-the parent's merged snapshot covers the whole pool.  When the parent
-is tracing, each worker keeps the span context the fork copied (with
-its ``worker`` id stamped in), buffers every finished span record, and
-ships the buffer alongside each result; the supervisor stitches them
-into its own trace (:func:`repro.obs.trace.ingest_records`), so ``xnf
-batch --workers N --trace FILE`` captures every worker's
-``runtime.task`` spans in one coherent forest.  Span starts need no
-rebase: ``time.perf_counter`` is a system-wide clock, so a forked
-worker reads the same clock as its parent.
+fork) and resets the tracing module (sinks and span stack); each
+task's counters ship back once, as its outcome's ``counter_delta``,
+and its histograms as one raw dump at shutdown, so the parent's
+merged snapshot covers the whole pool.  When the parent is tracing,
+each worker buffers every finished span record and ships the buffer
+alongside each result; the supervisor stitches them into its own
+trace (:func:`repro.obs.trace.ingest_records`), stamping each with
+the ``worker`` that ran it, so ``xnf batch --workers N --trace FILE``
+captures every worker's ``runtime.task`` spans in one coherent
+forest.  Span starts need no rebase: ``time.perf_counter`` is a
+system-wide clock, so a forked worker reads the same clock as its
+parent.
 
 A non-:class:`~repro.errors.ReproError` escaping a task inside a
 worker is the same exception-safety breach it is on the serial path:
@@ -81,7 +81,6 @@ import traceback
 import multiprocessing
 from collections import deque
 from dataclasses import dataclass, field
-from dataclasses import replace as _dc_replace
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
 from typing import Iterator
@@ -237,9 +236,8 @@ def _ping_loop(conn: _mp_connection.Connection,
             return
 
 
-def _worker_main(worker_id: int, runner: "BatchRunner",
-                 conn: _mp_connection.Connection,
-                 ping_interval: float,
+def _worker_main(runner: "BatchRunner",
+                 conn: _mp_connection.Connection, ping_interval: float,
                  parent_ends: tuple = ()) -> None:
     """The forked worker entrypoint: recv task, run it, send outcome.
 
@@ -250,30 +248,26 @@ def _worker_main(worker_id: int, runner: "BatchRunner",
     would wait forever instead of taking the "parent died" exit.  Then
     a fresh metrics lock + registry (the inherited lock may be held by
     a parent thread) and a reset tracing module (no inherited sinks —
-    the parent owns the trace file descriptor — no inherited span
-    stack, no inherited context).  The worker runs tasks through the
-    *same* ``runner._run_task`` retry loop as the serial backend,
-    handed the refused set the parent read at dispatch — that is what
-    makes per-task records backend-independent.
+    the parent owns the trace file descriptor — and no inherited span
+    stack).  The worker runs tasks through the *same*
+    ``runner._run_task`` retry loop as the serial backend, handed the
+    refused set the parent read at dispatch — that is what makes
+    per-task records backend-independent.
 
     When the parent is tracing (a sink registered when it forked), the
-    worker keeps the ambient :class:`~repro.obs.trace.SpanContext` the
-    fork copied, read before the reset, with its own ``worker`` id
-    stamped in; it buffers every finished span's record and ships the
-    buffer back with each result, where the supervisor stitches it
-    into the parent trace.
+    worker buffers every finished span's record and ships the buffer
+    back with each result, where the supervisor stitches it into the
+    parent trace under this worker's id.
     """
     for end in parent_ends:
         end.close()
-    # What the fork copied of the parent's tracing, read before the
-    # reset below clears it.
+    # Whether the parent was tracing, read before the reset below
+    # drops the sinks the fork copied.
     traced = _obs.enabled and _trace.has_sinks()
-    context = _trace.get_context() or _trace.SpanContext()
     _obs.reinit_after_fork()
     _trace.reinit_after_fork()
     span_buffer: list[dict] = []
     if traced:
-        _trace.set_context(_dc_replace(context, worker=worker_id))
         _trace.add_sink(lambda span_: span_buffer.append(
             span_.as_record()))
     send_lock = threading.Lock()
@@ -455,8 +449,8 @@ class PoolBackend:
         def next_assignment() -> _Assignment | None:
             nonlocal exhausted
             if pending:
-                # A requeue, not a new dispatch: its intent is already
-                # on file and its slot in the window already taken.
+                # A requeue, not a new dispatch: its slot in the window
+                # is already taken.
                 return pending.popleft()
             if exhausted or len(window) >= WINDOW * target:
                 return None
@@ -465,7 +459,6 @@ class PoolBackend:
             except StopIteration:
                 exhausted = True
                 return None
-            runner.journal_intent(index, task)
             window.append(_Assignment(index=index, task=task))
             return window[-1]
 
@@ -623,8 +616,7 @@ class PoolBackend:
                                           in self._live.values()))
             proc = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, runner, child_conn, interval,
-                      parent_ends),
+                args=(runner, child_conn, interval, parent_ends),
                 name=f"xnf-batch-worker-{worker_id}", daemon=True)
             proc.start()
             child_conn.close()

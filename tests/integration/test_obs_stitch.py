@@ -60,13 +60,21 @@ def run_traced_batch(tmp_path, tag, *, workers, hash_seed="0"):
 
 
 def spans_per_task(records):
-    """The multiset of span names under each task id."""
+    """The multiset of span names in each ``runtime.task`` subtree,
+    keyed by the span's ``task`` attribute."""
     multiset: dict[str, collections.Counter] = {}
-    for record in records:
-        task = record.get("task")
-        if task is not None:
-            multiset.setdefault(
-                task, collections.Counter())[record["name"]] += 1
+
+    def walk(node, names):
+        if names is None and node.name == "runtime.task":
+            names = multiset.setdefault(node.record["attrs"]["task"],
+                                        collections.Counter())
+        if names is not None:
+            names[node.name] += 1
+        for child in node.children:
+            walk(child, names)
+
+    for root in build_forest(records):
+        walk(root, None)
     return multiset
 
 
@@ -80,17 +88,16 @@ class TestStitchedTrace:
         roots = build_forest(parallel_records)
         assert len(roots) == 1
         assert roots[0].name == "cli.batch"
-        tasks = {record["task"] for record in parallel_records
-                 if record["name"] == "runtime.task"}
+        task_records = [record for record in parallel_records
+                        if record["name"] == "runtime.task"]
+        tasks = {record["attrs"]["task"] for record in task_records}
         assert tasks == {f"corpus-{i:04d}" for i in range(TASKS)}
-        # Every task span names the worker that ran it, and the whole
-        # trace shares the invocation's trace id.
-        workers = {record["worker"] for record in parallel_records
-                   if record["name"] == "runtime.task"}
-        assert workers and all(isinstance(w, int) for w in workers)
-        trace_ids = {record.get("trace_id")
-                     for record in parallel_records}
-        assert len(trace_ids) == 1 and trace_ids != {None}
+        # Every task span names the worker that ran it; the task id
+        # is the task span's attribute alone, stamped on no record.
+        assert all(isinstance(record["worker"], int)
+                   for record in task_records)
+        assert not any("task" in record or "trace_id" in record
+                       for record in parallel_records)
 
     def test_monotone_parent_child_timings(self, parallel_records):
         roots = build_forest(parallel_records)

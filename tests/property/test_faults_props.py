@@ -93,10 +93,11 @@ def _drive_pipeline() -> None:
 
 
 def _drive_journal(path: str) -> None:
-    """Visit ``runtime.journal.append`` (meta + one intent) and
+    """Visit ``runtime.journal.append`` (meta + one result) and
     ``runtime.journal.replay`` (one resume read-back)."""
     from repro.runtime import journal as journal_mod
     from repro.runtime import manifest as manifest_mod
+    from repro.runtime.batch import TaskOutcome
     from repro.runtime.breaker import BreakerBoard
     from repro.runtime.retry import RetryPolicy
 
@@ -106,7 +107,7 @@ def _drive_journal(path: str) -> None:
     journal = journal_mod.open_journal(
         path, manifest=manifest, policy=RetryPolicy(),
         board=BreakerBoard(), fsync=False, warn=lambda message: None)
-    journal.intent(0, manifest.tasks[0])
+    journal.result(0, TaskOutcome(task=manifest.tasks[0], attempts=1))
     journal.close()
     journal_mod.open_journal(
         path, manifest=manifest, policy=RetryPolicy(),

@@ -20,12 +20,10 @@ def clean_obs():
     obs.disable()
     obs.reset()
     obs.clear_sinks()
-    trace.clear_context()
     yield
     obs.disable()
     obs.reset()
     obs.clear_sinks()
-    trace.clear_context()
 
 
 @st.composite

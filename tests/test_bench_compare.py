@@ -208,3 +208,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "repro.bench report" in out
         assert "grp.bench" in out
+
+    def test_report_renders_a_point_without_time_as_a_dash(
+            self, tmp_path, capsys):
+        payload = make_payload()
+        del payload["benchmarks"]["grp.bench"]["points"][0]["time_s"]
+        path = self._write(tmp_path, "r.json", payload)
+        assert bench_main(["report", path]) == 0
+        assert " time=-  ops=100" in capsys.readouterr().out

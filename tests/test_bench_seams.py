@@ -22,7 +22,7 @@ def test_gate_measures_a_seam_and_positive_work(name):
 
 
 @pytest.mark.parametrize("name, methods", [
-    ("journal", ("journal_intent", "commit")),
+    ("journal", ("commit",)),
     ("obs-export", ("commit",)),
     ("ledger", ("_run_task",)),
     ("runtime", ("_run_task", "_attempt", "summarize")),

@@ -26,6 +26,10 @@ from repro.datasets.university import UNIVERSITY_DTD, UNIVERSITY_FDS
 SIMPLE_DTD = ("<!ELEMENT db (r*)>\n<!ELEMENT r EMPTY>\n"
               "<!ATTLIST r a CDATA #REQUIRED b CDATA #REQUIRED>")
 BROKEN_DTD = "<!ELEMENT db (unclosed"
+#: A passing benchmark claim with every field ``bench report`` renders.
+CLAIM = {"statement": "Theorem 3", "bound": "cubic",
+         "counter": "chase.steps", "kind": "polynomial", "slope": 1.0,
+         "time_slope": 1.0, "max_slope": 3.0, "passed": True}
 
 
 @pytest.fixture
@@ -192,14 +196,25 @@ class TestExit2:
         ("bench", {"points": 7}, "points"),
         ("trace", {"parent": 2}, "parent"),     # 1 -> 2 -> 1
         ("bench", {"claim": {"passed": False}}, "statement"),
+        ("journal", {"status": "bogus"}, "status"),
+        ("journal", {"status": "dead-letter"}, "failures"),
+        ("journal", {"failures": [{}]}, "signature"),
+        ("ledger", {"ts": "abc"}, "ts"),
+        ("ledger", {"ts": float("nan")}, "ts"),
+        ("ledger", {"ts": 1e20}, "ts"),
+        ("trace", {"epoch": 1e20}, "epoch"),
+        ("report", {"claim": {key: value for key, value in CLAIM.items()
+                              if key != "kind"}}, "kind"),
     ])
     def test_mistyped_record_read_back(self, tmp_path, capsys, kind,
                                        change, field):
         """A mistyped field in a trace (``obs report``), a snapshot
-        (``obs diff``) or a benchmark report (``bench compare``) is
-        named on stderr with exit 2, never a traceback.  So are a
-        trace whose parent links loop and a claim without its
-        ``statement``."""
+        (``obs diff``), a benchmark report (``bench compare`` and
+        ``bench report``), a journal result (``batch --resume``) or a
+        ledger record (``obs history``) is named on stderr with exit 2,
+        never a traceback.  So are a trace whose parent links loop, a
+        claim without its ``statement``, a result whose status or
+        failures replay cannot rebuild, and a time no date has."""
         from repro.bench.cli import main as bench_main
         from repro.bench.schema import envelope
         good = tmp_path / "good.json"
@@ -216,17 +231,35 @@ class TestExit2:
             good.write_text(json.dumps({"counters": {"a": 1}}))
             bad.write_text(json.dumps({"counters": {"a": 1}, **change}))
             code = main(["obs", "diff", str(good), str(bad)])
+        elif kind == "journal":
+            manifest = _manifest_file(
+                tmp_path, [_good_task(f"g{index}") for index in range(3)])
+            batch = ["batch", manifest, "--backoff-base", "0",
+                     "--journal", str(bad)]
+            assert main(batch) == 0
+            capsys.readouterr()
+            *lines, last = bad.read_text().splitlines()
+            record = json.loads(last)
+            record["payload"].update(change)
+            bad.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+            code = main([*batch, "--resume"])
+        elif kind == "ledger":
+            bad.write_text(json.dumps(
+                {"schema": "repro.obs.ledger", "version": 1, "run": "r",
+                 "task": "t", "verdict": "ok", "retries": 0,
+                 "wall_ms": 1.0, **change}) + "\n")
+            code = main(["obs", "history", str(bad)])
         else:
             payload = envelope(suite="quick", repeat=1)
             entry = payload["benchmarks"]["grp.bench"] = {
                 "points": [{"value": 4, "counters": {"chase.steps": 1}}],
-                "claim": {"statement": "Theorem 3", "bound": "cubic",
-                          "slope": 1.0, "passed": True}}
+                "claim": CLAIM}
             good.write_text(json.dumps(payload))
             (entry["points"][0] if "counters" in change else entry) \
                 .update(change)
             bad.write_text(json.dumps(payload))
-            code = bench_main(["compare", str(good), str(bad)])
+            code = bench_main(["compare", str(good), str(bad)]
+                              if kind == "bench" else ["report", str(bad)])
         err = capsys.readouterr().err
         assert code == 2, err
         assert str(bad) in err and repr(field) in err, err

@@ -11,7 +11,6 @@ import pytest
 
 from repro import obs
 from repro.obs import trace
-from repro.obs.trace import SpanContext
 
 
 @pytest.fixture(autouse=True)
@@ -19,12 +18,10 @@ def clean_obs():
     obs.disable()
     obs.reset()
     obs.clear_sinks()
-    trace.clear_context()
     yield
     obs.disable()
     obs.reset()
     obs.clear_sinks()
-    trace.clear_context()
 
 
 class TestDisabled:
@@ -112,8 +109,8 @@ class TestJsonLines:
         base_keys = {"id", "parent", "depth", "name",
                      "start", "duration_ms", "attrs"}
         # Schema v2: roots carry the version marker and the wall-clock
-        # epoch anchor; non-roots carry neither, and context fields
-        # (trace_id/task/worker) are absent while no context is set.
+        # epoch anchor; non-roots carry neither, and ``worker`` is
+        # absent on a span this process ran.
         assert set(inner) == base_keys
         assert set(outer) == base_keys | {"v", "epoch"}
         for record in records:
@@ -138,54 +135,15 @@ class TestJsonLines:
         assert stream.getvalue() == ""
 
 
-class TestSpanContext:
-    def test_spans_stamped_from_ambient_context(self):
-        obs.enable()
-        trace.set_context(SpanContext(trace_id="deadbeef", worker=4))
-        with obs.span("outer") as outer:
-            with obs.span("inner") as inner:
-                pass
-        for span_ in (outer, inner):
-            record = span_.as_record()
-            assert record["trace_id"] == "deadbeef"
-            assert record["worker"] == 4
-            assert "task" not in record
-
-    def test_task_scope_sets_and_restores(self):
-        obs.enable()
-        trace.set_context(SpanContext(trace_id="deadbeef"))
-        with trace.task_scope("corpus-0001"):
-            with obs.span("runtime.task") as sp:
-                pass
-            assert trace.get_context().task == "corpus-0001"
-        assert trace.get_context() == SpanContext(trace_id="deadbeef")
-        record = sp.as_record()
-        assert record["task"] == "corpus-0001"
-        assert record["trace_id"] == "deadbeef"
-
-    def test_task_scope_without_ambient_context(self):
-        obs.enable()
-        with trace.task_scope("t-9"):
-            with obs.span("runtime.task") as sp:
-                pass
-        assert trace.get_context() is None
-        assert sp.as_record()["task"] == "t-9"
-
-    def test_task_scope_free_while_disabled(self):
-        with trace.task_scope("t-0"):
-            pass
-        assert trace.get_context() is None
-
+class TestForkReset:
     def test_reinit_after_fork_clears_state(self):
         obs.enable()
-        trace.set_context(SpanContext(trace_id="x"))
         obs.add_sink(obs.InMemorySink())
         assert trace.has_sinks()
         context_manager = obs.span("left-open")
         context_manager.__enter__()
         trace.reinit_after_fork()
         assert not trace.has_sinks()
-        assert trace.get_context() is None
         assert trace.current_span() is None
 
 
@@ -195,11 +153,10 @@ class TestIngestRecords:
         child first, worker-local ids, worker-origin timestamps."""
         return [
             {"id": 2, "parent": 1, "depth": 1, "name": "spec.parse",
-             "start": 0.010, "duration_ms": 5.0, "attrs": {},
-             "task": "t-1", "worker": 3},
+             "start": 0.010, "duration_ms": 5.0, "attrs": {}},
             {"id": 1, "parent": None, "depth": 0, "name": "runtime.task",
              "start": 0.005, "duration_ms": 20.0,
-             "attrs": {"task": "t-1"}, "task": "t-1", "worker": 3,
+             "attrs": {"task": "t-1"},
              "counters": {"chase.steps": 7}, "v": 2, "epoch": 123.0},
         ]
 
@@ -240,8 +197,9 @@ class TestIngestRecords:
                    for line in stream.getvalue().splitlines()]
         by_name = {record["name"]: record for record in records}
         task_record = by_name["runtime.task"]
-        assert task_record["task"] == "t-1"
+        assert task_record["attrs"] == {"task": "t-1"}
         assert task_record["worker"] == 3
+        assert by_name["spec.parse"]["worker"] == 3
         assert task_record["counters"] == {"chase.steps": 7}
         # Reparented under the batch root: no longer a root record, so
         # no epoch/v marker (the stitched trace has one root).

@@ -75,9 +75,7 @@ class Journal:
 
     @staticmethod
     def view(intact):
-        results = {r["index"] for r in intact if r["record"] == "result"}
-        intents = {r["index"] for r in intact if r["record"] == "intent"}
-        return sorted(results), len(intents - results)
+        return [r["index"] for r in intact if r["record"] == "result"]
 
     def read(self, path):
         journal = jm.open_journal(
@@ -86,7 +84,7 @@ class Journal:
             board=BreakerBoard(), resume=True, fsync=False,
             warn=self.warnings.append)
         journal.close()
-        return sorted(journal.completed_indices), journal.in_flight
+        return sorted(journal.completed_indices)
 
     def torn_warnings(self, capsys):
         count = sum(TORN in warning for warning in self.warnings)
@@ -186,7 +184,7 @@ def test_a_cut_file_appended_to_once_more_reads_whole(tmp_path, capsys,
         kind.torn_warnings(capsys)
         if name == "journal":
             assert not jm.read_journal(str(path)).torn
-            assert kind.read(path) == ([0, 1, 2], 0)
+            assert kind.read(path) == [0, 1, 2]
         else:
             assert len(read_ledger(path)) == 2 * len(written) - 1
         assert kind.torn_warnings(capsys) == 0
@@ -248,7 +246,7 @@ class TestFsync:
 
     def test_the_journal_fsyncs_every_append(self, tmp_path, fsyncs):
         journal = Journal()._run(tmp_path / "j", resume=False)
-        assert journal.appended == 1 + 2 * len(TASKS)
+        assert journal.appended == 1 + len(TASKS)
         assert len(fsyncs) == journal.appended
 
     @pytest.mark.parametrize("flags, expected", [

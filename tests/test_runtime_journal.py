@@ -87,17 +87,23 @@ class TestJournalFile:
         _journaled_run(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_intent_precedes_result_for_every_task(self, tmp_path):
+    def test_one_result_per_task_in_index_order(self, tmp_path):
         path = tmp_path / "j.journal"
         _journaled_run(path)
-        seen_intent = set()
-        for line in path.read_text().splitlines()[1:]:
-            record = json.loads(line)
-            if record["record"] == "intent":
-                seen_intent.add(record["index"])
-            else:
-                assert record["index"] in seen_intent
-        assert seen_intent == set(range(8))
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()[1:]]
+        assert [record["record"] for record in records] == ["result"] * 8
+        assert [record["index"] for record in records] == list(range(8))
+
+    def test_intent_appends_nothing(self, tmp_path):
+        path = tmp_path / "j.journal"
+        manifest = _manifest()
+        journal = _open(path, manifest, _fresh())
+        written = path.read_bytes()
+        journal.intent(0, manifest.tasks[0])
+        journal.close()
+        assert path.read_bytes() == written
+        assert journal.appended == 1
 
     def test_journaled_run_matches_unjournaled_bytes(self, tmp_path):
         base = run_batch(_manifest(), **_fresh())
@@ -120,7 +126,7 @@ class TestResume:
             metrics.reset()
             metrics.disable()
         assert _dumps(resumed) == _dumps(base)
-        assert journal.skipped == 8 and journal.replayed == 0
+        assert journal.skipped == 8
 
     def test_every_line_prefix_resumes_to_identical_bytes(
             self, tmp_path):
@@ -131,34 +137,13 @@ class TestResume:
         path = tmp_path / "j.journal"
         base, _ = _journaled_run(path)
         lines = path.read_text().splitlines(keepends=True)
-        assert len(lines) > 12
+        assert len(lines) == 1 + 8
         for cut in range(len(lines) + 1):
             prefix = tmp_path / f"cut{cut}.journal"
             prefix.write_text("".join(lines[:cut]))
             resumed, _ = _journaled_run(prefix, resume=True)
             assert _dumps(resumed) == _dumps(base), f"cut at {cut}"
             assert resumed["counts"]["lost"] == 0
-
-    def test_intent_without_result_counts_replayed(self, tmp_path):
-        path = tmp_path / "j.journal"
-        manifest = _manifest()
-        kwargs = _fresh()
-        journal = _open(path, manifest, kwargs)
-        journal.intent(0, manifest.tasks[0])
-        journal.close()
-        metrics.enable()
-        metrics.reset()
-        try:
-            resumed, journal = _journaled_run(path, resume=True)
-            assert metrics.counter_value(
-                "runtime.journal.replayed") == 1
-        finally:
-            metrics.reset()
-            metrics.disable()
-        assert journal.replayed == 1
-        assert resumed["counts"]["lost"] == 0
-        assert _dumps(resumed) == _dumps(run_batch(_manifest(),
-                                                   **_fresh()))
 
     def test_torn_trailing_record_is_truncated_and_counted(
             self, tmp_path):
@@ -243,7 +228,7 @@ class TestStructuralErrors:
         path = tmp_path / "j.journal"
         path.write_text(json.dumps(self._meta(), sort_keys=True)
                         + "\n{not json\n"
-                        + '{"record": "intent", "index": 0}\n')
+                        + json.dumps(self._result(0, "ok")) + "\n")
         with pytest.raises(JournalError, match="malformed record"):
             jm.read_journal(str(path))
 
@@ -300,17 +285,30 @@ class TestStructuralErrors:
 
     def test_meta_mid_file_raises(self, tmp_path):
         path = self._write_journal(
-            tmp_path,
-            [self._meta(), {"record": "intent", "index": 0,
-                            "id": "t0"}, self._meta()])
+            tmp_path, [self._meta(), self._result(0, "ok"), self._meta()])
         with pytest.raises(JournalError, match="only allowed on"):
             jm.read_journal(str(path))
 
     def test_records_without_meta_raise(self, tmp_path):
-        path = self._write_journal(
-            tmp_path, [{"record": "intent", "index": 0, "id": "t0"}])
+        path = self._write_journal(tmp_path, [self._result(0, "ok")])
         with pytest.raises(JournalError,
                            match="first record must be the meta"):
+            jm.read_journal(str(path))
+
+    def test_version_1_journal_is_refused_on_resume(self, tmp_path):
+        """Version 1 wrote an intent record before every dispatch; no
+        code reads one any more, so its journal is refused whole."""
+        meta = dict(self._meta(), version=1)
+        path = self._write_journal(tmp_path, [
+            meta, {"record": "intent", "index": 0, "id": "t0"}])
+        with pytest.raises(JournalError, match="journal version 1 "
+                           "cannot be resumed, expected version 2"):
+            _open(path, _manifest(), _fresh(), resume=True)
+
+    def test_an_intent_record_is_refused(self, tmp_path):
+        path = self._write_journal(tmp_path, [
+            self._meta(), {"record": "intent", "index": 0, "id": "t0"}])
+        with pytest.raises(JournalError, match="record kind"):
             jm.read_journal(str(path))
 
 
@@ -457,9 +455,6 @@ class TestStreamingResume:
                 sort_keys=True) + "\n")
             for index in range(done):
                 task_id = f"s-{index:05d}"
-                stream.write(json.dumps(
-                    {"record": "intent", "index": index,
-                     "id": task_id}, sort_keys=True) + "\n")
                 stream.write(json.dumps(
                     {"record": "result", "index": index,
                      "id": task_id, "op": "check", "dtd_sha": None,

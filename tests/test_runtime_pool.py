@@ -413,17 +413,20 @@ class TestOrderedCommit:
         runner = _runner(corpus.stream_manifest(60, seed=3),
                          backend=PoolBackend(2))
         held, committed = [], []
-        commit = runner.commit
+        commit, pending_tasks = runner.commit, runner.pending_tasks
 
         def spy(index, outcome, outcomes):
             committed.append(index)
             return commit(index, outcome, outcomes)
 
-        def intent(index, task):
-            held.append(index - len(committed))
+        def dispatched():
+            # The pool takes each task from here as it dispatches it.
+            for index, task in pending_tasks():
+                held.append(index - len(committed))
+                yield index, task
 
         runner.commit = spy
-        runner.journal_intent = intent
+        runner.pending_tasks = dispatched
         runner.run()
         assert committed == list(range(60))
         assert max(held) < pool_mod.WINDOW * 2
