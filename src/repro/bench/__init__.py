@@ -13,8 +13,9 @@ counters and PR-2 guard stats:
 * :mod:`repro.bench.compare` — the counter-based regression gate
   (wall time advisory-only);
 * :mod:`repro.bench.slopes` — log-log / log-linear growth fitting;
-* :mod:`repro.bench.cli` — ``python -m repro.bench`` and the main
-  CLI's ``bench`` subcommand;
+* :mod:`repro.bench.cli` — the bodies of ``xnf bench run / compare /
+  report``, which :mod:`repro.cli` declares (``python -m repro.bench``
+  is an alias of ``xnf bench``);
 * :mod:`repro.bench.seams` — ``python -m repro.bench.seams``, the
   <1 % disabled-seam gates of every opt-in mechanism.
 

@@ -1,7 +1,7 @@
-"""``python -m repro.bench``: the benchmark observatory CLI."""
+"""``python -m repro.bench ARGS``: an alias of ``xnf bench ARGS``."""
 
 import sys
 
-from repro.bench.cli import main
+from repro.cli import main
 
-sys.exit(main())
+sys.exit(main(["bench", *sys.argv[1:]]))

@@ -18,8 +18,8 @@ Findings come in three severities:
 them to the exit code contract (0 pass, 1 regression).  Structural
 problems — unreadable files, schema version mismatch, a baseline
 benchmark missing from the current report — raise
-:class:`~repro.bench.schema.BenchReportError`, which the CLI maps to
-exit code 2.
+:class:`~repro.bench.schema.BenchReportError`, a usage error (exit
+code 2).
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import UsageError
 from repro.records import NUMBER, check
 
 SCHEMA_NAME = "repro.bench"
@@ -82,9 +82,9 @@ _FIT_FIELDS = {"polynomial": ("slope", "time_slope", "max_slope"),
                "exponential": ("base", "time_base", "min_base")}
 
 
-class BenchReportError(ReproError):
+class BenchReportError(UsageError):
     """A benchmark report file is malformed, unreadable, or from an
-    incompatible schema version."""
+    incompatible schema version (exit code 2)."""
 
 
 def envelope(*, suite: str, repeat: int) -> dict[str, Any]:
@@ -102,8 +102,7 @@ def validate(payload: Any, *, source: str = "report") -> dict[str, Any]:
     """Check ``payload`` against the current schema; returns it.
 
     Raises :class:`BenchReportError` with an actionable message on any
-    mismatch — the comparator turns these into exit code 2, never a
-    traceback.
+    mismatch — exit code 2, never a traceback.
     """
     check(payload, (), where=source, error=BenchReportError)
     if payload.get("schema") != SCHEMA_NAME:

@@ -11,8 +11,14 @@ Subcommands::
     xnf analyze    DTD_FILE FD_FILE [XML...] # design + redundancy report
     xnf bench      {run,compare,report} ...  # benchmark observatory
     xnf batch      MANIFEST.json             # crash-tolerant batch runs
-    xnf obs        {report,flame,diff} ...   # profiling observatory
+    xnf obs        {report,flame,diff,history,regress} ...
+                                             # profiling observatory
     xnf serve      [--port N]                # long-running HTTP service
+
+:func:`build_parser` declares every subcommand's arguments; a command's
+implementation is imported only when it runs.  The ``python -m`` entry
+points of the benchmark and profiling observatories are aliases of
+``xnf bench`` and ``xnf obs``.
 
 Observability (see ``docs/OBSERVABILITY.md``): every subcommand accepts
 ``--stats`` (print a metrics table — cache hit rate, chase steps,
@@ -30,7 +36,9 @@ accepts ``--timeout SECONDS`` (wall-clock deadline), ``--max-steps N``,
 ``--max-branches N``, and ``--max-nodes N``.  When a limit trips the
 coNP-hard engines degrade instead of hanging: ``implies`` prints
 ``unknown`` with the tripped limit, every other subcommand aborts with
-a diagnostic, and the process exits with code 4.
+a diagnostic, and the process exits with code 4.  ``bench run`` reads
+the flags as limits on each measured run, and ``serve`` as per-request
+ceilings (below).
 
 Fault injection (testing only): setting ``REPRO_FAULTS`` to a
 ``site[:kind[:after]],...`` spec (``REPRO_FAULTS_SEED`` seeds it)
@@ -79,14 +87,19 @@ Exit codes (uniform across subcommands; the full table is pinned by
     0  success / positive answer (implied, in XNF, batch all ok)
     1  negative answer (not implied, not in XNF, violations found,
        every batch task dead-lettered)
-    2  usage error (bad flags or arguments; argparse, bad batch
-       manifest, bad/mismatched batch journal)
-    3  input or pipeline error (any ReproError: parse failure,
+    2  usage error (bad flags or arguments: argparse, or a UsageError —
+       an unusable batch manifest or journal, trace, ledger or
+       benchmark report) — message on stderr
+    3  input or pipeline error (any other ReproError: parse failure,
        invalid FD, unsupported feature, ...) — message on stderr
     4  resource limit reached (--timeout / --max-steps / ... tripped
        before the answer was decided) — message on stderr
     5  partial batch failure (some tasks succeeded, some were
        dead-lettered; details in the JSON summary on stdout)
+
+Every ``ReproError`` carries its code as ``exit_code``
+(:mod:`repro.errors`), so :func:`main` maps an error without knowing
+the module that raised it.
 
 FD files contain one FD per line (``#`` comments allowed), e.g.::
 
@@ -104,12 +117,7 @@ import sys
 from pathlib import Path as FilePath
 
 from repro import guard, obs
-from repro.errors import (
-    JournalError,
-    ManifestError,
-    ReproError,
-    ResourceExhausted,
-)
+from repro.errors import ReproError, ResourceExhausted, UsageError
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serializer import serialize_dtd
 from repro.fd.implication import UNKNOWN, YES
@@ -212,12 +220,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import cli as bench_cli
-    return bench_cli.dispatch(args)
+    return getattr(bench_cli, f"cmd_{args.bench_command}")(args)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import cli as obs_cli
-    return obs_cli.dispatch(args)
+    return getattr(obs_cli, f"cmd_{args.obs_command}")(args)
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -234,9 +242,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.runtime.retry import RetryPolicy
 
     if args.resume and not args.journal:
-        print("error: --resume requires --journal FILE",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--resume requires --journal FILE")
     manifest = manifest_mod.load(args.manifest)
     seed = args.seed if args.seed is not None else manifest.seed
     policy = RetryPolicy(retries=args.retries,
@@ -247,8 +253,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         workers = resolve_workers(args.workers,
                                   task_count=manifest.task_count)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(error)) from None
     pool = None
     if workers > 1 and os.environ.get("REPRO_FAULTS"):
         # Fault-plan arms are process-global fire-once state; forked
@@ -294,9 +299,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 # Readable too, so the writer can cut a torn last record.
                 ledger_stream = open(ledger_file, "a+")
             except OSError as error:
-                print(f"error: cannot open ledger file: {error}",
-                      file=sys.stderr)
-                return EXIT_ERROR
+                raise ReproError(
+                    f"cannot open ledger file: {error}") from error
             closing.callback(ledger_stream.close)
             on_task_done = LedgerWriter(
                 ledger_stream, manifest=manifest,
@@ -379,9 +383,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # obs enablement above (in-process callers keep their state).
         if not obs_was_enabled:
             obs.disable()
-        print(f"error: cannot bind {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(
+            f"cannot bind {args.host}:{args.port}: {error}") from error
     print(f"serve: listening on {server.url()} "
           "(POST /v1/implication /v1/xnf-check /v1/normalize; "
           "GET /metrics /healthz /readyz)",
@@ -508,20 +511,113 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("xml", nargs="*", help="documents to measure")
     ana.set_defaults(func=_cmd_analyze)
 
-    from repro.bench.cli import configure_parser as _configure_bench
     ben = sub.add_parser("bench",
                          help="benchmark observatory "
                          "(docs/BENCHMARKS.md)")
-    _configure_bench(ben)
     ben.set_defaults(func=_cmd_bench)
+    ben_sub = ben.add_subparsers(dest="bench_command", required=True)
+    # The persistent bench trajectory at the repo root (committed
+    # baselines live under ``benchmarks/baselines``).
+    bench_report = "BENCH_core.json"
+    # The budget flags come from ``common``: they bound each measured
+    # run, not the whole suite.
+    ben_run = ben_sub.add_parser(
+        "run", parents=[common],
+        help="run benchmarks and write the JSON report")
+    ben_run.add_argument("--quick", action="store_true",
+                         help="the reduced CI series (same benchmarks, "
+                         "fewer points)")
+    ben_run.add_argument("--out", metavar="FILE", default=bench_report,
+                         help="report path (default: %(default)s)")
+    ben_run.add_argument("--only", metavar="PATTERN", action="append",
+                         help="run only benchmarks whose name contains "
+                         "PATTERN (repeatable)")
+    ben_run.add_argument("--repeat", type=int, metavar="N", default=None,
+                         help="override per-benchmark repeat counts")
+    ben_run.add_argument("--no-memory", action="store_true",
+                         help="skip the tracemalloc pass")
+    ben_run.add_argument("--quiet", action="store_true",
+                         help="no per-benchmark progress on stderr")
+    ben_comp = ben_sub.add_parser(
+        "compare",
+        help="gate CURRENT against BASELINE on operation counters")
+    ben_comp.add_argument("baseline", help="baseline report (e.g. "
+                          "benchmarks/baselines/quick.json)")
+    ben_comp.add_argument("current", help="freshly generated report")
+    ben_comp.add_argument("--tolerance", type=float, metavar="PCT",
+                          default=5.0,
+                          help="allowed counter growth in percent "
+                          "(default: %(default)s)")
+    ben_rep = ben_sub.add_parser("report",
+                                 help="pretty-print a report file")
+    ben_rep.add_argument("file", nargs="?", default=bench_report,
+                         help="report path (default: %(default)s)")
 
-    from repro.obs.cli import configure_parser as _configure_obs
     obs_parser = sub.add_parser("obs",
                                 help="profiling observatory: fold "
                                 "--trace logs into profiles "
                                 "(docs/OBSERVABILITY.md)")
-    _configure_obs(obs_parser)
     obs_parser.set_defaults(func=_cmd_obs)
+    obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
+    # The positional is "trace_path", not "trace": the global --trace
+    # FILE owns the "trace" dest, and sharing it would make `xnf obs
+    # report T` truncate T before reading it.
+    obs_rep = obs_sub.add_parser(
+        "report", help="fold a --trace log into a profile report")
+    obs_rep.add_argument("trace_path", metavar="TRACE",
+                         help="JSON-lines span trace file, or - for stdin")
+    obs_rep.add_argument("--no-counters", action="store_true",
+                         help="omit the self-attributed counter-delta "
+                         "section")
+    obs_rep.add_argument("--by-task", action="store_true",
+                         help="add the per-manifest-task rollup "
+                         "(stitched batch traces)")
+    obs_fla = obs_sub.add_parser(
+        "flame", help="emit folded stacks for flamegraph tools")
+    obs_fla.add_argument("trace_path", metavar="TRACE",
+                         help="JSON-lines span trace file, or - for stdin")
+    obs_fla.add_argument("-o", "--out", metavar="FILE",
+                         help="write to FILE instead of stdout")
+    obs_dif = obs_sub.add_parser(
+        "diff", help="gate two traces (or stats snapshots) on "
+        "counter deltas")
+    obs_dif.add_argument("baseline", help="baseline trace or snapshot "
+                         "JSON, or - for stdin")
+    obs_dif.add_argument("current", help="current trace or snapshot "
+                         "JSON, or - for stdin")
+    obs_dif.add_argument("--tolerance", type=float, metavar="PCT",
+                         default=5.0,
+                         help="allowed counter growth in percent "
+                         "(default: %(default)s)")
+    obs_his = obs_sub.add_parser(
+        "history", help="summarise a --ledger run history")
+    obs_his.add_argument("ledger_path", metavar="LEDGER",
+                         help="JSON-lines run ledger file, or - for stdin")
+    obs_his.add_argument("--task", metavar="ID",
+                         help="show every run of one task instead of "
+                         "the per-run summary")
+    obs_his.add_argument("--limit", type=int, metavar="N",
+                         help="only the most recent N runs")
+    obs_reg = obs_sub.add_parser(
+        "regress", help="gate the latest ledger run against "
+        "baseline runs")
+    obs_reg.add_argument("ledger_path", metavar="LEDGER",
+                         help="JSON-lines run ledger file, or - for stdin")
+    obs_reg.add_argument("--baseline", metavar="FILE",
+                         help="compare against this ledger's runs "
+                         "instead of earlier runs in LEDGER")
+    obs_reg.add_argument("--tolerance", type=float, metavar="PCT",
+                         default=5.0,
+                         help="allowed per-task wall-time growth in "
+                         "percent after scale normalisation "
+                         "(default: %(default)s)")
+    obs_reg.add_argument("--min-wall-ms", type=float, metavar="MS",
+                         default=1.0,
+                         help="ignore timing movement on tasks faster "
+                         "than MS (default: %(default)s)")
+    obs_reg.add_argument("--absolute", action="store_true",
+                         help="compare raw wall times (skip the "
+                         "median-ratio machine-speed normalisation)")
 
     def _nonneg_int(text: str) -> int:
         value = int(text)
@@ -740,10 +836,12 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     # `serve` interprets the budget flags as per-request ceilings
-    # (installed thread-scoped around each request by the handlers); a
-    # process-wide install here would tick across all requests and the
-    # deadline would kill the daemon itself.
-    process_budget = {} if args.command == "serve" else budget_kwargs
+    # (installed thread-scoped around each request by the handlers), and
+    # `bench run` as limits per measured run; a process-wide install
+    # here would tick across all requests or runs, and the deadline
+    # would kill the daemon itself.
+    process_budget = {} if args.command in ("serve", "bench") \
+        else budget_kwargs
     try:
         with obs.span(f"cli.{args.command}"):
             with guard.limits(**process_budget):
@@ -752,22 +850,17 @@ def main(argv: list[str] | None = None) -> int:
                     with faults.use(fault_plan):
                         return args.func(args)
                 return args.func(args)
-    except ResourceExhausted as error:
-        print(f"error: resource limit reached: {error}", file=sys.stderr)
-        if error.partial:
-            detail = ", ".join(f"{k}={v}" for k, v
-                               in sorted(error.partial.items()))
-            print(f"partial progress: {detail}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (JournalError, ManifestError) as error:
-        # A bad/mismatched journal or an unusable batch manifest is a
-        # usage problem, not a pipeline failure: the flags/arguments
-        # named something that cannot apply to this invocation.
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
     except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
+        if isinstance(error, ResourceExhausted):
+            print(f"error: resource limit reached: {error}",
+                  file=sys.stderr)
+            if error.partial:
+                detail = ", ".join(f"{k}={v}" for k, v
+                                   in sorted(error.partial.items()))
+                print(f"partial progress: {detail}", file=sys.stderr)
+        else:
+            print(f"error: {error}", file=sys.stderr)
+        return error.exit_code
     finally:
         if exporter is not None:
             exporter.stop()

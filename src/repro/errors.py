@@ -3,13 +3,33 @@
 Every error raised by the library derives from :class:`ReproError`, so a
 caller can catch one type to handle any library failure.  Subclasses are
 split by subsystem to make targeted handling (and testing) possible.
+
+Each class carries its ``xnf`` exit code (the table in :mod:`repro.cli`)
+as ``exit_code``, which ``xnf`` and ``xnf serve``'s error envelopes
+read without knowing the module that raised the error.
 """
 
 from __future__ import annotations
 
+#: The exit code of an exception-safety contract breach (a
+#: non-:class:`ReproError` escaped): a batch-pool worker's, and that of
+#: ``xnf serve``'s ``contract`` envelope.  BSD ``EX_SOFTWARE``.
+BREACH_EXITCODE = 70
+
 
 class ReproError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class for all errors raised by this library: an input or
+    pipeline error, exit code 3."""
+
+    exit_code = 3
+
+
+class UsageError(ReproError):
+    """An argument names a file or request this invocation cannot use
+    (a batch manifest or journal, a trace, a ledger, a benchmark
+    report, a service request): exit code 2, like a bad flag."""
+
+    exit_code = 2
 
 
 class ParseError(ReproError):
@@ -89,8 +109,11 @@ class ResourceExhausted(ReproError):
     ``partial`` is a dict that engines annotate with progress made
     before the trip (engine name, branches explored, transform steps
     applied, ...).  The implication facade converts this exception into
-    an ``UNKNOWN`` verdict; the CLI maps it to exit code 4.
+    an ``UNKNOWN`` verdict; anywhere else it ends the command with exit
+    code 4.
     """
+
+    exit_code = 4
 
     def __init__(self, limit: str, *, spent=None, allowed=None,
                  partial: dict | None = None) -> None:
@@ -138,12 +161,12 @@ class InjectedAllocationFailure(FaultError, MemoryError):
     """
 
 
-class ManifestError(ReproError):
+class ManifestError(UsageError):
     """Raised for unusable batch manifests: malformed JSON, a
     schema-version mismatch, duplicate task ids, an unknown operation,
-    or a task missing required fields.  The CLI maps this to exit code
-    2 (usage error): the manifest itself — not the specs it names — is
-    what cannot be used."""
+    or a task missing required fields.  A usage error (exit code 2):
+    the manifest itself — not the specs it names — is what cannot be
+    used."""
 
 
 class WorkerCrash(ReproError):
@@ -193,17 +216,17 @@ class EnsembleDisagreementError(ReproError):
         self.record = record
 
 
-class JournalError(ReproError):
+class JournalError(UsageError):
     """Raised for unusable batch journals: malformed records in the
     body of the file, a schema-version mismatch, a duplicated task
     result, a journal recorded for a different manifest / policy /
     breaker configuration than the one being resumed, or a torn append
     (the record did not reach the file intact, so the batch must stop
-    rather than continue past a hole in the log).  The CLI maps this to
-    exit code 2 (usage error), like :class:`ManifestError`: the flags
-    named a journal that cannot apply to this invocation.  A *torn
-    trailing record* is explicitly not an error — resume truncates it
-    with a counted warning."""
+    rather than continue past a hole in the log).  A usage error (exit
+    code 2), like :class:`ManifestError`: the flags named a journal
+    that cannot apply to this invocation.  A *torn trailing record* is
+    explicitly not an error — resume truncates it with a counted
+    warning."""
 
 
 class NormalizationError(ReproError):

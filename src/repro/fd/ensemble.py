@@ -32,8 +32,11 @@ the primary exact engine's verdict — not silently: the record, the
 **Degradation**: when one engine trips a :mod:`repro.guard` limit the
 ensemble falls back to a surviving engine whose answer is sound on its
 own (``ensemble.fallback.*`` counters), and only re-raises the
-exhaustion when no survivor is authoritative.  The brute member never
-fails a decision: any error it hits just marks it "skipped".
+exhaustion when no survivor is authoritative.  A session keeps only
+disagreements, so the process-wide default one (``engine="ensemble"``
+outside :func:`session`, as in ``xnf serve``) grows only on those.
+The brute member never fails a decision: any error it hits just marks
+it "skipped".
 
 Usage::
 
@@ -108,7 +111,7 @@ class EnsembleDisagreement:
 
 
 class Session:
-    """The ambient collector of one ensemble run's records."""
+    """The ambient collector of one ensemble run's disagreements."""
 
     def __init__(self, mode: str = "check") -> None:
         if mode not in MODES:
@@ -117,12 +120,6 @@ class Session:
                 f"{list(MODES)}")
         self.mode = mode
         self.disagreements: list[EnsembleDisagreement] = []
-        self.fallbacks: list[str] = []
-
-    def drain(self) -> list[EnsembleDisagreement]:
-        """Return and clear the collected disagreements."""
-        records, self.disagreements = self.disagreements, []
-        return records
 
 
 #: The bottom-of-stack session: ``engine="ensemble"`` outside any
@@ -201,7 +198,6 @@ def differential_implies(dtd: DTD, sigma: list[FD], fd: FD, *,
             # The closure's answer is sound on its own; serve it.
             if _obs.enabled:
                 _obs.inc("ensemble.fallback.closure")
-            sess.fallbacks.append("closure")
             return closure_answer
         assert chase_error is not None
         chase_error.partial.setdefault("engine", "ensemble.chase")
@@ -210,7 +206,6 @@ def differential_implies(dtd: DTD, sigma: list[FD], fd: FD, *,
         # The chase is exact by itself; the cross-check just degrades.
         if _obs.enabled:
             _obs.inc("ensemble.fallback.chase")
-        sess.fallbacks.append("chase")
         return chase_answer
     if closure_answer is None and chase_answer is None:
         # Recursive DTD with an exhausted closure: nothing survived.

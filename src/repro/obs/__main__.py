@@ -1,7 +1,7 @@
-"""``python -m repro.obs``: the profiling-observatory CLI."""
+"""``python -m repro.obs ARGS``: an alias of ``xnf obs ARGS``."""
 
 import sys
 
-from repro.obs.cli import main
+from repro.cli import main
 
-sys.exit(main())
+sys.exit(main(["obs", *sys.argv[1:]]))

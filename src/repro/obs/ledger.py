@@ -50,7 +50,7 @@ from typing import IO, Callable
 
 from repro import records
 from repro.bench.compare import Finding
-from repro.errors import ReproError
+from repro.errors import UsageError
 from repro.records import fingerprint
 
 #: The ``schema`` discriminator stamped on every ledger record.
@@ -69,8 +69,9 @@ _FIELDS = (("run", str, True), ("task", str, True),
            ("counters_sha", (str, type(None)), False))
 
 
-class LedgerError(ReproError):
-    """A ledger file is unreadable, malformed, or not comparable."""
+class LedgerError(UsageError):
+    """A ledger file is unreadable, malformed, or not comparable
+    (exit code 2)."""
 
 
 def counters_digest(delta: dict) -> str | None:

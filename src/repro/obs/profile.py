@@ -37,11 +37,12 @@ from typing import Iterator
 
 from repro import records
 from repro.bench.compare import Finding, gate, render_findings
-from repro.errors import ReproError
+from repro.errors import UsageError
 
 
-class TraceError(ReproError):
-    """A trace (or snapshot) file is unreadable or malformed."""
+class TraceError(UsageError):
+    """A trace (or snapshot) file is unreadable or malformed (exit
+    code 2)."""
 
 
 # -- loading -----------------------------------------------------------
@@ -509,7 +510,7 @@ def diff(base_path: str | Path, curr_path: str | Path, *,
     """Compare two trace/snapshot files; returns (report text, exit
     code) under the bench comparator's 0-pass / 1-regression
     contract.  Unreadable or malformed input raises
-    :class:`TraceError` (the CLI maps it to exit 2)."""
+    :class:`TraceError` (exit code 2)."""
     base_kind, base = load_comparable(base_path)
     curr_kind, curr = load_comparable(curr_path)
     findings = diff_comparables(base, curr, tolerance=tolerance)

@@ -367,20 +367,25 @@ class BatchRunner:
     def commit(self, index: int, outcome: "TaskOutcome",
                outcomes: dict) -> bool:
         """The one commit path of a finished task, on every backend, in
-        index order: :func:`settle` its breaker traffic, count it,
-        journal it durably, merge it into ``outcomes``, then hand it to
-        ``on_task_done``.  Returns ``False``, committing nothing, when
-        settle sends the task back to run again.  A write failure on
-        the way is a :class:`ReproError` that ends the batch."""
+        index order: :func:`settle` its breaker traffic, count it, hand
+        it to ``on_task_done`` (the ledger), journal it durably, then
+        merge it into ``outcomes``.  Returns ``False``, committing
+        nothing, when settle sends the task back to run again.  A write
+        failure on the way is a :class:`ReproError` that ends the batch.
+
+        The journal comes last because ``--resume`` skips exactly the
+        tasks it holds: a run that stops between the two writes leaves
+        the task unjournaled, so resume runs and ledgers it again; the
+        other order would leave it journaled and never ledgered."""
         if not settle(self.board, outcome):
             return False
         if _obs.enabled:
             _count(outcome)
+        if self.on_task_done is not None:
+            self.on_task_done(outcome)
         if self.journal is not None:
             self.journal.result(index, outcome)
         outcomes[index] = outcome
-        if self.on_task_done is not None:
-            self.on_task_done(outcome)
         return True
 
     # -- one task ------------------------------------------------------

@@ -66,8 +66,8 @@ parent.
 A non-:class:`~repro.errors.ReproError` escaping a task inside a
 worker is the same exception-safety breach it is on the serial path:
 the worker reports the traceback and exits with
-:data:`BREACH_EXITCODE`, and the parent tears the pool down and
-crashes loudly.
+:data:`repro.errors.BREACH_EXITCODE`, and the parent tears the pool
+down and crashes loudly.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
 from typing import Iterator
 
-from repro.errors import WorkerCrash
+from repro.errors import BREACH_EXITCODE, WorkerCrash
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.runtime.batch import (
@@ -97,11 +97,6 @@ from repro.runtime.batch import (
 from repro.runtime.breaker import failure_signature
 from repro.runtime.manifest import Task
 from repro.runtime.retry import RetryPolicy
-
-#: Exit code a worker uses to flag an exception-safety contract
-#: breach (a non-ReproError escaped a task).  Mirrors BSD
-#: ``EX_SOFTWARE``.
-BREACH_EXITCODE = 70
 
 #: Default number of worker deaths one task may survive before it is
 #: dead-lettered with reason ``worker_crash``.

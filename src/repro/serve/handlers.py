@@ -7,7 +7,9 @@ endpoint computations, and the complete exception→response mapping.
 The HTTP layer (:mod:`repro.serve.server`) only does transport:
 admission, byte I/O, and signal handling.
 
-Error contract (mirrors the CLI exit-code table, see docs/SERVE.md):
+Error contract (mirrors the CLI exit-code table, see docs/SERVE.md;
+the status and ``kind`` follow the error's class, and ``exit_code`` is
+the error's own, :attr:`repro.errors.ReproError.exit_code`):
 
 =====================================  ======  =========  ==========
 condition                              status  exit_code  kind
@@ -42,7 +44,13 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import guard
-from repro.errors import FaultError, ReproError, ResourceExhausted
+from repro.errors import (
+    BREACH_EXITCODE,
+    FaultError,
+    ReproError,
+    ResourceExhausted,
+    UsageError,
+)
 from repro.faults import plan as _faults
 from repro.obs import metrics as _obs
 from repro.serve.cache import SpecCache
@@ -69,7 +77,7 @@ _SITES = {
 }
 
 
-class BadRequest(ReproError):
+class BadRequest(UsageError):
     """A malformed request envelope (maps to 400 / usage)."""
 
 
@@ -144,17 +152,17 @@ def error_response(exc: BaseException, *,
     outside :func:`handle`).  Counts and logs contract breaches.
     """
     if isinstance(exc, BadRequest):
-        return _error(400, 2, "usage", exc)
+        return _error(400, "usage", exc)
     if isinstance(exc, ResourceExhausted):
-        return _error(408, 4, "resource", exc)
+        return _error(408, "resource", exc)
     if isinstance(exc, FaultError):
-        return _error(500, 3, "fault", exc)
+        return _error(500, "fault", exc)
     if isinstance(exc, ReproError):
-        return _error(422, 3, "input", exc)
+        return _error(422, "input", exc)
     if _obs.enabled:
         _obs.inc("serve.contract_breach")
     log.error("contract breach handling %s", context, exc_info=exc)
-    return _error(500, 70, "contract", exc)
+    return _error(500, "contract", exc)
 
 
 def _dispatch(endpoint: str, payload: Any, cache: SpecCache,
@@ -208,12 +216,15 @@ def _field(payload: dict, name: str, *, required: bool = True,
     return value
 
 
-def _error(status: int, exit_code: int, kind: str,
+def _error(status: int, kind: str,
            exc: BaseException) -> tuple[int, dict]:
-    message = str(exc) or type(exc).__name__
     if kind == "contract":
         # Never leak internals for unexpected failures.
         message = f"internal error ({type(exc).__name__})"
+        exit_code = BREACH_EXITCODE
+    else:
+        message = str(exc) or type(exc).__name__
+        exit_code = exc.exit_code
     return status, {"error": {"type": type(exc).__name__,
                               "message": message,
                               "status": status,

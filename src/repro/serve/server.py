@@ -28,7 +28,9 @@ can always parse ``body["error"]["kind"]``:
 * 429 ``shed`` (+ ``Retry-After``) — admission queue full;
 * 503 ``queue-timeout`` (+ ``Retry-After``) — queued past the timeout;
 * 503 ``draining`` — shutdown in progress;
-* 400 ``usage`` — unreadable/oversized/non-JSON body;
+* 400 ``usage`` — unreadable/oversized/non-JSON body, or a body that
+  stalls for the admission queue timeout (the connection closes, which
+  frees its permit);
 * 404/405 ``usage`` — unknown path / wrong method.
 
 The accounting seam is :func:`account` — one call per finished
@@ -244,7 +246,20 @@ class NormalizationServer(MetricsExporter):
             return None, (400, _refusal(
                 400, "usage", "BadRequest",
                 f"body exceeds {self.max_body_bytes} bytes"))
-        raw = request.rfile.read(length)
+        # The permit is held while the body arrives: a stalled body is
+        # cut after the queue timeout (an idle keep-alive wait is not).
+        sock = request.connection
+        idle_timeout = sock.gettimeout()
+        sock.settimeout(self.gate.queue_timeout_s)
+        try:
+            raw = request.rfile.read(length)
+        except TimeoutError:
+            return None, (400, _refusal(
+                400, "usage", "BadRequest",
+                f"request body stalled for {self.gate.queue_timeout_s}s "
+                f"before its {length} declared byte(s) arrived"))
+        finally:
+            sock.settimeout(idle_timeout)
         try:
             return json.loads(raw.decode("utf-8")), None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

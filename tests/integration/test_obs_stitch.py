@@ -141,14 +141,13 @@ class TestStitchedTrace:
             self, tmp_path, capsys):
         records = run_traced_batch(tmp_path, "tools", workers=4)
         trace_path = tmp_path / "trace-tools.jsonl"
-        from repro.obs.cli import main as obs_main
-        assert obs_main(["report", str(trace_path),
-                         "--by-task"]) == 0
+        from repro.cli import main
+        assert main(["obs", "report", str(trace_path), "--by-task"]) == 0
         out = capsys.readouterr().out
         assert "anchored" in out
         assert "-- by task:" in out
         assert "corpus-0000" in out
-        assert obs_main(["flame", str(trace_path)]) == 0
+        assert main(["obs", "flame", str(trace_path)]) == 0
         flame = capsys.readouterr().out
         assert "cli.batch;runtime.task" in flame
 

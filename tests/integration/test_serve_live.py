@@ -236,6 +236,49 @@ class TestOverload:
         finally:
             srv.stop()
 
+    def test_a_stalled_body_releases_its_permit(self):
+        """A client that declares more body than it sends is cut after
+        the queue timeout, not held until it disconnects; an idle
+        keep-alive connection between requests is not."""
+        srv = NormalizationServer(0, max_inflight=1,
+                                  queue_timeout_s=0.5).start()
+        body = json.dumps({"dtd": SIMPLE_DTD,
+                           "fds": SIMPLE_FDS}).encode("utf-8")
+        try:
+            stalled = socket.create_connection((srv.host, srv.port),
+                                               timeout=10)
+            try:
+                stalled.sendall(
+                    b"POST /v1/xnf-check HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {len(body) + 50}\r\n\r\n"
+                    .encode("ascii") + body)
+                reply = b""
+                while chunk := stalled.recv(65536):   # b"" is EOF
+                    reply += chunk
+            finally:
+                stalled.close()
+            head, _, text = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert json.loads(text)["error"]["kind"] == "usage"
+            status, _, _ = _post(srv.url("/v1/xnf-check"),
+                                 {"dtd": SIMPLE_DTD, "fds": SIMPLE_FDS})
+            assert status == 200
+            conn = http.client.HTTPConnection(srv.host, srv.port,
+                                              timeout=10)
+            try:
+                for pause in (0, 1.0):
+                    time.sleep(pause)
+                    conn.request("POST", "/v1/xnf-check", body=body)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+            finally:
+                conn.close()
+        finally:
+            srv.stop()
+
     def test_one_pathological_request_leaves_neighbors_healthy(self):
         """A request burning its whole budget degrades alone: the
         spec-level isolation the thread-scoped guard provides."""

@@ -14,9 +14,13 @@ import json
 import pytest
 
 from repro.bench import compare
-from repro.bench.cli import main as bench_main
 from repro.bench.schema import (BenchReportError, SCHEMA_NAME,
                                 SCHEMA_VERSION, envelope)
+from repro.cli import main
+
+
+def bench_main(argv):
+    return main(["bench", *argv])
 
 
 def make_payload(counters=None, *, time_s=0.01, claim=None,

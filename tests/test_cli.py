@@ -204,6 +204,10 @@ class TestColdImports:
         ("repro.runtime.journal", ["repro.obs.ledger", "repro.bench"]),
         ("repro.serve.cache", ["repro.obs.ledger", "repro.bench"]),
         ("repro.fd.implication", ["repro.runtime"]),
+        # The parser declares every command without importing one.
+        ("repro.cli; repro.cli.build_parser()",
+         ["repro.bench", "repro.obs.cli", "repro.obs.profile",
+          "repro.obs.ledger", "repro.records"]),
     ])
     def test_import_leaves_out(self, module, unwanted):
         import os, subprocess, sys
@@ -373,13 +377,30 @@ class TestBenchResourceLimits:
         assert code == 4
         assert "resource limit reached" in capsys.readouterr().err
 
-    def test_bench_module_matches(self, tmp_path):
-        from repro.bench.cli import main as bench_main
+    def test_budget_flag_before_the_subcommand_is_exit_4(self, tmp_path,
+                                                         capsys):
+        """``bench run`` takes the global budget flags, so one given
+        before ``bench`` bounds each measured run too."""
         out = str(tmp_path / "bench.json")
-        code = bench_main(["run", "--quick", "--quiet",
-                           "--only", "implication", "--no-memory",
-                           "--max-steps", "5", "--out", out])
+        code = main(["--max-steps", "5", "bench", "run", "--quick",
+                     "--quiet", "--only", "implication", "--no-memory",
+                     "--out", out])
         assert code == 4
+        err = capsys.readouterr().err
+        assert "resource limit reached" in err
+        assert "partial progress: engine=" in err
+
+    def test_bench_module_matches(self, tmp_path, monkeypatch):
+        """``python -m repro.bench`` is an alias of ``xnf bench``."""
+        import runpy, sys
+        out = str(tmp_path / "bench.json")
+        monkeypatch.setattr(sys, "argv", [
+            "repro.bench", "run", "--quick", "--quiet", "--only",
+            "implication", "--no-memory", "--max-steps", "5",
+            "--out", out])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("repro.bench", run_name="__main__")
+        assert info.value.code == 4
 
 
 class TestRobustnessCounters:

@@ -22,6 +22,7 @@ import pytest
 import repro.cli as cli
 from repro.cli import main
 from repro.datasets.university import UNIVERSITY_DTD, UNIVERSITY_FDS
+from repro.errors import ReproError, ResourceExhausted, UsageError
 
 SIMPLE_DTD = ("<!ELEMENT db (r*)>\n<!ELEMENT r EMPTY>\n"
               "<!ATTLIST r a CDATA #REQUIRED b CDATA #REQUIRED>")
@@ -66,6 +67,11 @@ class TestConstants:
             == (0, 1, 2, 3, 4, 5)
         for code in range(6):
             assert f"    {code}  " in cli.__doc__
+
+    def test_errors_carry_their_exit_codes(self):
+        assert ReproError.exit_code == cli.EXIT_ERROR
+        assert UsageError.exit_code == cli.EXIT_USAGE
+        assert ResourceExhausted.exit_code == cli.EXIT_RESOURCE
 
 
 class TestExit0:
@@ -215,7 +221,6 @@ class TestExit2:
         never a traceback.  So are a trace whose parent links loop, a
         claim without its ``statement``, a result whose status or
         failures replay cannot rebuild, and a time no date has."""
-        from repro.bench.cli import main as bench_main
         from repro.bench.schema import envelope
         good = tmp_path / "good.json"
         bad = tmp_path / "bad.json"
@@ -258,8 +263,8 @@ class TestExit2:
             (entry["points"][0] if "counters" in change else entry) \
                 .update(change)
             bad.write_text(json.dumps(payload))
-            code = bench_main(["compare", str(good), str(bad)]
-                              if kind == "bench" else ["report", str(bad)])
+            code = main(["bench", "compare", str(good), str(bad)]
+                        if kind == "bench" else ["bench", "report", str(bad)])
         err = capsys.readouterr().err
         assert code == 2, err
         assert str(bad) in err and repr(field) in err, err

@@ -379,31 +379,31 @@ class TestCli:
         return path
 
     def test_history_exit_zero(self, tmp_path, capsys):
-        from repro.obs.cli import main
+        from repro.cli import main
         path = self._ledger_file(
             tmp_path, {"r": {"t-1": ("ok", 0, 1.0)}})
-        assert main(["history", str(path)]) == 0
+        assert main(["obs", "history", str(path)]) == 0
         assert "1 run(s)" in capsys.readouterr().out
 
     def test_regress_exit_codes(self, tmp_path, capsys):
-        from repro.obs.cli import main
+        from repro.cli import main
         path = self._ledger_file(tmp_path, {
             "base": {"t-1": ("ok", 0, 10.0), "t-2": ("ok", 0, 20.0)},
             "curr": {"t-1": ("ok", 0, 10.0), "t-2": ("ok", 0, 60.0)}})
-        assert main(["regress", str(path)]) == 1
+        assert main(["obs", "regress", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
-        assert main(["regress", str(path), "--tolerance", "400"]) == 0
+        assert main(["obs", "regress", str(path), "--tolerance", "400"]) == 0
 
     def test_regress_structural_exit_two(self, tmp_path, capsys):
-        from repro.obs.cli import main
+        from repro.cli import main
         path = self._ledger_file(
             tmp_path, {"only": {"t-1": ("ok", 0, 1.0)}})
-        assert main(["regress", str(path)]) == 2
+        assert main(["obs", "regress", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["history", "regress"])
     def test_mistyped_ledger_exit_two(self, tmp_path, capsys, command):
-        from repro.obs.cli import main
+        from repro.cli import main
         path = self._ledger_file(tmp_path, {
             "base": {"t-1": ("ok", 0, 10.0)},
             "curr": {"t-1": ("ok", 0, 10.0)}})
@@ -412,14 +412,14 @@ class TestCli:
         record["wall_ms"] = "12"
         path.write_text("\n".join(lines[:-1] + [json.dumps(record)])
                         + "\n")
-        assert main([command, str(path)]) == 2
+        assert main(["obs", command, str(path)]) == 2
         err = capsys.readouterr().err
         assert "'wall_ms' has the wrong type str" in err
         assert "Traceback" not in err
 
     def test_unreadable_ledger_exit_two(self, tmp_path, capsys):
-        from repro.obs.cli import main
-        assert main(["history", str(tmp_path / "nope.jsonl")]) == 2
+        from repro.cli import main
+        assert main(["obs", "history", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
 

@@ -101,3 +101,24 @@ def test_write_failure_ends_the_batch(tmp_path, workers, writer):
     assert lines[0].startswith("error: ")
     assert "No space left on device" in lines[0]
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_a_resumed_run_ledgers_every_task(tmp_path, workers):
+    """A ledger write that fails ends the batch before the task is
+    journaled, so ``--resume`` runs it and the ledger covers it."""
+    manifest = _manifest(tmp_path / "m.json", [
+        {"id": f"t{index}", "op": "check", "dtd_text": DTD,
+         "fds_text": "db.r.@a -> db.r.@b"} for index in range(8)])
+    journal, ledger = tmp_path / "j", tmp_path / "l"
+    run = ["batch", manifest, "--workers", workers, "--journal", journal,
+           "--ledger", ledger]
+    failed = _xnf(run, script=DISK_FULL.format(
+        module="repro.cli", marker='"repro.obs.ledger"'))
+    assert failed.returncode == 3, failed.stderr
+    resumed = _xnf([*run, "--resume"])
+    assert resumed.returncode == 0, resumed.stderr
+    records = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert len({record["run"] for record in records}) == 2
+    assert sorted({record["task"] for record in records}) \
+        == [f"t{index}" for index in range(8)]

@@ -1,5 +1,7 @@
 """Unit tests for the differential engine ensemble."""
 
+import copy
+
 import pytest
 
 from repro.errors import (
@@ -9,8 +11,10 @@ from repro.errors import (
 )
 from repro.fd.model import FD
 from repro.fd import ensemble
+from repro.serve import BudgetDefaults, SpecCache
+from repro.serve.handlers import handle
 from repro.spec import XMLSpec
-from repro import guard
+from repro import guard, obs
 
 SIMPLE_DTD = ("<!ELEMENT db (r*)>\n<!ELEMENT r EMPTY>\n"
               "<!ATTLIST r a CDATA #REQUIRED b CDATA #REQUIRED>")
@@ -28,6 +32,18 @@ RECURSIVE_DTD = ("<!ELEMENT db (part*)>\n"
 
 def _spec(dtd_text, fds):
     return XMLSpec.parse(dtd_text, fds, engine="ensemble")
+
+
+@pytest.fixture
+def counters():
+    """The obs counters recorded during the test."""
+    was_enabled = obs.is_enabled()
+    obs.enable()
+    obs.reset()
+    yield lambda: obs.snapshot()["counters"]
+    obs.reset()
+    if not was_enabled:
+        obs.disable()
 
 
 class TestAgreement:
@@ -94,15 +110,16 @@ class TestDisagreement:
 
 
 class TestDegradation:
-    def test_chase_limit_falls_back_to_sound_closure_yes(self,
-                                                         monkeypatch):
+    def test_chase_limit_falls_back_to_sound_closure_yes(
+            self, monkeypatch, counters):
         def exhausted(dtd, sigma, fd, **kwargs):
             raise ResourceExhausted("branches", spent=8, allowed=8)
         monkeypatch.setattr(ensemble, "chase_implies", exhausted)
         spec = _spec(DISJUNCTIVE_DTD, ["r.a -> r.c.@x"])
-        with ensemble.session("check") as sess:
+        with ensemble.session("check"):
             assert spec.implies("r.a -> r.c.@x")   # closure proves YES
-        assert sess.fallbacks == ["closure"]
+        assert counters()["ensemble.fallback.closure"] == 1
+        assert "ensemble.fallback.chase" not in counters()
 
     def test_chase_limit_with_unsound_closure_no_reraises(self,
                                                           monkeypatch):
@@ -114,14 +131,34 @@ class TestDegradation:
             with pytest.raises(ResourceExhausted):
                 spec.implies("r -> r.c.@x")   # closure NO is not sound
 
-    def test_closure_limit_falls_back_to_exact_chase(self, monkeypatch):
+    def test_closure_limit_falls_back_to_exact_chase(self, monkeypatch,
+                                                     counters):
         def exhausted(dtd, sigma, fd, **kwargs):
             raise ResourceExhausted("steps", spent=5, allowed=5)
         monkeypatch.setattr(ensemble, "closure_implies", exhausted)
         spec = _spec(DISJUNCTIVE_DTD, ["r.a -> r.c.@x"])
-        with ensemble.session("check") as sess:
+        with ensemble.session("check"):
             assert not spec.implies("r -> r.c.@x")
-        assert sess.fallbacks == ["chase"]
+        assert counters()["ensemble.fallback.chase"] == 1
+        assert "ensemble.fallback.closure" not in counters()
+
+    def test_budget_trips_leave_the_default_session_unchanged(
+            self, counters):
+        """``xnf serve`` runs ensemble requests in the process-wide
+        default session, which nothing clears: a fallback must not
+        grow it."""
+        before = copy.deepcopy(vars(ensemble.current()))
+        cache = SpecCache(capacity=4)
+        payload = {"dtd": DISJUNCTIVE_DTD, "fds": "r.a -> r.c.@x",
+                   "fd": "r.a -> r.c.@x", "engine": "ensemble",
+                   "budget": {"max_steps": 5}}
+        for _ in range(3):
+            status, _ = handle("/v1/implication", payload, cache=cache,
+                               defaults=BudgetDefaults())
+            assert status == 200
+        assert counters().get("ensemble.fallback.closure", 0) \
+            + counters().get("ensemble.fallback.chase", 0) > 0
+        assert vars(ensemble.current()) == before
 
     def test_recursive_simple_dtd_served_by_closure(self):
         spec = _spec(RECURSIVE_DTD, ["db.part.@pno -> db.part"])
@@ -175,9 +212,6 @@ class TestSession:
         outer = ensemble.current()
         with ensemble.session("check") as sess:
             assert ensemble.current() is sess
-            sess.disagreements.append("marker")
-            assert sess.drain() == ["marker"]
-            assert sess.disagreements == []
         assert ensemble.current() is outer
 
     def test_unknown_mode_rejected(self):
