@@ -32,15 +32,12 @@ def cmd_run(args: argparse.Namespace) -> int:
               "between processes; baselines are recorded with "
               "PYTHONHASHSEED=0 (see docs/BENCHMARKS.md)",
               file=sys.stderr)
-    limits = {"deadline": args.timeout, "max_steps": args.max_steps,
-              "max_branches": args.max_branches,
-              "max_nodes": args.max_nodes}
     payload = _runner.run_suite(
         quick=args.quick, only=args.only or None, repeat=args.repeat,
         memory=not args.no_memory,
         progress=None if args.quiet else
         lambda line: print(line, file=sys.stderr),
-        limits=limits)
+        limits=args.limits)
     with open(args.out, "w") as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")

@@ -34,6 +34,7 @@ from repro.bench.schema import envelope
 from repro.bench.slopes import evaluate_claim
 from repro.faults import plan as _faults
 from repro.fd.implication import ImplicationEngine
+from repro.guard import Limits
 
 
 def _module_caches() -> list:
@@ -60,8 +61,7 @@ def isolate() -> None:
 
 
 def _measure_point(bench: Benchmark, value, *, repeat: int | None,
-                   memory: bool,
-                   limits: dict | None = None) -> dict:
+                   memory: bool, limits: Limits = Limits()) -> dict:
     workload: Callable[[], object]
     if value is None:
         workload = bench.factory()
@@ -75,7 +75,7 @@ def _measure_point(bench: Benchmark, value, *, repeat: int | None,
         # The per-run budget is installed *after* isolation (which
         # tears down every ambient budget), so ``bench run --timeout``
         # limits each measured run individually.
-        with guard.limits(**(limits or {})):
+        with limits.install():
             started = time.perf_counter()
             workload()
             best = min(best, time.perf_counter() - started)
@@ -86,7 +86,7 @@ def _measure_point(bench: Benchmark, value, *, repeat: int | None,
         isolate()
         tracemalloc.start()
         try:
-            with guard.limits(**(limits or {})):
+            with limits.install():
                 workload()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -98,7 +98,7 @@ def _measure_point(bench: Benchmark, value, *, repeat: int | None,
 def run_benchmark(bench: Benchmark, *, quick: bool = False,
                   repeat: int | None = None, memory: bool = True,
                   progress: Callable[[str], None] | None = None,
-                  limits: dict | None = None) -> dict:
+                  limits: Limits = Limits()) -> dict:
     """Run one benchmark's series; returns its report entry."""
     points = []
     for value in bench.points(quick):
@@ -125,14 +125,13 @@ def run_suite(*, quick: bool = False, only: Iterable[str] | None = None,
               repeat: int | None = None, memory: bool = True,
               progress: Callable[[str], None] | None = None,
               load_default: bool = True,
-              limits: dict | None = None) -> dict:
+              limits: Limits = Limits()) -> dict:
     """Run the selected benchmarks; returns the full report payload.
 
     Runs with obs enabled for the duration (restoring the caller's
     state afterwards) and leaves no ambient budget, warm cache, or
-    recorded metric behind.  ``limits`` (``deadline``/``max_steps``/
-    ``max_branches``/``max_nodes``) bound each measured run; a tripped
-    limit raises :class:`~repro.errors.ResourceExhausted`.
+    recorded metric behind.  ``limits`` bound each measured run; a
+    tripped limit raises :class:`~repro.errors.ResourceExhausted`.
     """
     if load_default:
         _registry.load_default_suites()

@@ -33,17 +33,19 @@ counter-gated comparison of two runs.
 
 Resource governance (see ``docs/ROBUSTNESS.md``): every subcommand
 accepts ``--timeout SECONDS`` (wall-clock deadline), ``--max-steps N``,
-``--max-branches N``, and ``--max-nodes N``.  When a limit trips the
-coNP-hard engines degrade instead of hanging: ``implies`` prints
-``unknown`` with the tripped limit, every other subcommand aborts with
-a diagnostic, and the process exits with code 4.  ``bench run`` reads
-the flags as limits on each measured run, and ``serve`` as per-request
-ceilings (below).
+``--max-branches N``, and ``--max-nodes N`` (:class:`repro.guard.Limits`;
+a bad value exits 2), the bound of one unit of work: the command for
+the one-shot commands, each task for ``batch`` (capping its manifest
+limits), each request for ``serve`` (below), each measured run for
+``bench run``.  When a limit trips the coNP-hard engines degrade
+instead of hanging: ``implies`` prints ``unknown`` with the tripped
+limit, every other subcommand aborts with a diagnostic, and the
+process exits with code 4.
 
 Fault injection (testing only): setting ``REPRO_FAULTS`` to a
 ``site[:kind[:after]],...`` spec (``REPRO_FAULTS_SEED`` seeds it)
 installs a deterministic fault plan around the whole run — see
-``repro.faults``.
+``repro.faults``.  Every input is checked before anything starts.
 
 Batch execution (see ``docs/ROBUSTNESS.md``): ``xnf batch
 MANIFEST.json`` runs every task of a manifest under per-task isolation
@@ -67,19 +69,18 @@ produces a summary byte-identical to an uninterrupted serial run (the
 journal format and resume contract are specified in
 ``docs/ROBUSTNESS.md``).  A journal that cannot apply to the
 invocation — another journal version, wrong manifest fingerprint,
-policy, or breaker knobs, or results out of index order — exits with
-code 2.
+policy, breaker knobs or budget flags, or results out of index order —
+exits with code 2.
 
 Service mode (see ``docs/SERVE.md``): ``xnf serve`` runs the pipeline
-as a long-lived HTTP/JSON daemon.  The budget flags change meaning
-there: instead of one process-wide budget they become **per-request
-ceilings** — every request runs under its own thread-scoped budget
-(clients may tighten, never loosen), so one pathological DTD degrades
-alone.  ``/metrics``, ``/healthz`` and ``/readyz`` are served on the
-service port itself; ``--metrics-port`` is refused unless it names the
-service port (no second exporter is ever spawned).  SIGTERM/SIGINT
-drain gracefully: readiness flips, in-flight requests finish under
-``--drain-deadline``, and a clean drain exits 0.
+as a long-lived HTTP/JSON daemon.  The budget flags replace the
+default **per-request ceilings**: every request runs under its own
+limits (clients may tighten, never loosen), so one pathological DTD
+degrades alone.  ``/metrics``, ``/healthz`` and ``/readyz`` are served
+on the service port itself; ``--metrics-port`` is refused unless it
+names the service port (no second exporter is ever spawned).
+SIGTERM/SIGINT drain gracefully: readiness flips, in-flight requests
+finish under ``--drain-deadline``, and a clean drain exits 0.
 
 Exit codes (uniform across subcommands; the full table is pinned by
 ``tests/test_exit_codes.py``)::
@@ -144,6 +145,16 @@ def _load_spec(dtd_file: str, fd_file: str | None,
         return XMLSpec.parse(dtd_text, fd_text, root=root)
 
 
+def _one_unit(command):
+    """Mark a one-shot command as one unit of work: it runs under the
+    budget flags' limits, installed on the thread that runs it."""
+    def run(args: argparse.Namespace) -> int:
+        with args.limits.install():
+            return command(args)
+    return run
+
+
+@_one_unit
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = _load_spec(args.dtd, args.fds, args.root)
     violations = spec.xnf_violations()
@@ -156,6 +167,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE
 
 
+@_one_unit
 def _cmd_normalize(args: argparse.Namespace) -> int:
     spec = _load_spec(args.dtd, args.fds, args.root)
     result = spec.normalize()
@@ -176,6 +188,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_one_unit
 def _cmd_implies(args: argparse.Namespace) -> int:
     spec = _load_spec(args.dtd, args.fds, args.root)
     fd = FD.parse(args.fd)
@@ -188,6 +201,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     return EXIT_OK if answer else EXIT_NEGATIVE
 
 
+@_one_unit
 def _cmd_tuples(args: argparse.Namespace) -> int:
     dtd = parse_dtd(FilePath(args.dtd).read_text(), root=args.root)
     tree = parse_xml(FilePath(args.xml).read_text())
@@ -201,6 +215,7 @@ def _cmd_tuples(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_one_unit
 def _cmd_explain(args: argparse.Namespace) -> int:
     spec = _load_spec(args.dtd, args.fds, args.root)
     from repro.fd.explain import explain_implication
@@ -208,6 +223,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_one_unit
 def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = _load_spec(args.dtd, args.fds, args.root)
     from repro.report import analyze
@@ -249,11 +265,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                          backoff_base_ms=args.backoff_base, seed=seed)
     board = BreakerBoard(threshold=args.breaker_threshold,
                          probe_interval=args.breaker_probe_interval)
-    try:
-        workers = resolve_workers(args.workers,
-                                  task_count=manifest.task_count)
-    except ValueError as error:
-        raise UsageError(str(error)) from None
+    # The parser has checked --workers, so this cannot refuse it.
+    workers = resolve_workers(args.workers, task_count=manifest.task_count)
     pool = None
     if workers > 1 and os.environ.get("REPRO_FAULTS"):
         # Fault-plan arms are process-global fire-once state; forked
@@ -282,7 +295,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         journal = open_journal(args.journal, manifest=manifest,
                                policy=policy, board=board,
                                ensemble_mode=args.ensemble,
-                               resume=args.resume)
+                               resume=args.resume, limits=args.limits)
         closing.callback(journal.close)
         if args.resume:
             print(f"journal: resuming from {args.journal}: "
@@ -305,11 +318,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             on_task_done = LedgerWriter(
                 ledger_stream, manifest=manifest,
                 fsync=args.ledger_fsync).task_done
+        # The flags cap each task's own limits: the unit is the task.
         summary = batch_mod.run_batch(
             manifest, policy=policy, board=board,
             ensemble_mode=args.ensemble,
             on_task_done=on_task_done,
-            backend=pool, journal=journal)
+            backend=pool, journal=journal, limits=args.limits)
     # Machine-readable summary on stdout, human account on stderr —
     # ``xnf batch m.json | jq .`` must always parse.
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
@@ -344,24 +358,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import BudgetDefaults, NormalizationServer
 
-    # A service without metrics is blind: serve always records and
-    # publishes the registry on its own /metrics.
-    obs_was_enabled = obs.is_enabled()
-    obs.enable()
-    overrides = {
-        name: value for name, value in (
-            ("timeout", getattr(args, "timeout", None)),
-            ("max_steps", getattr(args, "max_steps", None)),
-            ("max_branches", getattr(args, "max_branches", None)),
-            ("max_nodes", getattr(args, "max_nodes", None)))
-        if value is not None}
+    # The unit is the request: the flags replace the default ceilings
+    # that every request's own limits are capped by.
     server = NormalizationServer(
         args.port, args.host,
         max_inflight=args.max_inflight, max_queue=args.max_queue,
         queue_timeout_s=args.queue_timeout,
         drain_deadline_s=args.drain_deadline,
         cache_capacity=args.cache_size,
-        defaults=BudgetDefaults(**overrides))
+        defaults=args.limits.fill(BudgetDefaults()))
     stop = threading.Event()
 
     def _request_drain(signum: int, frame: object) -> None:
@@ -379,10 +384,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.start()
     except OSError as error:
         # An occupied port / unbindable host is structural, like a bad
-        # flag: nothing ran, nothing partial exists — including the
-        # obs enablement above (in-process callers keep their state).
-        if not obs_was_enabled:
-            obs.disable()
+        # flag: nothing ran, nothing partial exists.
         raise UsageError(
             f"cannot bind {args.host}:{args.port}: {error}") from error
     print(f"serve: listening on {server.url()} "
@@ -406,6 +408,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_RESOURCE
 
 
+@_one_unit
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.dtd.classify import (
         disjunction_measure, is_disjunctive_dtd, is_simple_dtd)
@@ -619,23 +622,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare raw wall times (skip the "
                          "median-ratio machine-speed normalisation)")
 
-    def _nonneg_int(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError("must be >= 0")
-        return value
+    def _checked(kind, ok, rule: str):
+        # ``ok`` is stated positively, so NaN fails it.
+        def parse(text: str):
+            value = kind(text)
+            if not ok(value):
+                raise argparse.ArgumentTypeError(rule)
+            return value
+        return parse
 
-    def _nonneg_float(text: str) -> float:
-        value = float(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError("must be >= 0")
-        return value
-
-    def _pos_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be >= 1")
-        return value
+    _nonneg_int = _checked(int, lambda value: value >= 0, "must be >= 0")
+    _nonneg_float = _checked(float, lambda value: value >= 0,
+                             "must be >= 0")
+    _pos_int = _checked(int, lambda value: value >= 1, "must be >= 1")
+    _pos_float = _checked(float, lambda value: value > 0,
+                          "must be positive")
 
     bat = sub.add_parser("batch", parents=[common],
                          help="run a task manifest crash-tolerantly "
@@ -715,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "serial run (docs/ROBUSTNESS.md)")
     bat.set_defaults(func=_cmd_batch)
 
-    def _pos_float(text: str) -> float:
-        value = float(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError("must be positive")
-        return value
-
     srv = sub.add_parser("serve", parents=[common],
                          help="run the long-lived HTTP normalization "
                          "service (docs/SERVE.md); the budget flags "
@@ -756,22 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    want_stats = bool(getattr(args, "stats", False)) or (
-        os.environ.get("REPRO_OBS", "") not in ("", "0"))
-    trace_file = getattr(args, "trace", None)
-    budget_kwargs = {
-        "deadline": getattr(args, "timeout", None),
-        "max_steps": getattr(args, "max_steps", None),
-        "max_branches": getattr(args, "max_branches", None),
-        "max_nodes": getattr(args, "max_nodes", None),
-    }
-    flag_names = {"deadline": "--timeout", "max_steps": "--max-steps",
-                  "max_branches": "--max-branches",
-                  "max_nodes": "--max-nodes"}
-    for key, value in budget_kwargs.items():
-        if value is not None and value <= 0:
-            parser.error(f"{flag_names[key]} must be positive")
-
+    # Every input is checked before anything starts.
+    args.limits = guard.Limits.parse(vars(args), error=parser.error)
     metrics_port = getattr(args, "metrics_port", None)
     if metrics_port is not None and not 0 <= metrics_port <= 65535:
         parser.error("--metrics-port must be between 0 and 65535")
@@ -789,40 +770,6 @@ def main(argv: list[str] | None = None) -> int:
               "service port; /metrics is served there", file=sys.stderr)
         metrics_port = None
         args.metrics_port = None
-
-    was_enabled = obs.is_enabled()
-    sink = None
-    trace_stream = None
-    exporter = None
-    want_obs = want_stats or bool(trace_file) or metrics_port is not None
-    if want_obs:
-        obs.enable()
-        if not was_enabled:
-            obs.reset()  # the table should cover this run only
-        if metrics_port is not None:
-            try:
-                exporter = obs.start_exporter(metrics_port)
-            except OSError as error:
-                print(f"error: cannot start metrics exporter: {error}",
-                      file=sys.stderr)
-                if not was_enabled:
-                    obs.disable()
-                return EXIT_ERROR
-            print(f"metrics: serving on {exporter.url('/metrics')} "
-                  f"(and /healthz)", file=sys.stderr)
-        if trace_file:
-            try:
-                trace_stream = open(trace_file, "w")
-            except OSError as error:
-                print(f"error: cannot open trace file: {error}",
-                      file=sys.stderr)
-                if exporter is not None:
-                    exporter.stop()
-                if not was_enabled:
-                    obs.disable()
-                return EXIT_ERROR
-            sink = obs.JsonLinesSink(trace_stream)
-            obs.add_sink(sink)
     fault_plan = None
     fault_spec = os.environ.get("REPRO_FAULTS", "")
     if fault_spec:
@@ -835,44 +782,67 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: bad REPRO_FAULTS spec: {error}",
                   file=sys.stderr)
             return EXIT_USAGE
-    # `serve` interprets the budget flags as per-request ceilings
-    # (installed thread-scoped around each request by the handlers), and
-    # `bench run` as limits per measured run; a process-wide install
-    # here would tick across all requests or runs, and the deadline
-    # would kill the daemon itself.
-    process_budget = {} if args.command in ("serve", "bench") \
-        else budget_kwargs
-    try:
-        with obs.span(f"cli.{args.command}"):
-            with guard.limits(**process_budget):
+
+    want_stats = bool(getattr(args, "stats", False)) or (
+        os.environ.get("REPRO_OBS", "") not in ("", "0"))
+    # Everything set up for observability is undone, last first, on
+    # every way out.
+    with contextlib.ExitStack() as observed:
+        try:
+            _observe(observed, args, metrics_port, want_stats)
+            with obs.span(f"cli.{args.command}"):
                 if fault_plan is not None:
                     from repro import faults
                     with faults.use(fault_plan):
                         return args.func(args)
                 return args.func(args)
-    except ReproError as error:
-        if isinstance(error, ResourceExhausted):
-            print(f"error: resource limit reached: {error}",
-                  file=sys.stderr)
-            if error.partial:
-                detail = ", ".join(f"{k}={v}" for k, v
-                                   in sorted(error.partial.items()))
-                print(f"partial progress: {detail}", file=sys.stderr)
-        else:
-            print(f"error: {error}", file=sys.stderr)
-        return error.exit_code
-    finally:
-        if exporter is not None:
-            exporter.stop()
-        if sink is not None:
-            obs.remove_sink(sink)
-            assert trace_stream is not None
-            trace_stream.close()
-        if want_stats:
-            print(obs.render.metrics_table(obs.snapshot()),
-                  file=sys.stderr, end="")
-        if not was_enabled and want_obs:
-            obs.disable()
+        except ReproError as error:
+            if isinstance(error, ResourceExhausted):
+                print(f"error: resource limit reached: {error}",
+                      file=sys.stderr)
+                if error.partial:
+                    detail = ", ".join(f"{k}={v}" for k, v
+                                       in sorted(error.partial.items()))
+                    print(f"partial progress: {detail}", file=sys.stderr)
+            else:
+                print(f"error: {error}", file=sys.stderr)
+            return error.exit_code
+
+
+def _observe(observed: contextlib.ExitStack, args: argparse.Namespace,
+             metrics_port: int | None, want_stats: bool) -> None:
+    """Enable obs when ``--stats``, ``--trace``, ``--metrics-port`` or
+    ``serve`` (which publishes its own ``/metrics``) needs it, with each
+    undo on ``observed``; a sink that cannot start is a ReproError."""
+    trace_file = getattr(args, "trace", None)
+    if not (want_stats or trace_file or metrics_port is not None
+            or args.command == "serve"):
+        return
+    if not obs.is_enabled():
+        obs.enable()
+        obs.reset()  # the table should cover this run only
+        observed.callback(obs.disable)
+    if metrics_port is not None:
+        try:
+            exporter = obs.start_exporter(metrics_port)
+        except OSError as error:
+            raise ReproError(
+                f"cannot start metrics exporter: {error}") from error
+        observed.callback(exporter.stop)
+        print(f"metrics: serving on {exporter.url('/metrics')} "
+              f"(and /healthz)", file=sys.stderr)
+    if trace_file:
+        try:
+            trace_stream = observed.enter_context(open(trace_file, "w"))
+        except OSError as error:
+            raise ReproError(f"cannot open trace file: {error}") from error
+        sink = obs.JsonLinesSink(trace_stream)
+        obs.add_sink(sink)
+        observed.callback(obs.remove_sink, sink)
+    if want_stats:
+        observed.callback(lambda: print(
+            obs.render.metrics_table(obs.snapshot()), file=sys.stderr,
+            end=""))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,7 +41,7 @@ authoritative by a later (or warmer) query.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple, get_args
 
 from repro.errors import ResourceExhausted, UnsupportedFeatureError
 from repro.dtd.classify import is_simple_dtd
@@ -53,6 +53,9 @@ from repro.fd.model import FD
 from repro.obs import metrics as _obs
 
 EngineName = Literal["auto", "closure", "chase", "brute", "ensemble"]
+
+#: The engine names: the one list every engine name is checked against.
+ENGINES: tuple[str, ...] = get_args(EngineName)
 
 #: The three verdict values of :meth:`ImplicationEngine.decide`.
 YES = "YES"
@@ -116,6 +119,9 @@ class ImplicationEngine:
     def __init__(self, dtd: DTD, sigma: Iterable[FD], *,
                  engine: EngineName = "auto",
                  trivial: "ImplicationEngine | None" = None) -> None:
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one "
+                             f"of {list(ENGINES)}")
         if trivial is not None and (trivial.dtd is not dtd
                                     or trivial.sigma
                                     or trivial.engine != engine):

@@ -7,8 +7,10 @@ Public surface::
     with guard.limits(deadline=2.0, max_steps=1_000_000):
         ...                      # engines degrade instead of hanging
 
-:class:`Budget` / :func:`use` / :func:`limits` / :func:`current` live
-in :mod:`repro.guard.budget`; the companion exception
+A budget governs the thread that installed it; :class:`Limits` is the
+one definition of a limit set.  :class:`Budget` / :class:`Limits` /
+:func:`use` / :func:`limits` / :func:`current` live in
+:mod:`repro.guard.budget`; the companion exception
 :class:`~repro.errors.ResourceExhausted` is re-exported here for
 convenience.  Instrumented engine code imports the submodule directly
 (``from repro.guard import budget as _guard``) and reads its
@@ -19,7 +21,7 @@ from-import would freeze the value.
 from __future__ import annotations
 
 from repro.errors import ResourceExhausted
-from repro.guard.budget import Budget, current, limits, teardown, use
+from repro.guard.budget import Budget, Limits, current, limits, teardown, use
 
-__all__ = ["Budget", "ResourceExhausted", "current", "limits",
+__all__ = ["Budget", "Limits", "ResourceExhausted", "current", "limits",
            "teardown", "use"]

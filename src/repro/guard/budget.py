@@ -43,51 +43,39 @@ a captured local — and nothing else.  The ``guard`` gate of
 ``python -m repro.bench.seams`` verifies the disabled overhead stays
 under 1%.
 
-Budgets install at one of two scopes.  The default (``scope=
-"process"``) matches the obs registry: a budget installed in one
-thread governs engine work in all of them (ticks themselves are plain
-integer increments and safe under the GIL; the worst race is a check
-against a just-popped budget).  ``scope="thread"`` installs onto a
-per-thread stack that takes precedence over the process stack in
-:func:`current` — the isolation primitive ``xnf serve`` builds on: a
-threaded server gives every request its own budget, so one
-pathological request degrades to UNKNOWN/408 without ticking against
-(or being ticked by) its neighbors.  A thread with no thread-scoped
-budget still falls back to the process stack, preserving the original
-ambient semantics.
+Each thread has its own budget stack: a budget governs the thread that
+installed it.  Every front end installs the :class:`Limits` of one
+unit of work (a one-shot command, a batch task, a serve request, a
+measured benchmark run) on the thread that runs it, so one
+pathological unit degrades to UNKNOWN/408 without ticking against, or
+being ticked by, its neighbours.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
-from contextlib import AbstractContextManager, contextmanager
-from typing import Callable, Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Iterator, Mapping
 
 from repro.errors import ResourceExhausted
 from repro.obs import metrics as _obs
 
-#: Fast-path flag: ``True`` iff at least one budget is installed (at
-#: either scope, in any thread).  Instrumentation sites read this (one
-#: module-attribute load) before touching anything else, so unguarded
-#: runs pay essentially nothing.
+#: Fast-path flag: ``True`` iff at least one budget is installed (in
+#: any thread).  Instrumentation sites read this (one module-attribute
+#: load) before touching anything else, so unguarded runs pay
+#: essentially nothing.
 active: bool = False
 
-_stack: list["Budget"] = []
 _tls = threading.local()
 
-#: Count of installed budgets across all scopes and threads; guards
-#: the :data:`active` flag so concurrent installs/uninstalls in
-#: different threads cannot strand it.
+#: Count of installed budgets across all threads; guards the
+#: :data:`active` flag so concurrent installs/uninstalls in different
+#: threads cannot strand it.
 _installed = 0
 _installed_lock = threading.Lock()
-
-
-def _thread_stack() -> list["Budget"]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
 
 
 def _note_install() -> None:
@@ -121,12 +109,8 @@ class Budget:
                  max_branches: int | None = None,
                  max_nodes: int | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        for name, value in (("deadline", deadline),
-                            ("max_steps", max_steps),
-                            ("max_branches", max_branches),
-                            ("max_nodes", max_nodes)):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        # The one rule of :class:`Limits`, whose timeout is the deadline.
+        Limits(deadline, max_steps, max_branches, max_nodes)
         self.deadline = deadline
         self.max_steps = max_steps
         self.max_branches = max_branches
@@ -232,36 +216,28 @@ class Budget:
 # ---------------------------------------------------------------------------
 
 def current() -> Budget | None:
-    """The innermost installed budget, or ``None``.
+    """The calling thread's innermost installed budget, or ``None``.
 
-    The calling thread's own (thread-scoped) stack wins; a thread
-    without one falls back to the process-wide stack.  Engine call
-    sites capture this once per decision (guarded by the
+    Engine call sites capture this once per decision (guarded by the
     :data:`active` flag) and pass the local down their loops.
     """
-    local = getattr(_tls, "stack", None)
-    if local:
-        return local[-1]
-    return _stack[-1] if _stack else None
+    stack = getattr(_tls, "stack", None)
+    return stack[-1] if stack else None
 
 
 @contextmanager
-def use(budget: Budget, *, scope: str = "process") -> Iterator[Budget]:
-    """Install ``budget`` for the duration of the ``with`` body.
+def use(budget: Budget) -> Iterator[Budget]:
+    """Install ``budget`` on the calling thread for the ``with`` body.
 
-    Budgets nest (the innermost wins at instrumentation points; a
-    thread-scoped budget shadows any process-scoped one for its own
-    thread).  ``scope`` is ``"process"`` (ambient, the default) or
-    ``"thread"`` (visible only to the installing thread).  On exit the
-    previous budget is restored and, when obs is enabled, the
+    Budgets nest (the innermost wins at instrumentation points).  On
+    exit the previous budget is restored and, when obs is enabled, the
     remaining headroom of every set limit is recorded into
     ``guard.remaining.*`` histograms so completion margins are
     observable.
     """
-    if scope not in ("process", "thread"):
-        raise ValueError(f"scope must be 'process' or 'thread', "
-                         f"got {scope!r}")
-    stack = _thread_stack() if scope == "thread" else _stack
+    stack = getattr(_tls, "stack", None)
+    if stack is None:
+        stack = _tls.stack = []
     stack.append(budget)
     _note_install()
     try:
@@ -281,56 +257,117 @@ def use(budget: Budget, *, scope: str = "process") -> Iterator[Budget]:
 
 
 def teardown() -> int:
-    """Forcibly uninstall every reachable budget; returns how many
-    were removed.
+    """Forcibly uninstall every budget of the calling thread; returns
+    how many were removed.
 
-    Normal code never needs this — :func:`use` restores the stacks on
+    Normal code never needs this — :func:`use` restores the stack on
     exit.  It exists for run isolation (the benchmark runner clears
     leftover budgets between runs so one workload's limits can never
     govern the next) and for test harnesses recovering from a body
-    that escaped a ``with use(...)`` block abnormally.  Sweeps the
-    process stack and the *calling thread's* thread-scoped stack;
-    other threads' stacks are unreachable by design (their owners'
-    ``with`` blocks still unwind them, and :data:`active` stays
-    consistent through the shared install counter).
+    that escaped a ``with use(...)`` block abnormally.
     """
-    local = getattr(_tls, "stack", None) or []
-    removed = len(_stack) + len(local)
-    _stack.clear()
-    local.clear()
+    stack = getattr(_tls, "stack", None) or []
+    removed = len(stack)
+    stack.clear()
     if removed:
         _note_uninstall(removed)
     return removed
 
 
-class _NoLimits:
-    """The shared do-nothing context :func:`limits` returns when no
-    limit is set, so an unlimited call allocates nothing (mirrors
-    ``repro.obs.trace._NULL_SCOPE``)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NO_LIMITS = _NoLimits()
+#: The shared do-nothing context :func:`limits` returns when no limit
+#: is set, so an unlimited call allocates nothing.
+_NO_LIMITS = nullcontext()
 
 
 def limits(*, deadline: float | None = None, max_steps: int | None = None,
            max_branches: int | None = None, max_nodes: int | None = None,
            clock: Callable[[], float] = time.monotonic,
-           scope: str = "process",
            ) -> AbstractContextManager[Budget | None]:
     """``use(Budget(...))`` in one call; a shared no-op context
     (entering as ``None``) when every limit is ``None``, so callers can
-    thread optional CLI flags through unconditionally."""
+    thread optional limits through unconditionally."""
     if (deadline is None and max_steps is None and max_branches is None
             and max_nodes is None):
         return _NO_LIMITS
     return use(Budget(deadline=deadline, max_steps=max_steps,
                       max_branches=max_branches, max_nodes=max_nodes,
-                      clock=clock), scope=scope)
+                      clock=clock))
+
+
+@dataclass(frozen=True)
+class Limits:
+    """One unit of work's limit set; ``None`` leaves a limit unlimited.
+
+    The rule, stated once: ``timeout`` is a finite number of seconds
+    > 0, and the counted limits are integers >= 1; a bool is neither.
+    A bad value raises ``ValueError`` (:meth:`parse` raises the
+    caller's own error instead).
+    """
+
+    timeout: float | None = None
+    max_steps: int | None = None
+    max_branches: int | None = None
+    max_nodes: int | None = None
+
+    #: The four keys, as flags' dests, manifests and budgets spell them.
+    KEYS: ClassVar[tuple[str, ...]] = ("timeout", "max_steps",
+                                       "max_branches", "max_nodes")
+
+    def __post_init__(self) -> None:
+        for key, value in zip(self.KEYS, self._values()):
+            if value is None:
+                continue
+            if key == "timeout":
+                rule = "a finite number > 0"
+                ok = isinstance(value, (int, float)) \
+                    and 0 < value <= sys.float_info.max  # NaN fails
+            else:
+                rule = "an integer >= 1"
+                ok = isinstance(value, int) and value >= 1
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+    @classmethod
+    def parse(cls, raw: Mapping, *, where: str = "",
+              error: Callable[[str], BaseException] = ValueError,
+              ) -> "Limits":
+        """The limits of ``raw``, reading only the four keys (a missing
+        or ``None`` value is unset).  A bad value raises
+        ``error(where + message)``, the message naming the key."""
+        try:
+            return cls(*[raw.get(key) for key in cls.KEYS])
+        except ValueError as problem:
+            raise error(f"{where}{problem}") from None
+
+    def __bool__(self) -> bool:
+        """Whether any limit is set."""
+        return self._values() != (None, None, None, None)
+
+    def fill(self, defaults: "Limits") -> "Limits":
+        """These limits, each unset one taken from ``defaults``."""
+        return Limits(*[theirs if mine is None else mine for mine, theirs
+                        in zip(self._values(), defaults._values())])
+
+    def cap(self, ceiling: "Limits") -> "Limits":
+        """These limits, each bounded by ``ceiling``'s: the tighter of
+        the two, or the one that is set."""
+        return Limits(*[
+            theirs if mine is None else mine if theirs is None
+            else min(mine, theirs)
+            for mine, theirs in zip(self._values(), ceiling._values())])
+
+    def install(self) -> AbstractContextManager[Budget | None]:
+        """Install these limits as the calling thread's budget (a
+        shared no-op context when none is set); ``timeout`` becomes
+        the budget's ``deadline`` here and nowhere else."""
+        return limits(deadline=self.timeout, max_steps=self.max_steps,
+                      max_branches=self.max_branches,
+                      max_nodes=self.max_nodes)
+
+    def to_json(self) -> dict:
+        return dict(zip(self.KEYS, self._values()))
+
+    def _values(self) -> tuple:
+        # No tuple(generator) here or in parse/fill/cap (free-list waste).
+        return (self.timeout, self.max_steps, self.max_branches,
+                self.max_nodes)

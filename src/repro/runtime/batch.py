@@ -2,7 +2,8 @@
 
 :class:`BatchRunner` executes every task of a
 :class:`~repro.runtime.manifest.Manifest` under per-task isolation —
-its own :func:`repro.guard.limits` budget, its own
+its own budget (its manifest limits, capped by ``xnf batch``'s budget
+flags), its own
 :func:`repro.obs.trace.span`, its own :mod:`~repro.fd.ensemble`
 session, a fresh :class:`~repro.spec.XMLSpec` per attempt — so one
 pathological spec can neither corrupt nor starve its neighbours.
@@ -62,8 +63,8 @@ from repro.errors import (
 )
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-from repro import guard
 from repro.fd import ensemble as _ensemble
+from repro.guard import Limits
 from repro.runtime.breaker import BreakerBoard, failure_signature
 from repro.runtime.manifest import Manifest, Task
 from repro.runtime.retry import RetryPolicy, is_transient
@@ -303,6 +304,9 @@ class BatchRunner:
     :class:`repro.runtime.pool.PoolBackend` fans them out to
     supervised worker processes.  Either way the summary is assembled
     by :meth:`summarize` from the same outcome records.
+
+    ``limits`` caps every task's own limits, so an outcome does not
+    depend on which tasks ran before it, or on which worker.
     """
 
     def __init__(self, manifest: Manifest, *,
@@ -313,7 +317,7 @@ class BatchRunner:
                  on_task_done: Callable[[TaskOutcome], None]
                  | None = None,
                  backend: "SerialBackend | None" = None,
-                 journal=None) -> None:
+                 journal=None, limits: Limits | None = None) -> None:
         if ensemble_mode not in _ensemble.MODES:
             raise ValueError(
                 f"unknown ensemble mode {ensemble_mode!r}; expected "
@@ -335,6 +339,7 @@ class BatchRunner:
         #: check per call when disabled (gated <1% by the ``journal``
         #: gate of ``python -m repro.bench.seams``).
         self.journal = journal
+        self.limits = limits or None
 
     # -- the journal seam ----------------------------------------------
 
@@ -425,11 +430,14 @@ class BatchRunner:
         each entered only when switched on — with obs disabled, no
         limit set and no route to the ensemble, the task runs bare."""
         ensemble = self.ensemble_mode != "off" or task.engine == "ensemble"
-        if not (_obs.enabled or ensemble or task.budgeted):
+        limits = task.limits
+        if self.limits is not None:   # the cap, or a task's only limits
+            limits = self.limits.cap(limits or self.limits)
+        if not (_obs.enabled or ensemble or limits is not None):
             return self._execute(task)
         with _trace.span("runtime.task", task=task.id, op=task.op,
                          attempt=outcome.attempts):
-            with guard.limits(**task.budget_kwargs()):
+            with (limits or Limits()).install():
                 if not ensemble:
                     return self._execute(task)
                 with _ensemble.session(self.ensemble_mode) as sess:
@@ -549,16 +557,7 @@ class BatchRunner:
         }
 
 
-def run_batch(manifest: Manifest, *, policy: RetryPolicy | None = None,
-              board: BreakerBoard | None = None,
-              ensemble_mode: str = "off",
-              sleeper: Callable[[float], None] | None = None,
-              on_task_done: Callable[[TaskOutcome], None]
-              | None = None,
-              backend: SerialBackend | None = None,
-              journal=None) -> dict:
-    """One-shot :class:`BatchRunner` convenience."""
-    return BatchRunner(manifest, policy=policy, board=board,
-                       ensemble_mode=ensemble_mode, sleeper=sleeper,
-                       on_task_done=on_task_done, backend=backend,
-                       journal=journal).run()
+def run_batch(manifest: Manifest, **options) -> dict:
+    """One-shot :class:`BatchRunner` convenience: ``options`` are its
+    keyword arguments (``limits`` among them)."""
+    return BatchRunner(manifest, **options).run()

@@ -17,7 +17,7 @@ The journal file is JSON-lines::
      "count": 100000, "ensemble": "off",
      "policy": {"retries": 2, "backoff_base_ms": 100.0,
                 "multiplier": 2.0, "seed": 7},
-     "breaker": {"threshold": 5, "probe_interval": 8}}
+     "breaker": {"threshold": 5, "probe_interval": 8}, "limits": null}
     {"record": "result", "index": 0, "id": "corpus-000000",
      "op": "check", "dtd_sha": "…", "fds_sha": null,
      "reason": null, "signature": null,
@@ -32,8 +32,10 @@ Design decisions, each load-bearing:
 * **Meta is verified field-by-field on resume.**  Every field in the
   meta record affects summary bytes (manifest identity via the same
   ``source:seed:count`` fingerprint the run ledger uses, retry policy,
-  breaker knobs, ensemble mode); a mismatch is a structural error —
-  the journal cannot apply to this invocation.  So is a journal of
+  breaker knobs, ensemble mode, the budget flags' cap on each task's
+  limits — ``null`` without flags, as a meta without the field reads);
+  a mismatch is a structural error — the journal cannot apply to this
+  invocation.  So is a journal of
   another :data:`JOURNAL_VERSION`.  Per-task ``dtd_sha`` /
   ``fds_sha`` fingerprints are recorded in each result for audit, but
   deliberately *not* re-verified on resume: checking them would force
@@ -72,6 +74,7 @@ from typing import IO, Callable
 from repro import records
 from repro.errors import JournalError
 from repro.faults import plan as _faults
+from repro.guard import Limits
 from repro.obs import metrics as _obs
 from repro.runtime.batch import TaskOutcome
 from repro.runtime.breaker import BreakerBoard
@@ -121,7 +124,8 @@ def _warn_stderr(message: str) -> None:
 
 
 def meta_record(manifest: Manifest, policy: RetryPolicy,
-                board: BreakerBoard, ensemble_mode: str) -> dict:
+                board: BreakerBoard, ensemble_mode: str,
+                limits: Limits | None = None) -> dict:
     """The journal's first record: everything that shapes summary
     bytes, pinned.  Fully deterministic — no run id, no timestamp —
     so identical invocations write identical journals."""
@@ -139,6 +143,7 @@ def meta_record(manifest: Manifest, policy: RetryPolicy,
         "policy": policy.to_json(),
         "breaker": {"threshold": board.threshold,
                     "probe_interval": board.probe_interval},
+        "limits": limits.to_json() if limits else None,
     }
 
 
@@ -317,7 +322,7 @@ def open_journal(path: str, *, manifest: Manifest,
                  ensemble_mode: str = "off", resume: bool = False,
                  fsync: bool = True,
                  warn: Callable[[str], None] = _warn_stderr,
-                 ) -> BatchJournal:
+                 limits: Limits | None = None) -> BatchJournal:
     """Open (and on ``resume``, replay) the journal at ``path``.
 
     Fresh runs truncate the file and write the meta record.  Resumes
@@ -327,7 +332,7 @@ def open_journal(path: str, *, manifest: Manifest,
     against a missing or record-less file degrades to a fresh run with
     a warning — the parent may have died before the first append.
     """
-    expected = meta_record(manifest, policy, board, ensemble_mode)
+    expected = meta_record(manifest, policy, board, ensemble_mode, limits)
     if resume and os.path.exists(path):
         stream = _open(path, "r+")
         try:

@@ -24,10 +24,12 @@ Each task runs one of the paper's three central decision procedures:
 DTD and FD inputs come either inline (``dtd_text`` / ``fds_text``) or
 from files (``dtd`` / ``fds``, resolved relative to the manifest's own
 directory so a manifest travels with its spec corpus).  ``defaults``
-supplies per-task fallbacks: the implication ``engine``, the
-:mod:`repro.guard` budget limits (``timeout`` / ``max_steps`` /
-``max_branches`` / ``max_nodes``), and the batch ``seed`` feeding the
-retry policy's deterministic backoff jitter.
+supplies per-task fallbacks: the implication ``engine``, the limits
+(``timeout`` / ``max_steps`` / ``max_branches`` / ``max_nodes``, under
+the one rule of :class:`repro.guard.Limits`, parsed once per
+manifest), and the batch ``seed`` feeding the retry policy's
+deterministic backoff jitter.  A task's limits are its own, each unset
+one filled from ``defaults``; ``xnf batch``'s budget flags cap them.
 
 Validation is strict and fails whole-manifest (a typo'd operation in
 task 37 should stop the batch before task 1 runs): every problem
@@ -67,6 +69,8 @@ from pathlib import Path as FilePath
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ManifestError, ReproError
+from repro.fd.implication import ENGINES
+from repro.guard import Limits
 from repro.records import fingerprint
 
 #: Bump on any incompatible change to the JSON layout.
@@ -77,11 +81,6 @@ MANIFEST_SCHEMA = "repro.runtime.manifest"
 
 #: The operations a task may request.
 OPERATIONS = ("implies", "check", "normalize")
-
-#: Per-task guard-budget knobs accepted in ``defaults`` and per task.
-_BUDGET_KEYS = ("timeout", "max_steps", "max_branches", "max_nodes")
-
-_ENGINES = ("auto", "closure", "chase", "brute", "ensemble")
 
 
 @dataclass(frozen=True)
@@ -97,23 +96,9 @@ class Task:
     fd: str | None = None
     root: str | None = None
     engine: str = "auto"
-    timeout: float | None = None
-    max_steps: int | None = None
-    max_branches: int | None = None
-    max_nodes: int | None = None
-
-    @property
-    def budgeted(self) -> bool:
-        """Whether any :func:`repro.guard.limits` limit is set."""
-        return (self.timeout is not None or self.max_steps is not None
-                or self.max_branches is not None
-                or self.max_nodes is not None)
-
-    def budget_kwargs(self) -> dict:
-        """The :func:`repro.guard.limits` kwargs for this task."""
-        return {"deadline": self.timeout, "max_steps": self.max_steps,
-                "max_branches": self.max_branches,
-                "max_nodes": self.max_nodes}
+    #: The task's limits filled from the defaults; ``None`` when
+    #: neither sets one, so an unlimited attempt tests only that.
+    limits: Limits | None = None
 
     def load_dtd_text(self) -> str:
         """The DTD source (inline, or read from the named file)."""
@@ -159,6 +144,8 @@ class Manifest:
     seed: int = 0
     source: str = "<inline>"
     defaults: dict = field(default_factory=dict)
+    #: The limits of ``defaults``, which every task's limits fill from.
+    limits: Limits = Limits()
     task_count: int = 0
     raw_tasks: Callable[[], Iterable[object]] | None = None
     base_dir: FilePath = FilePath(".")
@@ -220,7 +207,7 @@ class Manifest:
                      f"declared count of {self.task_count} tasks")
             if index in skip:
                 continue
-            task = _build_task(raw, index, self.defaults, self.base_dir)
+            task = _build_task(raw, index, self)
             _require(task.id not in seen,
                      f"duplicate task id {task.id!r}")
             seen.add(task.id)
@@ -235,23 +222,7 @@ def _require(condition: bool, message: str) -> None:
         raise ManifestError(message)
 
 
-def _check_budget(raw: Mapping, where: str) -> dict:
-    """Extract and type-check the budget knobs of one mapping."""
-    budget: dict = {}
-    for key in _BUDGET_KEYS:
-        value = raw.get(key)
-        if value is None:
-            continue
-        _require(isinstance(value, (int, float))
-                 and not isinstance(value, bool) and value > 0,
-                 f"{where}: {key} must be a positive number, "
-                 f"got {value!r}")
-        budget[key] = float(value) if key == "timeout" else int(value)
-    return budget
-
-
-def _build_task(raw: object, index: int, defaults: Mapping,
-                base_dir: FilePath) -> Task:
+def _build_task(raw: object, index: int, manifest: Manifest) -> Task:
     where = f"task #{index}"
     _require(isinstance(raw, dict), f"{where}: must be an object")
     assert isinstance(raw, dict)
@@ -275,7 +246,7 @@ def _build_task(raw: object, index: int, defaults: Mapping,
     if dtd_file is not None:
         _require(isinstance(dtd_file, str),
                  f"{where}: dtd must be a path string")
-        dtd_path = str(base_dir / dtd_file)
+        dtd_path = str(manifest.base_dir / dtd_file)
 
     fds_text = raw.get("fds_text")
     fds_file = raw.get("fds")
@@ -288,7 +259,7 @@ def _build_task(raw: object, index: int, defaults: Mapping,
     if fds_file is not None:
         _require(isinstance(fds_file, str),
                  f"{where}: fds must be a path string")
-        fds_path = str(base_dir / fds_file)
+        fds_path = str(manifest.base_dir / fds_file)
 
     fd = raw.get("fd")
     if op == "implies":
@@ -299,27 +270,27 @@ def _build_task(raw: object, index: int, defaults: Mapping,
         _require(fd is None,
                  f"{where}: fd is only meaningful for op \"implies\"")
 
+    defaults = manifest.defaults
     root = raw.get("root", defaults.get("root"))
     _require(root is None or isinstance(root, str),
              f"{where}: root must be a string")
     engine = raw.get("engine", defaults.get("engine", "auto"))
-    _require(engine in _ENGINES,
-             f"{where}: engine must be one of {list(_ENGINES)}, "
+    _require(engine in ENGINES,
+             f"{where}: engine must be one of {list(ENGINES)}, "
              f"got {engine!r}")
-
-    budget = dict(_check_budget(defaults, "defaults"))
-    budget.update(_check_budget(raw, where))
+    limits = manifest.limits
+    if not raw.keys().isdisjoint(Limits.KEYS):    # the task sets its own
+        limits = Limits.parse(raw, where=f"{where}: ",
+                              error=ManifestError).fill(limits)
     return Task(id=task_id, op=op, dtd_text=dtd_text, dtd_path=dtd_path,
                 fds_text=fds_text, fds_path=fds_path, fd=fd, root=root,
-                engine=engine, timeout=budget.get("timeout"),
-                max_steps=budget.get("max_steps"),
-                max_branches=budget.get("max_branches"),
-                max_nodes=budget.get("max_nodes"))
+                engine=engine, limits=limits or None)
 
 
-def _check_header(payload: object, source: str) -> tuple[int, dict]:
+def _check_header(payload: object, source: str) -> dict:
     """The header check both layouts share: ``schema``, ``version``,
-    ``defaults`` and ``defaults.seed``.  Returns (seed, defaults)."""
+    ``defaults``, ``defaults.seed`` and the defaults' limits.  Returns
+    the :class:`Manifest` fields it read."""
     _require(isinstance(payload, dict),
              f"{source}: manifest header must be a JSON object")
     assert isinstance(payload, dict)
@@ -336,21 +307,23 @@ def _check_header(payload: object, source: str) -> tuple[int, dict]:
     seed = defaults.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool),
              f"{source}: defaults.seed must be an integer")
-    return seed, dict(defaults)
+    limits = Limits.parse(defaults, where=f"{source}: defaults: ",
+                          error=ManifestError)
+    return {"seed": seed, "source": source, "defaults": dict(defaults),
+            "limits": limits}
 
 
 def from_payload(payload: object, *, source: str = "<inline>",
                  base_dir: str | FilePath = ".") -> Manifest:
     """Validate a decoded JSON manifest, every task and every id, into
     a :class:`Manifest` that keeps its tasks."""
-    seed, defaults = _check_header(payload, source)
+    header = _check_header(payload, source)
     assert isinstance(payload, dict)
     raw_tasks = payload.get("tasks")
     _require(isinstance(raw_tasks, list),
              f"{source}: tasks must be an array")
     assert isinstance(raw_tasks, list)
-    manifest = Manifest(seed=seed, source=source, defaults=defaults,
-                        task_count=len(raw_tasks),
+    manifest = Manifest(**header, task_count=len(raw_tasks),
                         base_dir=FilePath(base_dir))
     manifest.tasks = [task for _index, task in manifest._build(raw_tasks)]
     return manifest
@@ -360,7 +333,7 @@ def _streamed(header: object, raw_tasks: Callable[[], Iterable[object]],
               source: str, base_dir: str | FilePath) -> Manifest:
     """A lazy manifest: the shared header check plus the ``count``
     every pass of ``raw_tasks`` must yield."""
-    seed, defaults = _check_header(header, source)
+    fields = _check_header(header, source)
     assert isinstance(header, dict)
     count = header.get("count")
     _require(isinstance(count, int) and not isinstance(count, bool)
@@ -368,8 +341,7 @@ def _streamed(header: object, raw_tasks: Callable[[], Iterable[object]],
              f"{source}: streaming manifests must declare a "
              f"non-negative integer task count in the header, "
              f"got {count!r}")
-    return Manifest(seed=seed, source=source, defaults=defaults,
-                    task_count=count, raw_tasks=raw_tasks,
+    return Manifest(**fields, task_count=count, raw_tasks=raw_tasks,
                     base_dir=FilePath(base_dir))
 
 

@@ -9,8 +9,8 @@ re-established *per request*:
   explicit load shedding (429/503) and graceful drain;
 * :mod:`~repro.serve.cache` — fingerprint-keyed LRU of parsed specs,
   unpoisonable by failed builds;
-* :mod:`~repro.serve.handlers` — pure endpoint logic under
-  thread-scoped guard budgets, with a total exception→response map
+* :mod:`~repro.serve.handlers` — pure endpoint logic under each
+  request's own limits, with a total exception→response map
   (only a non-``ReproError`` is a contract breach, and even that is
   counted and contained, never a dead thread);
 * :mod:`~repro.serve.server` — the stdlib HTTP transport, one port for

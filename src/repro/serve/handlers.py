@@ -2,8 +2,13 @@
 
 Everything HTTP-independent about the service lives here so the
 contract is unit- and chaos-testable without sockets: envelope
-validation, tighten-only budget merging, spec-cache lookup, the three
-endpoint computations, and the complete exception→response mapping.
+validation, the request's limits (its ``budget`` under
+:class:`repro.guard.Limits`' rule, capped by the server's ceilings:
+a client may tighten any limit, never loosen one), engine names
+(:data:`repro.fd.implication.ENGINES`, checked before the spec
+cache), spec-cache lookup, the three endpoint computations, and the
+complete exception→response mapping.  Each request installs its
+limits on the handler thread that runs it.
 The HTTP layer (:mod:`repro.serve.server`) only does transport:
 admission, byte I/O, and signal handling.
 
@@ -14,7 +19,7 @@ the error's own, :attr:`repro.errors.ReproError.exit_code`):
 =====================================  ======  =========  ==========
 condition                              status  exit_code  kind
 =====================================  ======  =========  ==========
-malformed envelope / unknown budget      400        2      usage
+malformed envelope, budget or engine     400        2      usage
 input rejected by the pipeline           422        3      input
 (ParseError, FD syntax, unsupported)
 injected fault (FaultError)              500        3      fault
@@ -39,11 +44,10 @@ reported as an opaque 500 — the server thread itself never dies.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
 from typing import Any
 
-from repro import guard
 from repro.errors import (
     BREACH_EXITCODE,
     FaultError,
@@ -52,6 +56,8 @@ from repro.errors import (
     UsageError,
 )
 from repro.faults import plan as _faults
+from repro.fd.implication import ENGINES
+from repro.guard import Limits
 from repro.obs import metrics as _obs
 from repro.serve.cache import SpecCache
 
@@ -59,10 +65,6 @@ log = logging.getLogger("repro.serve")
 
 #: Endpoint path -> handler name; the HTTP layer routes on this.
 ENDPOINTS = ("/v1/implication", "/v1/xnf-check", "/v1/normalize")
-
-#: JSON budget keys accepted from clients (``timeout`` matches the CLI
-#: flag and maps to the guard's wall-clock deadline).
-_BUDGET_KEYS = ("timeout", "max_steps", "max_branches", "max_nodes")
 
 _SITES = {
     "/v1/implication": _faults.register_site(
@@ -81,62 +83,36 @@ class BadRequest(UsageError):
     """A malformed request envelope (maps to 400 / usage)."""
 
 
-@dataclass(frozen=True)
-class BudgetDefaults:
-    """Server-side per-request ceilings.
+#: The per-request ceilings (:class:`repro.guard.Limits`): 10 s, 2M steps,
+#: 200k branches and 1M nodes, each replaceable (``None``: unlimited).
+BudgetDefaults = functools.partial(Limits, timeout=10.0,
+                                   max_steps=2_000_000,
+                                   max_branches=200_000,
+                                   max_nodes=1_000_000)
 
-    ``None`` leaves a dimension unlimited.  Clients may *tighten* any
-    dimension through the request's ``budget`` object; attempts to
-    loosen are clamped back to these ceilings, so operator policy
-    always wins.
-    """
 
-    timeout: float | None = 10.0
-    max_steps: int | None = 2_000_000
-    max_branches: int | None = 200_000
-    max_nodes: int | None = 1_000_000
-
-    def merged(self, requested: Any) -> dict[str, float | int | None]:
-        """Effective guard kwargs after tighten-only merging."""
-        ceilings = {"timeout": self.timeout, "max_steps": self.max_steps,
-                    "max_branches": self.max_branches,
-                    "max_nodes": self.max_nodes}
-        if requested is None:
-            merged = ceilings
-        else:
-            if not isinstance(requested, dict):
-                raise BadRequest("'budget' must be an object")
-            unknown = sorted(set(requested) - set(_BUDGET_KEYS))
-            if unknown:
-                raise BadRequest(
-                    f"unknown budget key(s): {', '.join(unknown)}; "
-                    f"allowed: {', '.join(_BUDGET_KEYS)}")
-            merged = {}
-            for key, ceiling in ceilings.items():
-                value = requested.get(key)
-                if value is None:
-                    merged[key] = ceiling
-                    continue
-                if isinstance(value, bool) \
-                        or not isinstance(value, (int, float)):
-                    raise BadRequest(f"budget.{key} must be a number")
-                if value <= 0:
-                    raise BadRequest(f"budget.{key} must be positive")
-                merged[key] = (value if ceiling is None
-                               else min(value, ceiling))
-        return {"deadline": merged["timeout"],
-                "max_steps": merged["max_steps"],
-                "max_branches": merged["max_branches"],
-                "max_nodes": merged["max_nodes"]}
+def _request_limits(budget: Any, ceilings: Limits) -> Limits:
+    """A request's limits: its ``budget`` object capped by
+    ``ceilings``, or the ceilings themselves when it sends none."""
+    if budget is None:
+        return ceilings
+    if not isinstance(budget, dict):
+        raise BadRequest("'budget' must be an object")
+    unknown = sorted(set(budget) - set(Limits.KEYS))
+    if unknown:
+        raise BadRequest(f"unknown budget key(s): {', '.join(unknown)}; "
+                         f"allowed: {', '.join(Limits.KEYS)}")
+    return Limits.parse(budget, where="budget.",
+                        error=BadRequest).cap(ceilings)
 
 
 def handle(endpoint: str, payload: Any, *, cache: SpecCache,
-           defaults: BudgetDefaults) -> tuple[int, dict]:
+           defaults: Limits) -> tuple[int, dict]:
     """Serve one request; never raises.
 
     Returns ``(http_status, body)`` where ``body`` is JSON-ready.  The
-    endpoint work runs under a thread-scoped guard budget so a
-    pathological request degrades alone.
+    endpoint work runs under the request's own limits, capped by
+    ``defaults``, so a pathological request degrades alone.
     """
     try:
         return _dispatch(endpoint, payload, cache, defaults)
@@ -166,7 +142,7 @@ def error_response(exc: BaseException, *,
 
 
 def _dispatch(endpoint: str, payload: Any, cache: SpecCache,
-              defaults: BudgetDefaults) -> tuple[int, dict]:
+              defaults: Limits) -> tuple[int, dict]:
     if endpoint not in ENDPOINTS:
         raise BadRequest(f"unknown endpoint {endpoint!r}; "
                          f"expected one of: {', '.join(ENDPOINTS)}")
@@ -176,12 +152,15 @@ def _dispatch(endpoint: str, payload: Any, cache: SpecCache,
     fds_text = _field(payload, "fds", required=False, default="")
     root = _field(payload, "root", required=False, default=None)
     engine = _field(payload, "engine", required=False, default="auto")
+    if engine not in ENGINES:
+        raise BadRequest(f"unknown engine {engine!r}; expected one of: "
+                         f"{', '.join(ENGINES)}")
     fd_text = None
     if endpoint == "/v1/implication":
         fd_text = _field(payload, "fd")
-    budget_kwargs = defaults.merged(payload.get("budget"))
+    limits = _request_limits(payload.get("budget"), defaults)
 
-    with guard.limits(scope="thread", **budget_kwargs):
+    with limits.install():
         spec = cache.get(dtd_text, fds_text, root=root, engine=engine)
         if _faults.active:
             _faults.fire(_SITES[endpoint])

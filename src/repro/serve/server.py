@@ -10,8 +10,8 @@ plus the service plane, all on a single port:
   with JSON bodies, each request passing the
   :class:`~repro.serve.admission.AdmissionGate` before its body is even
   read (shedding must stay cheap under overload) and then running
-  through the pure handlers in :mod:`repro.serve.handlers` under a
-  thread-scoped guard budget;
+  through the pure handlers in :mod:`repro.serve.handlers` under its
+  own limits, installed on its handler thread;
 * ``GET /readyz`` (readiness: 503 the instant a drain starts, so load
   balancers stop routing before the listener goes away) and the
   ``draining`` field of ``GET /healthz`` (liveness: 200 for the whole
@@ -29,8 +29,8 @@ can always parse ``body["error"]["kind"]``:
 * 503 ``queue-timeout`` (+ ``Retry-After``) — queued past the timeout;
 * 503 ``draining`` — shutdown in progress;
 * 400 ``usage`` — unreadable/oversized/non-JSON body, or a body that
-  stalls for the admission queue timeout (the connection closes, which
-  frees its permit);
+  has not fully arrived within the admission queue timeout (the
+  connection closes, which frees its permit);
 * 404/405 ``usage`` — unknown path / wrong method.
 
 The accounting seam is :func:`account` — one call per finished
@@ -47,6 +47,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any
 
+from repro.guard import Limits
 from repro.obs import metrics as _obs
 from repro.obs.export import MetricsExporter, write_json
 from repro.serve import handlers
@@ -101,7 +102,7 @@ class NormalizationServer(MetricsExporter):
                  queue_timeout_s: float = 5.0,
                  drain_deadline_s: float = 10.0,
                  cache_capacity: int = 128,
-                 defaults: BudgetDefaults | None = None,
+                 defaults: Limits | None = None,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  retry_after_s: int = 1) -> None:
         super().__init__(port, host)
@@ -246,18 +247,25 @@ class NormalizationServer(MetricsExporter):
             return None, (400, _refusal(
                 400, "usage", "BadRequest",
                 f"body exceeds {self.max_body_bytes} bytes"))
-        # The permit is held while the body arrives: a stalled body is
-        # cut after the queue timeout (an idle keep-alive wait is not).
+        # The permit is held while the body arrives, so the whole body
+        # gets one deadline (an idle keep-alive wait is not cut).
         sock = request.connection
         idle_timeout = sock.gettimeout()
-        sock.settimeout(self.gate.queue_timeout_s)
+        deadline = time.monotonic() + self.gate.queue_timeout_s
+        raw = bytearray()
         try:
-            raw = request.rfile.read(length)
+            while len(raw) < length:
+                sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+                chunk = request.rfile.read1(length - len(raw))
+                if not chunk:                       # EOF: a short body
+                    break
+                raw += chunk
         except TimeoutError:
             return None, (400, _refusal(
                 400, "usage", "BadRequest",
-                f"request body stalled for {self.gate.queue_timeout_s}s "
-                f"before its {length} declared byte(s) arrived"))
+                f"request body not received within "
+                f"{self.gate.queue_timeout_s}s ({len(raw)} of its "
+                f"{length} declared byte(s) arrived)"))
         finally:
             sock.settimeout(idle_timeout)
         try:

@@ -79,9 +79,9 @@ def built_tasks(monkeypatch) -> list[int]:
     built: list[int] = []
     original = mf._build_task
 
-    def counting(raw, index, defaults, base_dir):
+    def counting(raw, index, *rest):
         built.append(index)
-        return original(raw, index, defaults, base_dir)
+        return original(raw, index, *rest)
 
     monkeypatch.setattr(mf, "_build_task", counting)
     return built

@@ -13,6 +13,7 @@ import http.client
 import json
 import os
 import re
+import select
 import signal
 import socket
 import statistics
@@ -279,6 +280,48 @@ class TestOverload:
         finally:
             srv.stop()
 
+    def test_a_trickled_body_gets_one_deadline(self):
+        """The whole body gets one deadline, the queue timeout: a client
+        that sends one byte every 0.3 s (each inside a 0.5 s timeout)
+        gets 400 within about a second, so a client arriving 1 s later
+        gets the permit instead of a 503."""
+        srv = NormalizationServer(0, max_inflight=1,
+                                  queue_timeout_s=0.5).start()
+        slow = socket.create_connection((srv.host, srv.port), timeout=10)
+        outcome = {}
+
+        def trickle() -> None:
+            started = time.monotonic()
+            try:
+                for _ in range(12):
+                    slow.sendall(b" ")
+                    if select.select([slow], [], [], 0.3)[0]:
+                        break                    # the server answered
+            except OSError:
+                pass                             # ... and hung up
+            reply = b""
+            while chunk := slow.recv(65536):     # b"" is EOF
+                reply += chunk
+            outcome["reply"] = reply
+            outcome["elapsed"] = time.monotonic() - started
+
+        try:
+            slow.sendall(b"POST /v1/xnf-check HTTP/1.1\r\n"
+                         b"Host: localhost\r\n"
+                         b"Content-Length: 12\r\n\r\n")
+            sender = threading.Thread(target=trickle)
+            sender.start()
+            time.sleep(1.0)
+            status, _, _ = _post(srv.url("/v1/xnf-check"),
+                                 {"dtd": SIMPLE_DTD, "fds": SIMPLE_FDS})
+            sender.join(timeout=10)
+            assert outcome["reply"].startswith(b"HTTP/1.1 400 "), outcome
+            assert outcome["elapsed"] < 1.5, outcome
+            assert status == 200
+        finally:
+            slow.close()
+            srv.stop()
+
     def test_one_pathological_request_leaves_neighbors_healthy(self):
         """A request burning its whole budget degrades alone: the
         spec-level isolation the thread-scoped guard provides."""
@@ -413,14 +456,39 @@ class TestServeProcess:
                 proc.kill()
 
     def test_mid_drain_sigterm_is_idempotent(self):
+        """A second SIGTERM while a drain waits on an in-flight request
+        joins that drain: the request still gets its answer, and the
+        process exits 0.  Half a body holds the request in flight, so
+        the drain is certainly running when the second signal lands."""
         proc, url = _spawn_serve("--drain-deadline", "5")
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        body = json.dumps({"dtd": SIMPLE_DTD,
+                           "fds": SIMPLE_FDS}).encode("utf-8")
+        client = socket.create_connection((host, int(port)), timeout=30)
         try:
+            client.sendall(b"POST /v1/xnf-check HTTP/1.1\r\n"
+                           b"Host: localhost\r\n"
+                           + f"Content-Length: {len(body)}\r\n\r\n"
+                           .encode("ascii") + body[:len(body) // 2])
+            for _ in range(100):                 # admitted: in flight
+                if re.search(rb"^serve_inflight 1(\.0)?$",
+                             _get(url + "/metrics")[1], re.MULTILINE):
+                    break
+                time.sleep(0.05)
+            else:
+                raise AssertionError("the request was never admitted")
             proc.send_signal(signal.SIGTERM)
-            time.sleep(0.1)
+            assert select.select([proc.stderr], [], [], 10)[0]
+            assert proc.stderr.readline().startswith("serve: draining")
             proc.send_signal(signal.SIGTERM)  # mid-drain repeat
+            client.sendall(body[len(body) // 2:])
+            reply = client.recv(65536)
+            assert reply.startswith(b"HTTP/1.1 200 "), reply
             returncode = proc.wait(timeout=30)
             assert returncode == 0
+            assert "drained cleanly" in proc.stderr.read()
         finally:
+            client.close()
             if proc.poll() is None:
                 proc.kill()
 

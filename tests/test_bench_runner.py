@@ -49,7 +49,7 @@ class TestIsolate:
         assert _budget.active
         runner.isolate()
         assert not _budget.active
-        assert _budget._stack == []
+        assert _budget.current() is None
 
     def test_clears_live_engine_caches(self, flat_ab_dtd):
         from repro.fd.model import FD

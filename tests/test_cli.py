@@ -367,6 +367,46 @@ class TestFaultsEnv:
         main(["check", *university_files])
         assert not faults.active
 
+    def test_bad_spec_starts_nothing(self, university_files, tmp_path,
+                                     capsys, monkeypatch):
+        """Every input is checked before anything starts: a bad spec
+        leaves obs disabled, no exporter thread and no trace sink."""
+        import threading
+
+        from repro import obs
+        from repro.obs import trace
+        monkeypatch.setenv("REPRO_FAULTS", "nosuchsite:bogus")
+        assert not obs.is_enabled()
+        assert main(["--metrics-port", "0", "--trace",
+                     str(tmp_path / "t.jsonl"), "check",
+                     *university_files]) == 2
+        assert "bad REPRO_FAULTS spec" in capsys.readouterr().err
+        assert not obs.is_enabled()
+        assert not any(thread.name == "repro-http" and thread.is_alive()
+                       for thread in threading.enumerate())
+        assert not trace.has_sinks()
+
+    def test_a_sink_that_cannot_start_undoes_the_others(
+            self, university_files, tmp_path, capsys):
+        """Exit 3 with one error line and no stats table, and what did
+        start (obs, the exporter) is undone."""
+        import threading
+
+        from repro import obs
+        from repro.obs import trace
+        code = main(["--metrics-port", "0", "--stats", "--trace",
+                     str(tmp_path / "no" / "such" / "dir.jsonl"),
+                     "check", *university_files])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: cannot open trace file" in err
+        assert "metrics: serving on" in err
+        assert "== metrics ==" not in err
+        assert not obs.is_enabled()
+        assert not any(thread.name == "repro-http" and thread.is_alive()
+                       for thread in threading.enumerate())
+        assert not trace.has_sinks()
+
 
 class TestBenchResourceLimits:
     def test_bench_run_budget_is_exit_4(self, tmp_path, capsys):

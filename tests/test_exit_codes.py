@@ -84,6 +84,25 @@ class TestExit0:
         manifest = _manifest_file(tmp_path, [_good_task()])
         assert main(["batch", manifest, "--backoff-base", "0"]) == 0
 
+    def test_journal_from_before_the_limits_field_resumes(self, tmp_path,
+                                                          capsys):
+        """A journal whose meta has no ``limits`` (written before the
+        field existed, without budget flags) resumes with exit 0 to the
+        uninterrupted run's summary bytes."""
+        manifest = _manifest_file(
+            tmp_path, [_good_task(f"g{index}") for index in range(3)])
+        journal = tmp_path / "j.journal"
+        batch = ["batch", manifest, "--backoff-base", "0",
+                 "--journal", str(journal)]
+        assert main(batch) == 0
+        whole = capsys.readouterr().out
+        meta, first, *_rest = journal.read_text().splitlines()
+        meta = json.loads(meta)
+        assert meta.pop("limits", None) is None
+        journal.write_text(json.dumps(meta) + "\n" + first + "\n")
+        assert main([*batch, "--resume"]) == 0
+        assert capsys.readouterr().out == whole
+
 
 class TestExit1:
     def test_negative_implication(self, university):
@@ -290,6 +309,56 @@ class TestExit2:
         assert main(["serve", "--port", "8300",
                      "--metrics-port", "9999"]) == 2
         assert "second exporter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value", [
+        ("defaults", 0.5), ("task", 2.9), ("defaults", float("nan")),
+    ])
+    def test_manifest_limit_outside_the_rule(self, tmp_path, capsys,
+                                              where, value):
+        """A fractional or NaN counted limit is refused naming the
+        field, never truncated or left to raise inside a task."""
+        task = _good_task()
+        payload = {"schema": "repro.runtime.manifest", "version": 1,
+                   "defaults": {}, "tasks": [task]}
+        (task if where == "task" else payload["defaults"])[
+            "max_steps"] = value
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(payload))
+        assert main(["batch", str(path), "--backoff-base", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "max_steps must be an integer >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--timeout", "--max-steps"])
+    def test_nan_budget_flag(self, university, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main([flag, "nan", "check", *university])
+        assert info.value.code == 2
+
+    def test_nan_serve_budget(self):
+        from repro.serve import BudgetDefaults, SpecCache, handle
+        status, body = handle(
+            "/v1/xnf-check", {"dtd": SIMPLE_DTD,
+                              "budget": {"max_steps": float("nan")}},
+            cache=SpecCache(), defaults=BudgetDefaults())
+        assert (status, body["error"]["kind"]) == (400, "usage")
+        assert body["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize("first, second", [
+        (["--max-steps", "50"], ["--max-steps", "60"]),
+        (["--max-steps", "50"], []),
+        ([], ["--timeout", "5"]),
+    ])
+    def test_resume_under_other_budget_flags(self, tmp_path, capsys,
+                                             first, second):
+        """The flags cap every task, so the journal pins them."""
+        manifest = _manifest_file(tmp_path, [_good_task()])
+        batch = ["batch", manifest, "--backoff-base", "0",
+                 "--journal", str(tmp_path / "j.journal")]
+        assert main([*first, *batch]) == 0
+        capsys.readouterr()
+        assert main([*second, *batch, "--resume"]) == 2
+        assert "limits mismatch" in capsys.readouterr().err
 
 
 class TestExit3:

@@ -52,7 +52,9 @@ def starred_spec():
 class TestBudget:
     def test_limits_must_be_positive(self):
         for kwargs in ({"deadline": 0}, {"max_steps": -1},
-                       {"max_branches": 0}, {"max_nodes": -5}):
+                       {"max_branches": 0}, {"max_nodes": -5},
+                       {"deadline": float("nan")},
+                       {"max_steps": float("nan")}):
             with pytest.raises(ValueError):
                 guard.Budget(**kwargs)
 
@@ -252,33 +254,22 @@ class TestObsCounters:
 
 
 class TestThreadScope:
-    """scope="thread" budgets isolate concurrent work (the `xnf serve`
-    per-request containment primitive)."""
+    """Each thread has its own budget stack: a budget governs the
+    thread that installed it (every unit of work installs its own)."""
 
-    def test_thread_budget_shadows_process_budget(self):
-        process = guard.Budget(max_steps=100)
-        local = guard.Budget(max_steps=1)
-        with guard.use(process):
-            with guard.use(local, scope="thread"):
-                assert guard.current() is local
-            assert guard.current() is process
-
-    def test_other_threads_fall_back_to_process_stack(self):
+    def test_other_threads_see_no_budget(self):
         import threading
 
-        process = guard.Budget(max_steps=100)
-        local = guard.Budget(max_steps=1)
         seen: list[object] = []
 
         def worker() -> None:
             seen.append(guard.current())
 
-        with guard.use(process):
-            with guard.use(local, scope="thread"):
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join()
-        assert seen == [process]
+        with guard.use(guard.Budget(max_steps=1)):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        assert seen == [None]
 
     def test_concurrent_thread_budgets_are_isolated(self):
         import threading
@@ -287,7 +278,7 @@ class TestThreadScope:
         results: dict[str, object] = {}
 
         def worker(name: str, budget: guard.Budget) -> None:
-            with guard.use(budget, scope="thread"):
+            with guard.use(budget):
                 barrier.wait(timeout=5)
                 results[name] = guard.current()
                 barrier.wait(timeout=5)
@@ -312,7 +303,7 @@ class TestThreadScope:
 
         def tight() -> None:
             try:
-                with guard.limits(max_steps=1, scope="thread"):
+                with guard.limits(max_steps=1):
                     closure_implies(dtd, sigma, query)
                 outcomes["tight"] = "completed"
             except ResourceExhausted as error:
@@ -332,19 +323,33 @@ class TestThreadScope:
         assert guard_budget.active is False
 
     def test_active_flag_counts_across_scopes(self):
-        process = guard.Budget(max_steps=10)
-        local = guard.Budget(max_steps=10)
-        with guard.use(process):
-            with guard.use(local, scope="thread"):
-                assert guard_budget.active is True
+        """``active`` stays set while any thread has a budget."""
+        import threading
+
+        installed = threading.Event()
+        release = threading.Event()
+
+        def worker() -> None:
+            with guard.use(guard.Budget(max_steps=10)):
+                installed.set()
+                release.wait(timeout=5)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        installed.wait(timeout=5)
+        with guard.use(guard.Budget(max_steps=10)):
             assert guard_budget.active is True
+        assert guard.current() is None
+        assert guard_budget.active is True
+        release.set()
+        thread.join()
         assert guard_budget.active is False
 
     def test_teardown_sweeps_both_scopes(self):
-        installed_process = guard.Budget(max_steps=10)
-        installed_thread = guard.Budget(max_steps=10)
-        with guard.use(installed_process):
-            with guard.use(installed_thread, scope="thread"):
+        """Teardown sweeps every budget of the calling thread, nested
+        ones included."""
+        with guard.use(guard.Budget(max_steps=10)):
+            with guard.use(guard.Budget(max_steps=10)):
                 assert guard.teardown() == 2
                 assert guard.current() is None
                 assert guard_budget.active is False
@@ -352,6 +357,63 @@ class TestThreadScope:
         assert guard_budget.active is False
 
     def test_bad_scope_rejected(self):
-        with pytest.raises(ValueError, match="scope"):
-            with guard.use(guard.Budget(max_steps=1), scope="global"):
+        """There is one scope, the thread: ``scope=`` is gone."""
+        with pytest.raises(TypeError, match="scope"):
+            with guard.use(guard.Budget(max_steps=1), scope="thread"):
                 pass
+        with pytest.raises(TypeError, match="scope"):
+            guard.limits(max_steps=1, scope="thread")
+
+
+class TestLimits:
+    """``repro.guard.Limits``: the one rule for the four limits, how a
+    unit's limits combine with the operator's, and where ``timeout``
+    becomes the budget's ``deadline``."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("timeout", 0), ("timeout", -1.5), ("timeout", float("nan")),
+        ("timeout", float("inf")), ("timeout", True), ("timeout", "5"),
+        pytest.param("timeout", 10 ** 400, id="timeout-beyond-float"),
+        ("max_steps", 0), ("max_steps", 0.5), ("max_steps", 2.9),
+        ("max_steps", float("nan")), ("max_branches", True),
+        ("max_nodes", -1), ("max_nodes", "10"),
+    ])
+    def test_bad_values_are_refused_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            guard.Limits(**{key: value})
+
+        class Refused(ReproError):
+            pass
+
+        with pytest.raises(Refused, match=f"^here: {key} must be"):
+            guard.Limits.parse({key: value, "other": "ignored"},
+                               where="here: ", error=Refused)
+
+    def test_good_values(self):
+        limits = guard.Limits.parse({"timeout": 2, "max_steps": 5,
+                                     "max_nodes": None, "id": "x"})
+        assert limits == guard.Limits(timeout=2, max_steps=5)
+        assert limits and not guard.Limits()
+        assert guard.Limits(timeout=0.5).to_json() == {
+            "timeout": 0.5, "max_steps": None, "max_branches": None,
+            "max_nodes": None}
+
+    def test_fill_takes_unset_limits_from_defaults(self):
+        own = guard.Limits(max_steps=5)
+        defaults = guard.Limits(timeout=2.0, max_steps=50, max_nodes=9)
+        assert own.fill(defaults) == guard.Limits(
+            timeout=2.0, max_steps=5, max_nodes=9)
+
+    def test_cap_keeps_the_tighter_limit(self):
+        own = guard.Limits(timeout=30.0, max_steps=5)
+        ceiling = guard.Limits(timeout=2.0, max_steps=50, max_nodes=9)
+        assert own.cap(ceiling) == guard.Limits(
+            timeout=2.0, max_steps=5, max_nodes=9)
+        assert guard.Limits().cap(ceiling) == ceiling
+
+    def test_install_turns_timeout_into_the_deadline(self):
+        with guard.Limits(timeout=3.0, max_nodes=7).install() as budget:
+            assert guard.current() is budget
+            assert (budget.deadline, budget.max_nodes) == (3.0, 7)
+        with guard.Limits().install() as budget:
+            assert budget is None and guard_budget.active is False

@@ -469,9 +469,9 @@ class TestStreamingResume:
         built = []
         original = mf._build_task
 
-        def counting_build(raw, index, defaults, base_dir):
+        def counting_build(raw, index, *rest):
             built.append(index)
-            return original(raw, index, defaults, base_dir)
+            return original(raw, index, *rest)
 
         monkeypatch.setattr(mf, "_build_task", counting_build)
         metrics.enable()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ManifestError
+from repro.guard import Limits
 from repro.runtime import manifest as mf
 
 DTD = ("<!ELEMENT db (r*)>\n<!ELEMENT r EMPTY>\n"
@@ -71,6 +72,27 @@ class TestValidation:
         with pytest.raises(ManifestError, match="timeout"):
             mf.build([_task(timeout=0)])
 
+    @pytest.mark.parametrize("where, limits", [
+        ("defaults", {"max_steps": 0.5}), ("task", {"max_steps": 2.9}),
+        ("task", {"timeout": float("nan")}),
+        ("defaults", {"max_nodes": True}),
+    ])
+    def test_limits_follow_the_one_rule(self, where, limits):
+        """Counted limits are integers >= 1 and a timeout is a finite
+        number > 0, in ``defaults`` and per task; nothing is truncated
+        or left to fail inside a task."""
+        [(key, value)] = limits.items()
+        tasks, defaults = ([_task(**limits)], {}) if where == "task" \
+            else ([_task()], limits)
+        with pytest.raises(ManifestError, match=f"{key} must be"):
+            mf.build(tasks, defaults=defaults)
+
+    def test_defaults_are_checked_at_the_header(self):
+        """The defaults' limits are parsed once, with the header, so a
+        bad one is refused even when no task reads it."""
+        with pytest.raises(ManifestError, match="defaults: max_steps"):
+            mf.build([], defaults={"max_steps": 0.5})
+
     def test_whole_manifest_fails_on_one_bad_task(self):
         """A typo'd task 2 stops the batch before task 1 could run."""
         with pytest.raises(ManifestError):
@@ -84,7 +106,7 @@ class TestDefaults:
                                       "max_steps": 500, "seed": 9})
         task = manifest.tasks[0]
         assert task.engine == "closure"
-        assert task.max_steps == 500
+        assert task.limits == Limits(max_steps=500)
         assert manifest.seed == 9
 
     def test_task_overrides_defaults(self):
@@ -93,13 +115,17 @@ class TestDefaults:
                                       "max_steps": 500})
         task = manifest.tasks[0]
         assert task.engine == "chase"
-        assert task.max_steps == 7
+        assert task.limits == Limits(max_steps=7)
 
     def test_budget_kwargs_shape(self):
-        manifest = mf.build([_task(timeout=1.5, max_nodes=10)])
-        assert manifest.tasks[0].budget_kwargs() == {
-            "deadline": 1.5, "max_steps": None,
-            "max_branches": None, "max_nodes": 10}
+        """A task's four limits are one ``Limits`` value, filled from
+        the defaults, and ``None`` when neither sets any."""
+        manifest = mf.build([_task(timeout=1.5, max_nodes=10), _task()],
+                            defaults={"max_steps": 3})
+        assert [task.limits for task in manifest.tasks] == [
+            Limits(timeout=1.5, max_steps=3, max_nodes=10),
+            Limits(max_steps=3)]
+        assert mf.build([_task()]).tasks[0].limits is None
 
 
 class TestFiles:

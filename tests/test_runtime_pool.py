@@ -569,6 +569,36 @@ class TestParentDeath:
         assert not lingering, "workers outlived their SIGKILLed parent"
 
 
+class TestBudgetFlags:
+    """``xnf --max-steps N batch`` bounds each task, not the command: a
+    task's outcome is the one it has alone, under any ``--workers``."""
+
+    @staticmethod
+    def _batch(capsys, manifest, steps, *flags):
+        from repro.cli import main
+        main(["--max-steps", str(steps), "batch", str(manifest),
+              "--backoff-base", "0", *flags])
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("steps", [5, 20, 50])
+    def test_outcomes_do_not_depend_on_neighbours_or_workers(
+            self, tmp_path, capsys, steps):
+        payload = corpus.generate_manifest(12, seed=3)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(payload))
+        serial = self._batch(capsys, manifest, steps, "--workers", "1")
+        parallel = self._batch(capsys, manifest, steps, "--workers", "2")
+        assert serial == parallel
+        outcomes = json.loads(serial)["tasks"]
+        assert any(outcome["status"] == "dead-letter"
+                   for outcome in outcomes)
+        for task, outcome in zip(payload["tasks"], outcomes):
+            alone = tmp_path / f"{task['id']}.json"
+            alone.write_text(json.dumps(dict(payload, tasks=[task])))
+            assert json.loads(self._batch(capsys, alone, steps))[
+                "tasks"] == [outcome]
+
+
 class TestSerialDelegation:
     def test_runner_without_backend_uses_serial(self):
         manifest = corpus.stream_manifest(3, seed=2)

@@ -14,6 +14,7 @@ import pytest
 
 from repro import faults, obs
 from repro.datasets.university import UNIVERSITY_DTD, UNIVERSITY_FDS
+from repro.guard import Limits
 from repro.serve import (
     AdmissionGate,
     BudgetDefaults,
@@ -23,6 +24,7 @@ from repro.serve import (
     handle,
     spec_key,
 )
+from repro.serve.handlers import _request_limits
 
 SIMPLE_DTD = ("<!ELEMENT db (row*)>\n<!ELEMENT row EMPTY>\n"
               "<!ATTLIST row a CDATA #REQUIRED b CDATA #REQUIRED>")
@@ -186,35 +188,43 @@ class TestSpecCache:
 
 
 class TestBudgetDefaults:
+    """A request's limits are its ``budget`` capped by the server's
+    ceilings (``BudgetDefaults()`` unless the flags replace them)."""
+
     def test_defaults_pass_through(self, defaults):
-        merged = defaults.merged(None)
-        assert merged["deadline"] == defaults.timeout
-        assert merged["max_steps"] == defaults.max_steps
+        assert defaults == Limits(timeout=10.0, max_steps=2_000_000,
+                                  max_branches=200_000,
+                                  max_nodes=1_000_000)
+        assert _request_limits(None, defaults) == defaults
 
     def test_client_can_tighten(self):
-        merged = BudgetDefaults(max_steps=100).merged({"max_steps": 10})
-        assert merged["max_steps"] == 10
+        limits = _request_limits({"max_steps": 10},
+                                 BudgetDefaults(max_steps=100))
+        assert limits.max_steps == 10
 
     def test_client_cannot_loosen(self):
-        merged = BudgetDefaults(max_steps=100,
-                                timeout=2.0).merged(
-            {"max_steps": 1_000_000, "timeout": 3600})
-        assert merged["max_steps"] == 100
-        assert merged["deadline"] == 2.0
+        limits = _request_limits({"max_steps": 1_000_000, "timeout": 3600},
+                                 BudgetDefaults(max_steps=100,
+                                                timeout=2.0))
+        assert limits.max_steps == 100
+        assert limits.timeout == 2.0
 
     def test_unlimited_ceiling_accepts_any_client_value(self):
-        merged = BudgetDefaults(max_nodes=None).merged(
-            {"max_nodes": 123})
-        assert merged["max_nodes"] == 123
+        limits = _request_limits({"max_nodes": 123},
+                                 BudgetDefaults(max_nodes=None))
+        assert limits.max_nodes == 123
 
     @pytest.mark.parametrize("budget", [
         {"max_steps": 0}, {"max_steps": -1}, {"timeout": "fast"},
         {"timeout": True}, {"bogus": 1}, "not-an-object", 7,
+        {"max_steps": float("nan")}, {"timeout": float("nan")},
+        {"max_steps": 0.5}, {"max_steps": 2.9},
+        {"timeout": float("inf")},
     ])
     def test_bad_budgets_are_usage_errors(self, budget):
         from repro.serve import BadRequest
         with pytest.raises(BadRequest):
-            BudgetDefaults().merged(budget)
+            _request_limits(budget, BudgetDefaults())
 
 
 class TestHandlers:
@@ -353,6 +363,15 @@ class TestHandlers:
         finally:
             obs.reset()
             obs.disable()
+
+    @pytest.mark.parametrize("engine", ["bogus", "BRUTE", "quantum"])
+    def test_unknown_engine_is_400_before_the_cache(self, cache,
+                                                    defaults, engine):
+        status, body = handle("/v1/xnf-check", _payload(engine=engine),
+                              cache=cache, defaults=defaults)
+        assert status == 400
+        assert body["error"]["kind"] == "usage"
+        assert len(cache) == 0
 
     def test_per_request_budgets_leave_no_residue(self, cache,
                                                   defaults):
