@@ -17,50 +17,69 @@ Quickstart::
     result = spec.normalize()         # the Figure 4 algorithm
     print(result.dtd)                 # the XNF redesign
     new_doc = result.migrate(doc)     # carry documents across, lossless
+
+The names below are re-exported from the modules that define them, and
+each is imported on first use: ``import repro`` alone loads no engine,
+so ``xnf --help`` pays for none.
 """
+
+import sys
+import types
 
 __version__ = "1.0.0"
 
-from repro.dtd import (
-    DTD,
-    Path,
-    is_disjunctive_dtd,
-    is_simple_dtd,
-    parse_dtd,
-    serialize_dtd,
-)
-from repro.xmltree import XMLTree, conforms, elem, parse_xml, serialize_xml
-from repro.tuples import TreeTuple, trees_of, tuples_of
-from repro.fd import FD, ImplicationEngine, implies, is_trivial, satisfies
-from repro.xnf import is_in_xnf, xnf_violations
-from repro.normalize import (
-    NewElementNames,
-    NormalizationResult,
-    normalize,
-    normalize_simple,
-)
-from repro.spec import XMLSpec
-from repro.mvd import MVD, is_in_xnf4, satisfies_mvd, tree_induced_mvds
-from repro.report import DesignReport, analyze, redundancy_of
-from repro.fd.explain import explain_implication
-
-__all__ = [
-    "__version__",
+#: Each home module and the names re-exported from it, in ``__all__``
+#: order.
+_EXPORTS = {
     # DTDs and paths
-    "DTD", "Path", "parse_dtd", "serialize_dtd",
-    "is_simple_dtd", "is_disjunctive_dtd",
+    "repro.dtd": ("DTD", "Path", "parse_dtd", "serialize_dtd",
+                  "is_simple_dtd", "is_disjunctive_dtd"),
     # XML trees
-    "XMLTree", "elem", "parse_xml", "serialize_xml", "conforms",
+    "repro.xmltree": ("XMLTree", "elem", "parse_xml", "serialize_xml",
+                      "conforms"),
     # tree tuples
-    "TreeTuple", "tuples_of", "trees_of",
+    "repro.tuples": ("TreeTuple", "tuples_of", "trees_of"),
     # FDs
-    "FD", "satisfies", "implies", "is_trivial", "ImplicationEngine",
+    "repro.fd": ("FD", "satisfies", "implies", "is_trivial",
+                 "ImplicationEngine"),
     # XNF + normalization
-    "is_in_xnf", "xnf_violations", "normalize", "normalize_simple",
-    "NormalizationResult", "NewElementNames",
+    "repro.xnf": ("is_in_xnf", "xnf_violations"),
+    "repro.normalize": ("normalize", "normalize_simple",
+                        "NormalizationResult", "NewElementNames"),
     # the facade
-    "XMLSpec",
+    "repro.spec": ("XMLSpec",),
     # extensions: MVDs (Section 8), reporting, explanations
-    "MVD", "satisfies_mvd", "tree_induced_mvds", "is_in_xnf4",
-    "DesignReport", "analyze", "redundancy_of", "explain_implication",
-]
+    "repro.mvd": ("MVD", "satisfies_mvd", "tree_induced_mvds",
+                  "is_in_xnf4"),
+    "repro.report": ("DesignReport", "analyze", "redundancy_of"),
+    "repro.fd.explain": ("explain_implication",),
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Importing ``repro.normalize`` binds the subpackage onto this
+        # package; the re-exported function of that name keeps it.
+        if name in _HOMES and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

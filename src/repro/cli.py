@@ -16,9 +16,10 @@ Subcommands::
     xnf serve      [--port N]                # long-running HTTP service
 
 :func:`build_parser` declares every subcommand's arguments; a command's
-implementation is imported only when it runs.  The ``python -m`` entry
-points of the benchmark and profiling observatories are aliases of
-``xnf bench`` and ``xnf obs``.
+implementation, and every engine it runs, is imported only when it
+runs, so ``xnf --help`` and a usage error load no engine.  The
+``python -m`` entry points of the benchmark and profiling observatories
+are aliases of ``xnf bench`` and ``xnf obs``.
 
 Observability (see ``docs/OBSERVABILITY.md``): every subcommand accepts
 ``--stats`` (print a metrics table — cache hit rate, chase steps,
@@ -89,8 +90,9 @@ Exit codes (uniform across subcommands; the full table is pinned by
     1  negative answer (not implied, not in XNF, violations found,
        every batch task dead-lettered)
     2  usage error (bad flags or arguments: argparse, or a UsageError —
-       an unusable batch manifest or journal, trace, ledger or
-       benchmark report) — message on stderr
+       an input file that cannot be read, an ``-o`` directory that
+       cannot be written, an unusable batch manifest or journal,
+       trace, ledger or benchmark report) — message on stderr
     3  input or pipeline error (any other ReproError: parse failure,
        invalid FD, unsupported feature, ...) — message on stderr
     4  resource limit reached (--timeout / --max-steps / ... tripped
@@ -113,18 +115,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import os
 import sys
-from pathlib import Path as FilePath
 
-from repro import guard, obs
 from repro.errors import ReproError, ResourceExhausted, UsageError
-from repro.dtd.parser import parse_dtd
-from repro.dtd.serializer import serialize_dtd
-from repro.fd.implication import UNKNOWN, YES
-from repro.fd.model import FD, parse_fds
-from repro.spec import XMLSpec
-from repro.xmltree.parser import parse_xml
 
 #: Uniform exit codes (documented in the module docstring).
 EXIT_OK = 0
@@ -135,13 +130,24 @@ EXIT_RESOURCE = 4
 EXIT_PARTIAL = 5
 
 
-def _load_spec(dtd_file: str, fd_file: str | None,
-               root: str | None) -> XMLSpec:
+def _read(path: str) -> str:
+    """The text of a file argument; one that cannot be read is a usage
+    error (exit 2), like a bad flag."""
+    try:
+        with open(path, encoding="utf-8") as stream:
+            return stream.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise UsageError(f"cannot read {path}: {error}") from error
+
+
+def _load_spec(dtd_file: str, fd_file: str | None, root: str | None):
+    from repro import obs
+    from repro.spec import XMLSpec
     # A named child span keeps the root CLI span's wall time almost
     # fully attributed when profiled (`xnf obs report`).
     with obs.span("spec.parse", dtd=dtd_file):
-        dtd_text = FilePath(dtd_file).read_text()
-        fd_text = FilePath(fd_file).read_text() if fd_file else ""
+        dtd_text = _read(dtd_file)
+        fd_text = _read(fd_file) if fd_file else ""
         return XMLSpec.parse(dtd_text, fd_text, root=root)
 
 
@@ -169,6 +175,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 @_one_unit
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    from repro.dtd.serializer import serialize_dtd
     spec = _load_spec(args.dtd, args.fds, args.root)
     result = spec.normalize()
     for index, step in enumerate(result.steps, start=1):
@@ -179,17 +186,23 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         for fd in result.sigma:
             print(f"# FD: {fd}")
     if args.output:
-        out = FilePath(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "normalized.dtd").write_text(serialize_dtd(result.dtd))
-        (out / "normalized.fds").write_text(
-            "".join(f"{fd}\n" for fd in result.sigma))
+        from pathlib import Path
+        out = Path(args.output)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "normalized.dtd").write_text(serialize_dtd(result.dtd))
+            (out / "normalized.fds").write_text(
+                "".join(f"{fd}\n" for fd in result.sigma))
+        except OSError as error:
+            raise UsageError(f"cannot write {out}: {error}") from error
         print(f"\nwritten to {out}/", file=sys.stderr)
     return EXIT_OK
 
 
 @_one_unit
 def _cmd_implies(args: argparse.Namespace) -> int:
+    from repro.fd.implication import UNKNOWN, YES
+    from repro.fd.model import FD
     spec = _load_spec(args.dtd, args.fds, args.root)
     fd = FD.parse(args.fd)
     verdict = spec.decide(fd)
@@ -203,9 +216,11 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 
 @_one_unit
 def _cmd_tuples(args: argparse.Namespace) -> int:
-    dtd = parse_dtd(FilePath(args.dtd).read_text(), root=args.root)
-    tree = parse_xml(FilePath(args.xml).read_text())
+    from repro.dtd.parser import parse_dtd
     from repro.tuples.extract import tuples_of
+    from repro.xmltree.parser import parse_xml
+    dtd = parse_dtd(_read(args.dtd), root=args.root)
+    tree = parse_xml(_read(args.xml))
     tuples = tuples_of(tree, dtd)
     paths = sorted({p for t in tuples for p in t.paths}, key=str)
     print("\t".join(str(p) for p in paths))
@@ -227,8 +242,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = _load_spec(args.dtd, args.fds, args.root)
     from repro.report import analyze
-    documents = [parse_xml(FilePath(path).read_text())
-                 for path in args.xml]
+    from repro.xmltree.parser import parse_xml
+    documents = [parse_xml(_read(path)) for path in args.xml]
     report = analyze(spec, documents)
     print(report.render(), end="")
     return EXIT_OK if report.in_xnf else EXIT_NEGATIVE
@@ -412,7 +427,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.dtd.classify import (
         disjunction_measure, is_disjunctive_dtd, is_simple_dtd)
-    dtd = parse_dtd(FilePath(args.dtd).read_text(), root=args.root)
+    from repro.dtd.parser import parse_dtd
+    dtd = parse_dtd(_read(args.dtd), root=args.root)
     print(f"recursive:   {dtd.is_recursive}")
     simple = is_simple_dtd(dtd)
     print(f"simple:      {simple}")
@@ -748,9 +764,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The modules each command runs (``bench`` and ``obs`` import their
+#: own).  :func:`main` imports them once the arguments are checked and
+#: before the command's span opens, so a trace times the work, not the
+#: imports.
+_RUNS = {
+    "check": ("repro.spec",),
+    "normalize": ("repro.spec", "repro.dtd.serializer"),
+    "implies": ("repro.spec",),
+    "tuples": ("repro.dtd.parser", "repro.tuples.extract",
+               "repro.xmltree.parser"),
+    "classify": ("repro.dtd.classify", "repro.dtd.parser"),
+    "explain": ("repro.spec", "repro.fd.explain"),
+    "analyze": ("repro.report",),
+    "batch": ("repro.runtime",),
+    "serve": ("repro.serve",),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Past the parser: ``--help`` and a usage error load neither.
+    from repro import guard, obs
     # Every input is checked before anything starts.
     args.limits = guard.Limits.parse(vars(args), error=parser.error)
     metrics_port = getattr(args, "metrics_port", None)
@@ -782,6 +818,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: bad REPRO_FAULTS spec: {error}",
                   file=sys.stderr)
             return EXIT_USAGE
+    for module in _RUNS.get(args.command, ()):
+        importlib.import_module(module)
 
     want_stats = bool(getattr(args, "stats", False)) or (
         os.environ.get("REPRO_OBS", "") not in ("", "0"))
@@ -814,6 +852,7 @@ def _observe(observed: contextlib.ExitStack, args: argparse.Namespace,
     """Enable obs when ``--stats``, ``--trace``, ``--metrics-port`` or
     ``serve`` (which publishes its own ``/metrics``) needs it, with each
     undo on ``observed``; a sink that cannot start is a ReproError."""
+    from repro import obs
     trace_file = getattr(args, "trace", None)
     if not (want_stats or trace_file or metrics_port is not None
             or args.command == "serve"):

@@ -41,17 +41,17 @@ siblings does.  ``--absolute`` compares raw wall times instead.
 from __future__ import annotations
 
 import json
-import statistics
+import os
 import time
-import uuid
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, TYPE_CHECKING, Callable
 
 from repro import records
-from repro.bench.compare import Finding
 from repro.errors import UsageError
 from repro.records import fingerprint
+
+if TYPE_CHECKING:
+    from repro.bench.compare import Finding
 
 #: The ``schema`` discriminator stamped on every ledger record.
 LEDGER_SCHEMA = "repro.obs.ledger"
@@ -104,7 +104,7 @@ class LedgerWriter:
         if records.repair(stream):
             records.warn_torn(getattr(stream, "name", "<ledger>"),
                               "obs.ledger.torn")
-        self.run = run if run is not None else uuid.uuid4().hex[:12]
+        self.run = run if run is not None else os.urandom(6).hex()
         self._clock = clock
         self.manifest_source = manifest.source
         self.manifest_seed = manifest.seed
@@ -197,6 +197,7 @@ def _per_task(run_records: list[dict]) -> dict[str, dict]:
 def _stamp(ts) -> str:
     if ts is None:
         return "-"
+    from datetime import datetime, timezone
     return datetime.fromtimestamp(
         float(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -252,6 +253,7 @@ def render_history(records: list[dict], *, task: str | None = None,
 def _median_baseline(baseline_runs: list[dict[str, dict]],
                      task: str) -> dict | None:
     """Median-wall baseline entry for one task across baseline runs."""
+    import statistics
     entries = [per_task[task] for per_task in baseline_runs
                if task in per_task]
     if not entries:
@@ -276,6 +278,9 @@ def regress(records: list[dict], *,
     from the current run raises :class:`LedgerError` (structural,
     exit 2), matching the bench comparator.
     """
+    import statistics
+
+    from repro.bench.compare import Finding
     runs = group_runs(records)
     current_run, current_records = list(runs.items())[-1]
     current = _per_task(current_records)

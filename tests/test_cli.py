@@ -191,10 +191,166 @@ class TestMainModule:
 
 
 class TestColdImports:
-    """Start-up pins: a CLI command loads no HTTP stack and no engine
-    ensemble, a serving process neither the load generator's urllib
-    nor the batch runtime, and the implication engines no batch
-    runtime."""
+    """Start-up pins: ``xnf --help`` loads no engine, a CLI command no
+    HTTP stack, engine ensemble or other command's modules, a serving
+    process neither the load generator's urllib nor the batch runtime,
+    and the implication engines no batch runtime."""
+
+    @staticmethod
+    def _loaded(args):
+        """A cold ``python -m repro ARGS``: its result, and the modules
+        it imports beyond a bare interpreter's."""
+        import ast, os, subprocess, sys
+        code = ("import atexit, sys\n"
+                "bare = set(sys.modules)\n"
+                "atexit.register(lambda: print(sorted(set(sys.modules)"
+                " - bare), file=sys.stderr))\n"
+                "import runpy\n"
+                f"sys.argv = ['xnf', *{args!r}]\n"
+                "runpy.run_module('repro', run_name='__main__', "
+                "alter_sys=True)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("REPRO_OBS", None)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        return proc, set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+    def test_help_loads_no_engine(self):
+        proc, loaded = self._loaded(["--help"])
+        assert proc.returncode == 0 and "usage: xnf" in proc.stdout
+        assert "repro.cli" in loaded
+        assert sorted(module for module in loaded
+                      if module.split(".")[0] == "dataclasses"
+                      or module.startswith(("repro.dtd", "repro.fd",
+                                            "repro.spec", "repro.guard",
+                                            "repro.obs"))) == []
+
+    def test_check_loads_no_other_command(self, university_files):
+        proc, loaded = self._loaded(["check", *university_files])
+        assert proc.returncode == 1 and "NOT in XNF" in proc.stdout
+        assert "repro.spec" in loaded
+        assert sorted(module for module in loaded
+                      if module.startswith((
+                          "repro.runtime", "repro.serve", "repro.bench",
+                          "repro.obs.cli", "repro.obs.ledger",
+                          "repro.mvd", "repro.report"))) == []
+
+    @pytest.mark.parametrize("command", [
+        "check {dtd} {fds}", "normalize {dtd} {fds}",
+        "implies {dtd} {fds} courses.course.@cno->courses.course",
+        "tuples {dtd} {xml}", "classify {dtd}",
+        "explain {dtd} {fds} courses.course.@cno->courses.course",
+        "analyze {dtd} {fds} {xml}",
+        "batch {manifest} --workers 1 --backoff-base 0",
+    ], ids=lambda command: command.split()[0])
+    def test_a_command_imports_nothing_inside_its_span(
+            self, university_files, tmp_path, command):
+        """A command's modules load before its ``cli.*`` span opens, so
+        a trace times the work, not the imports."""
+        import json, os, subprocess, sys
+        from repro.datasets.university import UNIVERSITY_DOCUMENT
+        xml = tmp_path / "university.xml"
+        xml.write_text(UNIVERSITY_DOCUMENT)
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({
+            "schema": "repro.runtime.manifest", "version": 1,
+            "tasks": [{"id": "t", "op": "check",
+                       "dtd_text": UNIVERSITY_DTD,
+                       "fds_text": UNIVERSITY_FDS}]}))
+        dtd, fds = university_files
+        argv = command.format(dtd=dtd, fds=fds, xml=xml,
+                              manifest=manifest).split()
+        code = f"""
+import contextlib, sys
+import repro.cli
+from repro import obs
+opened = []
+real = obs.span
+
+@contextlib.contextmanager
+def span(name, **attrs):
+    if name.startswith("cli."):
+        opened.append(set(sys.modules))
+    with real(name, **attrs) as current:
+        yield current
+
+obs.span = span
+with contextlib.redirect_stdout(sys.stderr):
+    repro.cli.main({argv!r})
+print(sorted(module for module in set(sys.modules) - opened[0]
+             if module.startswith("repro")))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", proc.stdout
+
+    def test_reexports_are_their_home_objects(self):
+        """Importing ``repro.spec`` imports the ``repro.normalize``
+        subpackage, which binds the name on ``repro``; the function
+        ``repro.normalize`` re-exports keeps it."""
+        import os, subprocess, sys
+        homes = {
+            "repro.dtd": "DTD Path parse_dtd serialize_dtd is_simple_dtd "
+                         "is_disjunctive_dtd",
+            "repro.xmltree": "XMLTree elem parse_xml serialize_xml "
+                             "conforms",
+            "repro.tuples": "TreeTuple tuples_of trees_of",
+            "repro.fd": "FD satisfies implies is_trivial ImplicationEngine",
+            "repro.xnf": "is_in_xnf xnf_violations",
+            "repro.normalize": "normalize normalize_simple "
+                               "NormalizationResult NewElementNames",
+            "repro.spec": "XMLSpec",
+            "repro.mvd": "MVD satisfies_mvd tree_induced_mvds is_in_xnf4",
+            "repro.report": "DesignReport analyze redundancy_of",
+            "repro.fd.explain": "explain_implication",
+        }
+        code = f"""
+import importlib, sys, types
+import repro.spec
+import repro
+listed = set(dir(repro))
+from repro import normalize
+assert isinstance(normalize, types.FunctionType), normalize
+assert normalize is sys.modules["repro.normalize.algorithm"].normalize
+homes = {homes!r}
+names = ["__version__"]
+for home, exported in homes.items():
+    for name in exported.split():
+        value = getattr(repro, name)
+        assert value is getattr(importlib.import_module(home), name), name
+        assert not isinstance(value, types.ModuleType), name
+        names.append(name)
+assert repro.__all__ == names, repro.__all__
+assert set(names) <= listed, set(names) - listed
+print("ok")
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
+    def test_the_modules_the_benchmark_patches_load(self):
+        """``xnfbench/replay.py`` imports these seven and then reads the
+        nine below from ``sys.modules``: a later lazy step must keep
+        every one loaded."""
+        import os, subprocess, sys
+        patched = ["repro.dtd.parser", "repro.fd.model", "repro.fd.closure",
+                   "repro.fd.chase", "repro.xnf.check",
+                   "repro.xnf.anomalous", "repro.normalize.algorithm",
+                   "repro.normalize.transforms", "repro.serve.handlers"]
+        code = ("import sys\n"
+                "import repro.dtd.model, repro.fd.implication, "
+                "repro.fd.model, repro.obs.ledger, repro.runtime.journal, "
+                "repro.serve.cache, repro.spec\n"
+                f"print([m for m in {patched!r} if m not in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("module, unwanted", [
         ("repro.cli", ["http.server", "repro.fd.ensemble"]),
@@ -208,6 +364,8 @@ class TestColdImports:
         ("repro.cli; repro.cli.build_parser()",
          ["repro.bench", "repro.obs.cli", "repro.obs.profile",
           "repro.obs.ledger", "repro.records"]),
+        # The ledger writer needs a run id, not the regression gate.
+        ("repro.obs.ledger", ["repro.bench", "statistics", "uuid"]),
     ])
     def test_import_leaves_out(self, module, unwanted):
         import os, subprocess, sys

@@ -5,7 +5,8 @@ one invocation that actually produces it::
 
     0  success / positive answer
     1  negative answer (and: every batch task dead-lettered)
-    2  usage error (argparse, bad batch manifest)
+    2  usage error (argparse, an unreadable input file, bad batch
+       manifest)
     3  input / pipeline error (any other ReproError)
     4  resource limit tripped before the answer was decided
     5  partial batch failure (some ok, some dead-lettered)
@@ -359,6 +360,42 @@ class TestExit2:
         capsys.readouterr()
         assert main([*second, *batch, "--resume"]) == 2
         assert "limits mismatch" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", [
+        "check-missing-dtd", "check-directory-as-dtd",
+        "classify-non-utf8-dtd", "analyze-missing-document",
+        "explain-missing-dtd", "normalize-output-onto-a-file",
+    ])
+    def test_unusable_file_argument(self, university, tmp_path, capsys,
+                                    case):
+        """A path that cannot be read, or an ``-o`` directory that cannot
+        be written, is a usage error: exit 2 naming it, never exit 1,
+        which a script reads as "not in XNF"."""
+        dtd, fds = university
+        absent = str(tmp_path / "absent")
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        non_utf8 = tmp_path / "bom.dtd"
+        non_utf8.write_bytes(b"\xff\xfe<!ELEMENT r EMPTY>")
+        argv, verb, path = {
+            "check-missing-dtd": (["check", absent, fds], "read", absent),
+            "check-directory-as-dtd":
+                (["check", str(tmp_path), fds], "read", str(tmp_path)),
+            "classify-non-utf8-dtd":
+                (["classify", str(non_utf8)], "read", str(non_utf8)),
+            "analyze-missing-document":
+                (["analyze", dtd, fds, absent], "read", absent),
+            "explain-missing-dtd": (["explain", absent, fds,
+                                     "courses.course.@cno -> courses"],
+                                    "read", absent),
+            "normalize-output-onto-a-file":
+                (["normalize", dtd, fds, "-o", str(blocker)], "write",
+                 str(blocker)),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot {verb} {path}: " in err, err
 
 
 class TestExit3:
