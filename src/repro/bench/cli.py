@@ -23,6 +23,7 @@ import sys
 
 from repro.bench import compare as _compare
 from repro.bench import runner as _runner
+from repro.cli import _write
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -32,13 +33,23 @@ def cmd_run(args: argparse.Namespace) -> int:
               "between processes; baselines are recorded with "
               "PYTHONHASHSEED=0 (see docs/BENCHMARKS.md)",
               file=sys.stderr)
-    payload = _runner.run_suite(
-        quick=args.quick, only=args.only or None, repeat=args.repeat,
-        memory=not args.no_memory,
-        progress=None if args.quiet else
-        lambda line: print(line, file=sys.stderr),
-        limits=args.limits)
-    with open(args.out, "w") as stream:
+    # Opened before the suite runs, so a report path that cannot be
+    # written exits 2 at once; appending, so a run that fails leaves an
+    # earlier report whole, and removed again if the run created it.
+    fresh = not os.path.exists(args.out)
+    with _write(args.out, "a") as stream:
+        try:
+            payload = _runner.run_suite(
+                quick=args.quick, only=args.only or None,
+                repeat=args.repeat, memory=not args.no_memory,
+                progress=None if args.quiet else
+                lambda line: print(line, file=sys.stderr),
+                limits=args.limits)
+        except BaseException:
+            if fresh:
+                os.remove(args.out)
+            raise
+        stream.truncate(0)
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
     claims = _runner.claims_summary(payload)

@@ -24,7 +24,8 @@ The gates, each a seam per unit of work:
   ``_execute`` (the ``runtime.*`` workload);
 * ``obs-export`` — ``BatchRunner.commit`` with a no-op
   ``on_task_done`` hook attached, per corpus task;
-* ``ledger`` — ``_run_task``'s measurement wrapper, per corpus task;
+* ``ledger`` — the measurement around one attempt
+  (``BatchRunner._run_attempt``), per corpus task;
 * ``journal`` — the skip-set test and ``commit`` without a journal,
   per corpus task;
 * ``serve`` — two clock reads, one admission round trip and the
@@ -146,14 +147,14 @@ def obs_export_gate(loops: int, repeats: int,
 
 def ledger_gate(loops: int, repeats: int,
                 tasks: int = 30) -> tuple[float, float]:
-    from repro.runtime.batch import TaskOutcome
     runner, task, direct = _corpus(tasks)
-    outcome = TaskOutcome(task=task)
-    runner._run_task_core = lambda task, refused: outcome
+    runner._fold_attempt = lambda outcome: None
+    # The outcome the serial loop leaves with the stubbed attempt.
+    outcome = runner._run_task(task)
 
     def wrapper(loops: int) -> None:
         for _ in range(loops):
-            runner._run_task(task)
+            runner._run_attempt(outcome)
 
     return measure(direct, tasks, [(wrapper, 1)], loops, repeats)
 

@@ -90,9 +90,9 @@ Exit codes (uniform across subcommands; the full table is pinned by
     1  negative answer (not implied, not in XNF, violations found,
        every batch task dead-lettered)
     2  usage error (bad flags or arguments: argparse, or a UsageError —
-       an input file that cannot be read, an ``-o`` directory that
-       cannot be written, an unusable batch manifest or journal,
-       trace, ledger or benchmark report) — message on stderr
+       an input file that cannot be read, an output file or ``-o``
+       directory that cannot be written, an unusable batch manifest or
+       journal, trace, ledger or benchmark report) — message on stderr
     3  input or pipeline error (any other ReproError: parse failure,
        invalid FD, unsupported feature, ...) — message on stderr
     4  resource limit reached (--timeout / --max-steps / ... tripped
@@ -118,6 +118,7 @@ import contextlib
 import importlib
 import os
 import sys
+from typing import IO
 
 from repro.errors import ReproError, ResourceExhausted, UsageError
 
@@ -138,6 +139,15 @@ def _read(path: str) -> str:
             return stream.read()
     except (OSError, UnicodeDecodeError) as error:
         raise UsageError(f"cannot read {path}: {error}") from error
+
+
+def _write(path: str, mode: str = "w") -> IO[str]:
+    """A file argument opened for output; one that cannot be opened is
+    a usage error (exit 2), the twin of :func:`_read`."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as error:
+        raise UsageError(f"cannot write {path}: {error}") from error
 
 
 def _load_spec(dtd_file: str, fd_file: str | None, root: str | None):
@@ -297,42 +307,38 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if workers > 1:
         pool = PoolBackend(workers, crash_retries=args.crash_retries,
                            stall_timeout=args.stall_timeout)
+    journal = None
     # Everything opened below closes, last opened first, on every way
     # out.
-    closing = contextlib.ExitStack()
-    journal = None
-    if args.journal:
-        from repro.runtime.journal import open_journal
-        # May raise JournalError (exit 2): a mismatched meta record or
-        # an unopenable/edited file means the journal cannot apply to
-        # this invocation.  A torn trailing record is truncated with a
-        # counted warning instead.
-        journal = open_journal(args.journal, manifest=manifest,
-                               policy=policy, board=board,
-                               ensemble_mode=args.ensemble,
-                               resume=args.resume, limits=args.limits)
-        closing.callback(journal.close)
-        if args.resume:
-            print(f"journal: resuming from {args.journal}: "
-                  f"{journal.skipped} task(s) already complete",
-                  file=sys.stderr)
-    with closing:
+    with contextlib.ExitStack() as closing:
         on_task_done = None
         ledger_file = getattr(args, "ledger", None)
         if ledger_file:
             from repro.obs.ledger import LedgerWriter
-            try:
-                # Append: the ledger is a history; each run adds records
-                # under a fresh run id, and `obs regress` compares runs.
-                # Readable too, so the writer can cut a torn last record.
-                ledger_stream = open(ledger_file, "a+")
-            except OSError as error:
-                raise ReproError(
-                    f"cannot open ledger file: {error}") from error
+            # Append: the ledger is a history; each run adds records
+            # under a fresh run id, and `obs regress` compares runs.
+            # Readable too, so the writer can cut a torn last record.
+            # Opened before the journal, which a fresh run truncates.
+            ledger_stream = _write(ledger_file, "a+")
             closing.callback(ledger_stream.close)
             on_task_done = LedgerWriter(
                 ledger_stream, manifest=manifest,
                 fsync=args.ledger_fsync).task_done
+        if args.journal:
+            from repro.runtime.journal import open_journal
+            # May raise JournalError (exit 2): a mismatched meta record
+            # or an unopenable/edited file means the journal cannot
+            # apply to this invocation.  A torn trailing record is
+            # truncated with a counted warning instead.
+            journal = open_journal(args.journal, manifest=manifest,
+                                   policy=policy, board=board,
+                                   ensemble_mode=args.ensemble,
+                                   resume=args.resume, limits=args.limits)
+            closing.callback(journal.close)
+            if args.resume:
+                print(f"journal: resuming from {args.journal}: "
+                      f"{journal.skipped} task(s) already complete",
+                      file=sys.stderr)
         # The flags cap each task's own limits: the unit is the task.
         summary = batch_mod.run_batch(
             manifest, policy=policy, board=board,
@@ -695,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--workers", type=_workers_spec, default="auto",
                      metavar="N",
                      help="worker processes for parallel execution: "
-                     "'auto' (one per CPU core, the default) or an "
+                     "'auto' (one per CPU this process may run on, the "
+                     "default) or an "
                      "explicit count; 1 runs serially.  Tasks "
                      "commit in index order, so the summary is "
                      "byte-identical to a serial run "
@@ -872,9 +879,9 @@ def _observe(observed: contextlib.ExitStack, args: argparse.Namespace,
               f"(and /healthz)", file=sys.stderr)
     if trace_file:
         try:
-            trace_stream = observed.enter_context(open(trace_file, "w"))
-        except OSError as error:
-            raise ReproError(f"cannot open trace file: {error}") from error
+            trace_stream = observed.enter_context(_write(trace_file))
+        except UsageError as error:
+            raise UsageError(f"cannot open trace file: {error}") from error
         sink = obs.JsonLinesSink(trace_stream)
         obs.add_sink(sink)
         observed.callback(obs.remove_sink, sink)

@@ -32,6 +32,7 @@ import sys
 from repro.obs import ledger as _ledger
 from repro.obs import profile as _profile
 from repro.bench.compare import gate, render_findings
+from repro.cli import _write
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -46,7 +47,7 @@ def cmd_flame(args: argparse.Namespace) -> int:
     profile = _profile.load_profile(args.trace_path)
     folded = _profile.folded_stacks(profile)
     if args.out and args.out != "-":
-        with open(args.out, "w") as stream:
+        with _write(args.out) as stream:
             stream.write(folded)
         print(f"wrote {args.out} ({len(profile.by_stack)} stack(s))",
               file=sys.stderr)

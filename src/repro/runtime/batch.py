@@ -37,17 +37,19 @@ The summary (:meth:`BatchRunner.run`) is a JSON-ready dict that is
 delays planned from ``(seed, task id, attempt)`` — two runs of the
 same manifest under the same fault plan are byte-identical.
 
-**Backends.**  The runner core (per-task execution, retry, outcome
-bookkeeping, summary assembly) is backend-agnostic.
-:class:`SerialBackend` (the default) walks the manifest in order in
-this process; :class:`repro.runtime.pool.PoolBackend` dispatches the
-same tasks to a supervised pool of forked worker processes.  Both
-commit finished tasks in manifest order through
-:meth:`BatchRunner.commit`, where :func:`settle` applies each
-outcome's breaker traffic to this runner's board exactly as a serial
-run would, so :meth:`BatchRunner.summarize` renders the *same bytes*
-whichever backend ran the tasks (``docs/ROBUSTNESS.md`` § "The
-determinism argument").
+**Backends.**  The runner is the one place that folds an attempt into
+a :class:`TaskOutcome` (:meth:`BatchRunner._run_attempt`) and decides
+a retry (:meth:`BatchRunner.decide`: the policy, then this runner's
+board).  :class:`SerialBackend` (the default) walks the manifest in
+order in this process, deciding after each attempt;
+:class:`repro.runtime.pool.PoolBackend` runs each attempt in a forked
+worker and decides only for the head of its commit order, when every
+earlier task has committed.  Both commit finished tasks in manifest
+order through :meth:`BatchRunner.commit`, where :func:`settle`
+records each outcome's terminal breaker event, so both make the same
+decisions on the same board states and :meth:`BatchRunner.summarize`
+renders the *same bytes* whichever backend ran the tasks
+(``docs/ROBUSTNESS.md`` § "The determinism argument").
 """
 
 from __future__ import annotations
@@ -133,28 +135,20 @@ class TaskOutcome:
     #: stay byte-deterministic and wall clocks are not.
     wall_s: float = 0.0
     counter_delta: dict = field(default_factory=dict)
-    #: ``len(disagreements)`` after each failed attempt, so
-    #: :meth:`truncate` can drop the records of the attempts it cuts.
-    disagreement_marks: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def truncate(self, failures: int) -> None:
-        """Cut this outcome back to its first ``failures`` failed
-        attempts, dead-lettered ``breaker_open`` at the last of them —
-        where the serial retry loop would have stopped (see
-        :func:`settle`)."""
-        del self.failures[failures:]
-        del self.delays_ms[failures - 1:]
-        del self.disagreements[self.disagreement_marks[failures - 1]:]
-        del self.disagreement_marks[failures:]
-        self.attempts = failures
-        self.result = None
-        self.status = "dead-letter"
-        self.reason = REASON_BREAKER_OPEN
-        self.signature = self.failures[-1]["signature"]
+    @property
+    def undecided(self) -> bool:
+        """Whether the last attempt failed and the retry policy would
+        run another, so the board decides next
+        (:meth:`BatchRunner.decide`).  Each retry the board admits
+        plans one delay, so a live task has one failure more than
+        delays exactly then."""
+        return len(self.failures) > len(self.delays_ms) \
+            and self.status == "ok"
 
     @classmethod
     def from_record(cls, record: dict) -> "TaskOutcome":
@@ -195,64 +189,41 @@ class TaskOutcome:
                 "error_chain": self.failures[-1]["chain"]}
 
 
-def _lag(board: BreakerBoard, outcome: TaskOutcome) -> int | None:
-    """How far ``outcome`` ran past the board's refused set now, which
-    on a pool may be ahead of the set the retry loop was handed at
-    dispatch: the failed attempts to keep when it took a retry on a
-    signature the board refuses, ``0`` when it stopped on a signature
-    the board admits, and ``None`` when it ran as a serial run would
-    have.  ``worker_crash`` outcomes hold worker crashes only, which
-    no breaker judges, so the board never holds them back."""
-    failures = outcome.failures
-    if not failures or outcome.reason == REASON_WORKER_CRASH:
-        return None
-    refused = board.refused()
-    retried = failures if outcome.ok else failures[:-1]
-    for position, failure in enumerate(retried):
-        if failure["signature"] in refused:
-            return position + 1
-    if outcome.reason == REASON_BREAKER_OPEN \
-            and outcome.signature not in refused:
-        return 0
-    return None
-
-
-def settle(board: BreakerBoard, outcome: TaskOutcome) -> bool:
-    """Apply one finished task's breaker traffic to ``board``, in
-    manifest order: the one rule for how failures drive the breakers,
-    on both backends and on resume.
-
-    An outcome that ran past the board (:func:`_lag`) is first cut
-    back: a retry taken on a signature the board refuses is truncated
-    away (``breaker_open`` at that failure, where the serial loop
-    stopped), and a task that stopped on a signature the board admits
-    applies nothing and returns ``False``, to be run again with the
-    board's set.  Then each retried failure asks ``allows_retries``
-    (admitting a due probe) and the terminal one records success, skip
-    or failure.  ``worker_crash`` outcomes leave ``board`` untouched.
-    """
+def settle(board: BreakerBoard, outcome: TaskOutcome) -> None:
+    """Record one finished task's terminal breaker event on ``board``,
+    in manifest order, on both backends and on resume: the success,
+    skip or failure at the signature it last failed with.  Its retry
+    decisions were asked of the board as they were taken
+    (:meth:`BatchRunner.decide`).  ``worker_crash`` outcomes leave
+    ``board`` untouched: no breaker judges a crash."""
     if not outcome.failures or outcome.reason == REASON_WORKER_CRASH:
-        return True
-    keep = _lag(board, outcome)
-    if keep is not None:
-        if _obs.enabled:
-            _obs.inc("runtime.pool.wasted_attempts",
-                     outcome.attempts - keep)
-        if not keep:
-            return False
-        outcome.truncate(keep)
-    *retried, last = outcome.failures
-    for failure in retried:
-        board.get(failure["signature"]).allows_retries()
-    breaker = board.get(last["signature"])
+        return
+    breaker = board.get(outcome.failures[-1]["signature"])
     if outcome.ok:
-        breaker.allows_retries()
         breaker.record_success()
     elif outcome.reason == REASON_BREAKER_OPEN:
         breaker.record_skip()
     else:
         breaker.record_failure()
-    return True
+
+
+def _redecided(board: BreakerBoard, outcome: TaskOutcome) -> bool:
+    """Whether ``board``, asked again in order, takes the retry
+    decisions ``outcome`` records: it admits every failure the task
+    retried, and refuses a ``breaker_open`` stop.  A ``worker_crash``
+    dead letter retried each failure of its own before the crashes,
+    which its crash budget judged, not a breaker."""
+    failures = outcome.failures
+    if outcome.reason == REASON_WORKER_CRASH:
+        retried = [failure for failure in failures
+                   if not failure["signature"].startswith("crash:")]
+    else:
+        retried = failures if outcome.ok else failures[:-1]
+    if not all(board.get(failure["signature"]).allows_retries()
+               for failure in retried):
+        return False
+    return outcome.reason != REASON_BREAKER_OPEN \
+        or board.get(failures[-1]["signature"]).refuses()
 
 
 def _count(outcome: TaskOutcome) -> None:
@@ -283,11 +254,7 @@ class SerialBackend:
         # manifest-order walk.
         outcomes = dict(runner.replayed_outcomes())
         for index, task in runner.pending_tasks():
-            # Each task reads the board its commit settles against, so
-            # settle never sends one back here.
-            committed = runner.commit(index, runner._run_task(task),
-                                      outcomes)
-            assert committed, f"serial task {task.id!r} sent back"
+            runner.commit(index, runner._run_task(task), outcomes)
         return [outcomes[index] for index in sorted(outcomes)]
 
 
@@ -362,28 +329,27 @@ class BatchRunner:
             return {}
         outcomes = self.journal.completed_outcomes()
         for index in sorted(outcomes):
-            # A record can be neither cut short nor run again, so one
-            # the board holds back is refused before settle would.
-            if _lag(self.board, outcomes[index]) is not None:
+            # The board is asked again for each decision the record
+            # took, as the live run asked it; a record cannot run
+            # again, so one the board contradicts is refused.
+            if not _redecided(self.board, outcomes[index]):
                 raise self.journal.stale(index)
             settle(self.board, outcomes[index])
         return outcomes
 
     def commit(self, index: int, outcome: "TaskOutcome",
-               outcomes: dict) -> bool:
+               outcomes: dict) -> None:
         """The one commit path of a finished task, on every backend, in
-        index order: :func:`settle` its breaker traffic, count it, hand
-        it to ``on_task_done`` (the ledger), journal it durably, then
-        merge it into ``outcomes``.  Returns ``False``, committing
-        nothing, when settle sends the task back to run again.  A write
-        failure on the way is a :class:`ReproError` that ends the batch.
+        index order: :func:`settle` its terminal breaker event, count
+        it, hand it to ``on_task_done`` (the ledger), journal it
+        durably, then merge it into ``outcomes``.  A write failure on
+        the way is a :class:`ReproError` that ends the batch.
 
         The journal comes last because ``--resume`` skips exactly the
         tasks it holds: a run that stops between the two writes leaves
         the task unjournaled, so resume runs and ledgers it again; the
         other order would leave it journaled and never ledgered."""
-        if not settle(self.board, outcome):
-            return False
+        settle(self.board, outcome)
         if _obs.enabled:
             _count(outcome)
         if self.on_task_done is not None:
@@ -391,7 +357,6 @@ class BatchRunner:
         if self.journal is not None:
             self.journal.result(index, outcome)
         outcomes[index] = outcome
-        return True
 
     # -- one task ------------------------------------------------------
 
@@ -448,62 +413,73 @@ class BatchRunner:
                             record.to_json()
                             for record in sess.disagreements)
 
-    def _run_task(self, task: Task,
-                  refused: frozenset[str] | None = None) -> TaskOutcome:
-        """Run one task to a terminal outcome, measuring the ledger's
-        telemetry (wall time, counter delta) around the retry loop.
-
-        ``refused`` is the board's refused set at dispatch; a pool
-        worker is always handed one.  ``None`` reads this runner's
-        board on the first failure that could retry: serially nothing
-        settles while a task runs, so that is the board at dispatch."""
+    def _run_attempt(self, outcome: TaskOutcome) -> None:
+        """Run the next attempt of ``outcome``'s task
+        (:meth:`_fold_attempt`), measuring the ledger's telemetry around
+        it: its wall time and counter delta add to the task's.  The
+        serial loop and a pool worker both run exactly this."""
         counters_before = _obs.counters_snapshot() if _obs.enabled \
             else None
         wall_start = time.perf_counter()
-        outcome = self._run_task_core(task, refused)
-        outcome.wall_s = time.perf_counter() - wall_start
+        self._fold_attempt(outcome)
+        outcome.wall_s += time.perf_counter() - wall_start
         if counters_before is not None:
-            outcome.counter_delta = {
-                name: value - counters_before.get(name, 0)
-                for name, value in _obs.counters_snapshot().items()
-                if value != counters_before.get(name, 0)}
-        return outcome
+            delta = outcome.counter_delta
+            for name, value in _obs.counters_snapshot().items():
+                moved = value - counters_before.get(name, 0)
+                if moved:
+                    delta[name] = delta.get(name, 0) + moved
 
-    def _run_task_core(self, task: Task,
-                       refused: frozenset[str] | None) -> TaskOutcome:
-        outcome = TaskOutcome(task=task)
-        while True:
-            attempt = outcome.attempts  # 0-based index of this attempt
-            outcome.attempts += 1
-            try:
-                outcome.result = self._attempt(task, outcome)
-            except ReproError as error:
-                signature = failure_signature(error)
-                transient = is_transient(error)
-                outcome.failures.append(
-                    {"attempt": attempt, "signature": signature,
-                     "transient": transient,
-                     "chain": error_chain(error)})
-                outcome.disagreement_marks.append(
-                    len(outcome.disagreements))
-                if self.policy.should_retry(error, attempt):
-                    if refused is None:
-                        refused = self.board.refused()
-                    if signature not in refused:
-                        delay = self.policy.delay_ms(task.id, attempt)
-                        outcome.delays_ms.append(delay)
-                        if delay > 0:
-                            self._sleep(delay)
-                        continue
-                    # Known-bad signature: degrade — skip the retry
-                    # budget and move on; settle records the skip.
-                    outcome.reason = REASON_BREAKER_OPEN
-                else:
-                    outcome.reason = REASON_RETRIES_EXHAUSTED \
-                        if transient else REASON_PERMANENT
+    def _fold_attempt(self, outcome: TaskOutcome) -> None:
+        """Wait the backoff the last retry decision planned, run one
+        attempt of ``outcome``'s task and fold it in: its result, or
+        its failure record, which ends the task unless the policy would
+        retry it (the outcome is then :attr:`~TaskOutcome.undecided`)."""
+        attempt = outcome.attempts  # 0-based index of this attempt
+        if attempt and outcome.delays_ms[-1] > 0:
+            self._sleep(outcome.delays_ms[-1])
+        outcome.attempts += 1
+        try:
+            outcome.result = self._attempt(outcome.task, outcome)
+        except ReproError as error:
+            signature = failure_signature(error)
+            transient = is_transient(error)
+            outcome.failures.append(
+                {"attempt": attempt, "signature": signature,
+                 "transient": transient, "chain": error_chain(error)})
+            if not self.policy.should_retry(error, attempt):
                 outcome.status = "dead-letter"
+                outcome.reason = REASON_RETRIES_EXHAUSTED \
+                    if transient else REASON_PERMANENT
                 outcome.signature = signature
-            return outcome
+
+    def decide(self, outcome: TaskOutcome) -> bool:
+        """Take the retry decision an :attr:`~TaskOutcome.undecided`
+        outcome waits for, on this runner's board: when the breaker of
+        its last failure admits a retry (a due probe included), plan
+        the backoff the next attempt waits and return ``True``;
+        otherwise dead-letter the task ``breaker_open``.  The serial
+        loop decides after each attempt, the pool only for the head of
+        its commit order, so both ask the board in the same states."""
+        failure = outcome.failures[-1]
+        if self.board.get(failure["signature"]).allows_retries():
+            outcome.delays_ms.append(
+                self.policy.delay_ms(outcome.task.id, failure["attempt"]))
+            return True
+        outcome.status = "dead-letter"
+        outcome.reason = REASON_BREAKER_OPEN
+        outcome.signature = failure["signature"]
+        return False
+
+    def _run_task(self, task: Task) -> TaskOutcome:
+        """Run one task to a terminal outcome in this process: an
+        attempt, then, while its failure waits for one, a retry
+        decision.  Nothing else reaches the board meanwhile."""
+        outcome = TaskOutcome(task=task)
+        self._run_attempt(outcome)
+        while outcome.undecided and self.decide(outcome):
+            self._run_attempt(outcome)
+        return outcome
 
     # -- the batch -----------------------------------------------------
 

@@ -194,13 +194,6 @@ class BreakerBoard:
             self._breakers[signature] = breaker
         return breaker
 
-    def refused(self) -> frozenset[str]:
-        """The *refused set*: the signatures whose next failing task
-        must skip its retries (:meth:`Breaker.refuses`).  A pure read,
-        so a task can be handed it at dispatch."""
-        return frozenset(signature for signature, breaker
-                         in self._breakers.items() if breaker.refuses())
-
     def publish_open_gauge(self) -> None:
         """Refresh the ``runtime.breaker.open`` gauge (count of
         breakers currently OPEN); called on every state transition."""

@@ -45,13 +45,14 @@ Design decisions, each load-bearing:
   index order, so the result records of any journal this module
   writes are tasks ``0 … k-1``, in that order; a result out of that
   order is refused as structural (exit 2).  The summary embeds the
-  breaker board snapshot, so resume settles the replayed outcomes onto
-  a fresh board in that same order through
-  :func:`~repro.runtime.batch.settle`, the rule the live commit
-  applies — and the board ends exactly where the interrupted run left
-  it.  A replayed outcome that settle would cut short or send back
-  (possible only in an edited journal) is refused the same way, and
-  so is a result whose status or failures replay cannot rebuild.
+  breaker board snapshot, so resume replays the outcomes onto a fresh
+  board in that same order, as the live run reached it: the board is
+  asked again for each retry decision a result records, then
+  :func:`~repro.runtime.batch.settle` records its terminal event —
+  and the board ends exactly where the interrupted run left it.  A
+  result whose decisions the board contradicts (possible only in an
+  edited journal) is refused the same way, and so is a result whose
+  status or failures replay cannot rebuild.
 * **No result ⇒ run again.**  A task may have partially executed
   before the crash; every op is a pure function of its spec inputs,
   so re-execution is idempotent.  Dispatch is therefore not recorded:
@@ -285,7 +286,8 @@ class BatchJournal:
 
     def stale(self, index: int) -> JournalError:
         """The error for the result at ``index`` when the breakers
-        settled before it contradict it (see
+        settled before it, asked again, contradict a retry decision it
+        records (see
         :meth:`~repro.runtime.batch.BatchRunner.replayed_outcomes`)."""
         return _structural(f"result for task index {index} disagrees "
                            f"with the circuit breakers settled before it")

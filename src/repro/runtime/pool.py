@@ -5,27 +5,25 @@ BatchRunner` and fans manifest tasks out to ``N`` forked worker
 processes.  The design goals, in priority order:
 
 1. **No task is ever lost.**  The parent is the single source of truth
-   for what is in flight: it hands each worker exactly one task at a
-   time over a private duplex pipe and does not forget the assignment
-   until the result message arrives.  A worker that dies — non-zero
-   exit, ``SIGKILL``, a corrupted result pipe, a stall (no ping) —
-   has its in-flight task requeued at the front of the queue, where
-   the next idle worker (usually a different one — that is the
-   work-stealing) picks it up.
-2. **The merged report matches the serial path's bytes.**  Finished
-   tasks commit in index order through a reorder buffer: at most
+   for what is in flight: it hands each worker exactly one attempt of
+   one task at a time over a private duplex pipe, and keeps its own
+   copy of the task's outcome until the attempt returns.  A worker
+   that dies — non-zero exit, ``SIGKILL``, a corrupted result pipe, a
+   stall (no ping) — has its attempt requeued from that copy at the
+   front of the queue, where the next idle worker (a different one —
+   that is the work-stealing) picks it up.
+2. **The merged report matches the serial path's bytes.**  A worker
+   runs attempts and never reads a breaker board; the runner decides
+   every retry.  Returned attempts wait in a reorder buffer (at most
    :data:`WINDOW` × workers tasks are dispatched but not yet
-   committed, and a task commits once every earlier one has.  Workers
-   keep no breaker state and exchange no breaker messages: each task
-   carries the runner board's *refused set* read at dispatch (the
-   signatures whose breaker would refuse a retry), and at commit
-   :func:`~repro.runtime.batch.settle` applies the task's breaker
-   traffic to that board in index order, as the serial loop would
-   have.  Settle also repairs a refused set that lagged the board: a
-   retry the board now refuses is truncated away, and a task that
-   stopped on a signature the board now admits is requeued at the
-   front with the exact set (counted as
-   ``runtime.pool.wasted_attempts``).  Journal and ledger records
+   committed) and commit in index order.  A failure the retry policy
+   would retry waits there for the head of the commit order, the
+   lowest uncommitted task: every earlier task has committed and no
+   later one reaches the board first, so
+   :meth:`~repro.runtime.batch.BatchRunner.decide` asks the board
+   exactly as the serial loop does.  An admitted retry is dispatched
+   again at the front of the queue; a refused one dead-letters
+   ``breaker_open`` and commits.  Journal and ledger records
    therefore come out in index order too.
 3. **A recovered crash leaves no trace in the report.**  Worker
    crashes are nondeterministic in *timing* (which attempt of which
@@ -42,23 +40,24 @@ processes.  The design goals, in priority order:
    ``worker_crash`` and the crash signature (``crash:signal:SIGKILL``,
    ``crash:unpicklable-result``, ``crash:stall``, ...) — and a task
    that deterministically kills every worker it lands on does so
-   deterministically.
+   deterministically.  Its dead letter keeps the attempts it returned
+   before the crashes.
 
 Workers are forked (``multiprocessing.get_context("fork")``): the
 manifest, spec corpus, and runner configuration are shared
-copy-on-write, so dispatch messages carry only the task.  Each worker
-re-initializes the metrics registry first thing
+copy-on-write, so a dispatch message carries only the task's outcome
+so far.  Each worker re-initializes the metrics registry first thing
 (:func:`repro.obs.metrics.reinit_after_fork` — the inherited lock may
 have been held by a parent exporter thread at the instant of the
 fork) and resets the tracing module (sinks and span stack); each
-task's counters ship back once, as its outcome's ``counter_delta``,
-and its histograms as one raw dump at shutdown, so the parent's
-merged snapshot covers the whole pool.  When the parent is tracing,
-each worker buffers every finished span record and ships the buffer
-alongside each result; the supervisor stitches them into its own
-trace (:func:`repro.obs.trace.ingest_records`), stamping each with
-the ``worker`` that ran it, so ``xnf batch --workers N --trace FILE``
-captures every worker's ``runtime.task`` spans in one coherent
+attempt's counters ship back once, in its outcome's running
+``counter_delta``, and the histograms as one raw dump at shutdown, so
+the parent's merged snapshot covers the whole pool.  When the parent
+is tracing, each worker buffers every finished span record and ships
+the buffer alongside each result; the supervisor stitches them into
+its own trace (:func:`repro.obs.trace.ingest_records`), stamping each
+with the ``worker`` that ran it, so ``xnf batch --workers N --trace
+FILE`` captures every worker's ``runtime.task`` spans in one coherent
 forest.  Span starts need no rebase: ``time.perf_counter`` is a
 system-wide clock, so a forked worker reads the same clock as its
 parent.
@@ -131,15 +130,18 @@ def resolve_workers(value: str | int, *,
                     task_count: int | None = None) -> int:
     """Turn a ``--workers`` spec into a concrete worker count.
 
-    ``"auto"`` means one worker per CPU core, never more than there
-    are tasks; an explicit integer is respected as-is (still capped by
-    the task count — idle workers would only be forked to be told to
-    stop).  A resolved count of 1 is the caller's cue to use the
-    serial backend instead.
+    ``"auto"`` means one worker per CPU this process may run on (its
+    affinity mask, where the platform has one, so ``taskset`` and
+    cpusets count), never more than there are tasks; an explicit
+    integer is respected as-is (still capped by the task count — idle
+    workers would only be forked to be told to stop).  A resolved
+    count of 1 is the caller's cue to use the serial backend instead.
     """
     if isinstance(value, str):
         if value == "auto":
-            workers = os.cpu_count() or 1
+            workers = len(os.sched_getaffinity(0)) \
+                if hasattr(os, "sched_getaffinity") \
+                else os.cpu_count() or 1
         else:
             try:
                 workers = int(value)
@@ -234,7 +236,8 @@ def _ping_loop(conn: _mp_connection.Connection,
 def _worker_main(runner: "BatchRunner",
                  conn: _mp_connection.Connection, ping_interval: float,
                  parent_ends: tuple = ()) -> None:
-    """The forked worker entrypoint: recv task, run it, send outcome.
+    """The forked worker entrypoint: recv an outcome, run its task's
+    next attempt, send the outcome back.
 
     Fork hygiene first: close ``parent_ends`` — the parent-side ends of
     this worker's own pipe and of every older sibling's, all inherited
@@ -244,10 +247,10 @@ def _worker_main(runner: "BatchRunner",
     a fresh metrics lock + registry (the inherited lock may be held by
     a parent thread) and a reset tracing module (no inherited sinks —
     the parent owns the trace file descriptor — and no inherited span
-    stack).  The worker runs tasks through the *same*
-    ``runner._run_task`` retry loop as the serial backend, handed the
-    refused set the parent read at dispatch — that is what makes
-    per-task records backend-independent.
+    stack).  The worker runs each attempt through the *same*
+    ``runner._run_attempt`` as the serial loop, which waits the backoff
+    the parent's retry decision planned; it never reads a breaker
+    board, so per-task records are backend-independent.
 
     When the parent is tracing (a sink registered when it forked), the
     worker buffers every finished span's record and ships the buffer
@@ -285,11 +288,11 @@ def _worker_main(runner: "BatchRunner",
                 conn.send(("bye", dump))
             conn.close()
             os._exit(0)
-        _kind, index, task, refused, chaos = message
+        _kind, index, outcome, chaos = message
         if chaos is not None and chaos[1] == "pre":
             _chaos_act(chaos[0], conn, send_lock)
         try:
-            outcome = runner._run_task(task, refused)
+            runner._run_attempt(outcome)
         except BaseException:
             # Exception-safety breach (non-ReproError escaped): report
             # the traceback, then die with the breach exit code — the
@@ -315,7 +318,12 @@ class _Assignment:
     """One manifest task's journey through the pool."""
 
     index: int
-    task: Task
+    #: The task's outcome as of its last returned attempt: what a
+    #: dispatch sends, and what a worker death sends again.
+    outcome: TaskOutcome
+    #: Whether the dispatched attempt has returned: the outcome waits
+    #: in the window for the head's retry decision and its commit.
+    returned: bool = False
     #: Worker deaths this task has already survived.
     crash_attempts: int = 0
     #: Failure records (batch-summary shape) for those deaths, kept in
@@ -325,8 +333,6 @@ class _Assignment:
     crash_signature: str | None = None
     #: The worker that last held this task (steal accounting).
     last_worker: int | None = None
-    #: The finished outcome, held until every earlier task commits.
-    outcome: TaskOutcome | None = None
 
 
 class _Worker:
@@ -370,9 +376,9 @@ class PoolBackend:
 
     After :meth:`run`, ``stats`` holds the :class:`PoolStats`.  The
     runner's own :class:`~repro.runtime.breaker.BreakerBoard` carries
-    the in-task breaker state, settled in index order as each task
-    commits, so :meth:`BatchRunner.summarize` reports it exactly as a
-    serial run would.
+    the in-task breaker state, asked and settled in index order, so
+    :meth:`BatchRunner.summarize` reports it exactly as a serial run
+    would.
     """
 
     name = "pool"
@@ -429,8 +435,8 @@ class PoolBackend:
         task_iter: Iterator[tuple[int, Task]] = \
             iter(runner.pending_tasks())
         # The reorder buffer: dispatched tasks not yet committed, in
-        # index order; and the tasks to dispatch again (crash or settle
-        # requeues), which go first.
+        # index order; and the attempts to dispatch again (retries and
+        # crash requeues), which go first.
         window: deque[_Assignment] = deque()
         pending: deque[_Assignment] = deque()
         outcomes: dict[int, TaskOutcome] = \
@@ -454,61 +460,70 @@ class PoolBackend:
             except StopIteration:
                 exhausted = True
                 return None
-            window.append(_Assignment(index=index, task=task))
+            window.append(_Assignment(index=index,
+                                      outcome=TaskOutcome(task=task)))
             return window[-1]
 
-        def finish(assignment: _Assignment, outcome: TaskOutcome) -> None:
-            """Buffer ``outcome``, then commit the window's finished
-            head run in index order."""
-            assignment.outcome = outcome
-            while window and window[0].outcome is not None:
+        def advance() -> None:
+            """Commit the window's returned head run in index order,
+            deciding the head's retry first: it fires when the head's
+            own attempt returns and when the task before it commits."""
+            while window and window[0].returned:
                 head = window[0]
-                # Durably journaled before the in-memory merge: a
-                # parent death after this costs nothing on resume.
-                if not runner.commit(head.index, head.outcome, outcomes):
-                    # Settle sent it back.  Nothing commits before it,
-                    # so the refused set it is re-dispatched with is
-                    # the one the serial loop would have read.
-                    head.outcome = None
+                if head.outcome.undecided and runner.decide(head.outcome):
+                    head.returned = False
+                    head.last_worker = None  # a retry is no steal
                     pending.appendleft(head)
                     return
+                # Durably journaled before the in-memory merge: a
+                # parent death after this costs nothing on resume.
+                runner.commit(head.index, head.outcome, outcomes)
                 window.popleft()
 
         def dead_letter(assignment: _Assignment) -> None:
+            """The crash budget ran out: the attempts the task returned,
+            then the crashes, dead-lettered ``worker_crash``."""
             self.stats.dead_lettered += 1
-            finish(assignment, TaskOutcome(
-                task=assignment.task, status="dead-letter",
-                attempts=len(assignment.crash_failures),
-                failures=list(assignment.crash_failures),
-                reason=REASON_WORKER_CRASH,
-                signature=assignment.crash_signature))
+            outcome = assignment.outcome
+            outcome.attempts += len(assignment.crash_failures)
+            outcome.failures += assignment.crash_failures
+            outcome.status = "dead-letter"
+            outcome.reason = REASON_WORKER_CRASH
+            outcome.signature = assignment.crash_signature
+            assignment.returned = True
+            advance()
 
         def handle_result(worker: _Worker, index: int,
                           outcome: TaskOutcome,
                           spans: list[dict]) -> None:
             assignment = worker.assignment
             worker.assignment = None
-            if _obs.enabled:
-                # Unpickling makes fresh name strings per result, and
-                # the outcome lives to the summary: interned, every
-                # outcome shares one copy of each name.
-                outcome.counter_delta = {
-                    sys.intern(name): value
-                    for name, value in outcome.counter_delta.items()}
-                for name, value in outcome.counter_delta.items():
-                    _obs.inc(name, value)
-                if spans:
-                    # Stitch the worker's finished spans into this
-                    # process's trace: fresh ids, shipment tops
-                    # reparented under the supervisor's open CLI span.
-                    _trace.ingest_records(spans, worker=worker.id)
             if assignment is None or assignment.index != index:
                 # A result for a task this worker no longer owns can
                 # only mean supervisor state corruption; fail loudly.
                 raise RuntimeError(
                     f"pool protocol violation: worker {worker.id} "
                     f"returned task index {index} it does not own")
-            finish(assignment, outcome)
+            if _obs.enabled:
+                # The delta is the task's running total, so the
+                # registry takes what this attempt added.  Unpickling
+                # makes fresh name strings per result, and the outcome
+                # lives to the summary: interned, every outcome shares
+                # one copy of each name.
+                held = assignment.outcome.counter_delta
+                outcome.counter_delta = {
+                    sys.intern(name): value
+                    for name, value in outcome.counter_delta.items()}
+                for name, value in outcome.counter_delta.items():
+                    _obs.inc(name, value - held.get(name, 0))
+                if spans:
+                    # Stitch the worker's finished spans into this
+                    # process's trace: fresh ids, shipment tops
+                    # reparented under the supervisor's open CLI span.
+                    _trace.ingest_records(spans, worker=worker.id)
+            assignment.outcome = outcome
+            assignment.returned = True
+            advance()
 
         def receive(worker: _Worker) -> tuple[list, bool]:
             """The messages waiting on ``worker``'s pipe, and whether
@@ -630,8 +645,8 @@ class PoolBackend:
                 assignment = next_assignment()
                 if assignment is None:
                     return
-                chaos = self.chaos.get(assignment.task.id, {}).get(
-                    assignment.crash_attempts)
+                chaos = self.chaos.get(assignment.outcome.task.id,
+                                       {}).get(assignment.crash_attempts)
                 if assignment.last_worker is not None \
                         and assignment.last_worker != worker.id:
                     self.stats.stolen += 1
@@ -639,8 +654,7 @@ class PoolBackend:
                         _obs.inc("runtime.pool.stolen")
                 try:
                     worker.conn.send(("task", assignment.index,
-                                      assignment.task,
-                                      runner.board.refused(), chaos))
+                                      assignment.outcome, chaos))
                 except OSError:
                     # Died between wait() and send(): put the task
                     # back; the sentinel wakes us to handle the death.

@@ -1,27 +1,30 @@
-"""Reference property for ``repro.runtime.batch.settle``.
+"""Reference property for the retry decisions of ``repro.runtime.batch``.
 
-The retry loop only reads a refused set, and ``settle`` applies each
-finished task's breaker traffic when it commits, in index order.  This
-must decide exactly what the old inline loop decided, which asked the
-board before every retry and recorded the terminal event on the spot.
-A test-only copy of that loop is the oracle here.  Random per-attempt
+The runner decides every retry (``BatchRunner.decide``: the policy,
+then the board), and ``settle`` records each finished task's terminal
+breaker event when it commits, in index order.  Together they must
+decide exactly what the old inline loop decided, which asked the board
+before every retry and recorded the terminal event on the spot.  A
+test-only copy of that loop is the oracle here.  Random per-attempt
 failure schedules (transient and permanent signatures, retries 0-3,
 thresholds 1-3, probe intervals 1-4) run three ways:
 
 * the oracle, on its own board;
-* serially: each task gets the refused set of the board it commits to,
-  and settle must neither truncate nor send a task back;
-* pool-style: each task gets the refused set of a board up to
-  ``LAG`` commits stale, as far as a pool's reorder window lets it
-  lag.  Settle truncates or sends back, and a task sent back runs
-  again with the exact set.
+* serially: the runner decides after each attempt;
+* on ``PoolBackend(2)``, each task napping a random few milliseconds
+  per attempt, so attempts return out of index order: the pool decides
+  only for the head of its commit order.
 
 All three must agree on every outcome and on the final
-``BreakerBoard.snapshot()``.
+``BreakerBoard.snapshot()``: the serial and pool summaries must equal
+the one the oracle's outcomes make.
 """
 
 from __future__ import annotations
 
+import time
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InjectedFault, ReproError
@@ -33,19 +36,21 @@ from repro.runtime.batch import (
     BatchRunner,
     TaskOutcome,
     error_chain,
-    settle,
 )
 from repro.runtime.breaker import BreakerBoard, failure_signature
-from repro.runtime.pool import WINDOW
+from repro.runtime.pool import PoolBackend, pool_available
 from repro.runtime.retry import RetryPolicy, is_transient
-
-#: How many commits a pool-style refused set may lag the board: the
-#: reorder window of a two-worker pool.
-LAG = 2 * WINDOW
 
 #: Per-attempt results: succeed, fail transiently at one of two sites,
 #: or fail permanently.
 RESULTS = ("ok", "site-a", "site-b", "permanent")
+
+#: The pool leg's results: ``site-a`` weighted, so its breaker trips
+#: in most batches, while tasks behind a slow one are deciding.
+POOL_RESULTS = ("ok", "site-a", "site-a", "site-a", "site-b", "permanent")
+
+#: Per-task naps (seconds) on the pool: enough to reorder the returns.
+NAPS = (0.0, 0.005)
 
 
 class _Permanent(ReproError):
@@ -58,10 +63,12 @@ def _error(result: str) -> ReproError:
     return InjectedFault(result, "exception")
 
 
-def _runner(schedule, retries, threshold, probe_interval):
+def _runner(schedule, retries, threshold, probe_interval, naps=None,
+            backend=None):
     """A runner whose attempt ``a`` of task ``i`` follows
-    ``schedule[i][a]``; an attempt whose flag is set also records one
-    ensemble disagreement, as a ``check``-mode session would."""
+    ``schedule[i][a]``, after a nap of ``naps[i]`` seconds when given;
+    an attempt whose flag is set also records one ensemble
+    disagreement, as a ``check``-mode session would."""
     manifest = mf.build([{"id": f"t{index}", "op": "check",
                           "dtd_text": "<!ELEMENT r EMPTY>"}
                          for index in range(len(schedule))])
@@ -69,10 +76,13 @@ def _runner(schedule, retries, threshold, probe_interval):
         manifest, policy=RetryPolicy(retries=retries, backoff_base_ms=0),
         board=BreakerBoard(threshold=threshold,
                            probe_interval=probe_interval),
-        sleeper=lambda ms: None)
+        sleeper=lambda ms: None, backend=backend)
 
     def attempt(task, outcome):
-        result, disagrees = schedule[int(task.id[1:])][outcome.attempts - 1]
+        index = int(task.id[1:])
+        if naps:
+            time.sleep(naps[index])
+        result, disagrees = schedule[index][outcome.attempts - 1]
         if disagrees:
             outcome.disagreements.append(
                 {"query": f"{task.id}/{outcome.attempts - 1}"})
@@ -80,6 +90,7 @@ def _runner(schedule, retries, threshold, probe_interval):
             raise _error(result)
         return {"in_xnf": True}
 
+    # Fork shares the patched method with the pool's workers.
     runner._attempt = attempt
     return runner
 
@@ -123,113 +134,38 @@ def _oracle(runner: BatchRunner, task) -> TaskOutcome:
         return outcome
 
 
-def _view(outcome: TaskOutcome) -> tuple:
-    return outcome.to_json(), outcome.reason, outcome.signature
-
-
-def _serial(runner: BatchRunner) -> list[tuple]:
-    views = []
-    for task in runner.manifest.tasks:
-        outcome = runner._run_task(task)  # reads the board it settles on
-        ran = _view(outcome)
-        assert settle(runner.board, outcome), "serial task sent back"
-        assert _view(outcome) == ran, "serial task truncated"
-        views.append(ran)
-    return views
-
-
-def _pool(runner: BatchRunner, lags: list[int]) -> tuple[list, int]:
-    """Commit in index order; task ``i`` was dispatched with the
-    refused set of the board ``lags[i]`` commits before its own."""
-    board = runner.board
-    refused_after = [board.refused()]  # after 0, 1, 2, ... commits
-    views, sent_back = [], 0
-    for index, task in enumerate(runner.manifest.tasks):
-        stale = refused_after[max(0, index - lags[index])]
-        outcome = runner._run_task(task, stale)
-        while not settle(board, outcome):
-            sent_back += 1
-            outcome = runner._run_task(task, board.refused())
-        views.append(_view(outcome))
-        refused_after.append(board.refused())
-    return views, sent_back
-
-
-attempt_results = st.tuples(st.sampled_from(RESULTS), st.booleans())
+def _expected(schedule, retries, threshold, probe_interval) -> dict:
+    """The summary of the oracle's outcomes and board."""
+    oracle = _runner(schedule, retries, threshold, probe_interval)
+    return oracle.summarize([_oracle(oracle, task)
+                             for task in oracle.manifest.tasks])
 
 
 @st.composite
-def batches(draw):
-    retries = draw(st.integers(0, 3))
-    tasks = draw(st.integers(1, 14))
-    schedule = [draw(st.lists(attempt_results, min_size=retries + 1,
+def batches(draw, results=RESULTS, min_retries=0, min_tasks=1):
+    retries = draw(st.integers(min_retries, 3))
+    tasks = draw(st.integers(min_tasks, 14))
+    attempt = st.tuples(st.sampled_from(results), st.booleans())
+    schedule = [draw(st.lists(attempt, min_size=retries + 1,
                               max_size=retries + 1))
                 for _ in range(tasks)]
-    lags = draw(st.lists(st.integers(0, LAG), min_size=tasks,
-                         max_size=tasks))
-    # Dispatch is in index order: a later task never reads an older
-    # board than an earlier one.
-    for index in range(1, tasks):
-        lags[index] = min(lags[index], lags[index - 1] + 1)
     return (schedule, retries, draw(st.integers(1, 3)),
-            draw(st.integers(1, 4)), lags)
+            draw(st.integers(1, 4)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(batches())
 def test_settle_matches_the_inline_board_loop(batch):
-    schedule, retries, threshold, probe_interval, lags = batch
-
-    def fresh():
-        return _runner(schedule, retries, threshold, probe_interval)
-
-    oracle = fresh()
-    expected = [_view(_oracle(oracle, task))
-                for task in oracle.manifest.tasks]
-    snapshot = oracle.board.snapshot()
-
-    serial = fresh()
-    assert _serial(serial) == expected
-    assert serial.board.snapshot() == snapshot
-
-    pool = fresh()
-    views, _ = _pool(pool, lags)
-    assert views == expected
-    assert pool.board.snapshot() == snapshot
+    assert _runner(*batch).run() == _expected(*batch)
 
 
-def test_lagging_sets_are_truncated_and_sent_back():
-    """The pool-style path really exercises both repairs: a run where
-    every task reads the empty board truncates retries the board now
-    refuses, and one where breakers reopen sends tasks back."""
-    always = [(("site-a", False),) * 3] * 12
-    runner = _runner(always, retries=2, threshold=1, probe_interval=2)
-    views, sent_back = _pool(runner, list(range(12)))
-    reasons = [view[1] for view in views]
-    assert reasons[0] == REASON_RETRIES_EXHAUSTED
-    assert REASON_BREAKER_OPEN in reasons
-    oracle = _runner(always, retries=2, threshold=1, probe_interval=2)
-    assert views == [_view(_oracle(oracle, task))
-                     for task in oracle.manifest.tasks]
-
-    mixed = [(("site-a", False),) * 3] * 3 + [(("ok", False),)] \
-        + [(("site-a", False),) * 3] * 8
-    runner = _runner(mixed, retries=2, threshold=1, probe_interval=1)
-    # Every task sees the board one commit late.
-    _, sent_back = _pool(runner, [0] + [1] * 11)
-    assert sent_back > 0
-
-
-def test_truncation_drops_the_cut_attempts_disagreements():
-    schedule = [[("site-a", False)] * 3,
-                [("site-a", True), ("site-a", True), ("ok", True)]]
-    runner = _runner(schedule, retries=2, threshold=1, probe_interval=4)
-    first = runner._run_task(runner.manifest.tasks[0], frozenset())
-    second = runner._run_task(runner.manifest.tasks[1], frozenset())
-    assert second.ok and len(second.disagreements) == 3
-    assert settle(runner.board, first)
-    assert settle(runner.board, second)
-    assert second.reason == REASON_BREAKER_OPEN
-    assert second.attempts == 1 and second.delays_ms == []
-    assert second.disagreements == [{"query": "t1/0"}]
-    assert second.result is None
+@pytest.mark.skipif(not pool_available(),
+                    reason="fork start method unavailable")
+@settings(max_examples=25, deadline=None)
+@given(batches(POOL_RESULTS, min_retries=1, min_tasks=6), st.data())
+def test_pool_decides_at_the_head_as_the_inline_loop(batch, data):
+    naps = data.draw(st.lists(st.sampled_from(NAPS),
+                              min_size=len(batch[0]),
+                              max_size=len(batch[0])))
+    pool = _runner(*batch, naps=naps, backend=PoolBackend(2))
+    assert pool.run() == _expected(*batch)

@@ -546,7 +546,7 @@ class TestFaultsEnv:
 
     def test_a_sink_that_cannot_start_undoes_the_others(
             self, university_files, tmp_path, capsys):
-        """Exit 3 with one error line and no stats table, and what did
+        """Exit 2 with one error line and no stats table, and what did
         start (obs, the exporter) is undone."""
         import threading
 
@@ -555,7 +555,7 @@ class TestFaultsEnv:
         code = main(["--metrics-port", "0", "--stats", "--trace",
                      str(tmp_path / "no" / "such" / "dir.jsonl"),
                      "check", *university_files])
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
         assert "error: cannot open trace file" in err
         assert "metrics: serving on" in err

@@ -397,6 +397,34 @@ class TestExit2:
         err = capsys.readouterr().err
         assert f"error: cannot {verb} {path}: " in err, err
 
+    @pytest.mark.parametrize("case", [
+        "bench-run-out", "obs-flame-out", "trace", "batch-ledger",
+    ])
+    def test_unusable_output_file(self, university, tmp_path, capsys,
+                                  monkeypatch, case):
+        """An output file that cannot be opened is a usage error: exit
+        2 naming it, before any work runs — ``bench run`` never starts
+        its suite."""
+        from repro.bench import runner
+        monkeypatch.setattr(runner, "run_suite", lambda **options:
+                            pytest.fail("the suite ran"))
+        dtd, fds = university
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["--trace", trace, "classify", dtd]) == 0
+        manifest = _manifest_file(tmp_path, [_good_task()])
+        path = str(tmp_path / "absent" / "out")
+        argv = {
+            "bench-run-out": ["bench", "run", "--quick", "--out", path],
+            "obs-flame-out": ["obs", "flame", trace, "-o", path],
+            "trace": ["--trace", path, "check", dtd, fds],
+            "batch-ledger": ["batch", manifest, "--ledger", path],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {path}: " in err, err
+        assert "Traceback" not in err
+
 
 class TestExit3:
     def test_broken_dtd_input(self, tmp_path, capsys):

@@ -70,6 +70,15 @@ class TestResolveWorkers:
     def test_auto_is_at_least_one(self):
         assert resolve_workers("auto") >= 1
 
+    def test_auto_counts_the_cpus_this_process_may_run_on(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers("auto", task_count=100) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers("auto", task_count=100) == 8
+
     def test_task_count_caps_the_pool(self):
         assert resolve_workers(8, task_count=3) == 3
         assert resolve_workers("auto", task_count=1) == 1
@@ -249,6 +258,51 @@ class TestCrashBookkeeping:
         assert summary["counts"]["ok"] == 5
         assert pool.stats.crashed == 21
 
+    def test_crash_dead_letter_keeps_the_attempts_it_returned(
+            self, tmp_path):
+        """A task whose retry kills every worker it lands on dead-letters
+        ``worker_crash`` with its own failed attempt first, then the
+        crashes.  The board admitted that attempt's retry, so resuming
+        the journal asks it again and rebuilds the same bytes."""
+        from repro.runtime.journal import open_journal
+
+        def run(resume):
+            manifest = corpus.stream_manifest(4, seed=2)
+            policy = RetryPolicy(retries=2, backoff_base_ms=0)
+            board = BreakerBoard()
+            journal = open_journal(
+                str(tmp_path / "j.journal"), manifest=manifest,
+                policy=policy, board=board, resume=resume, fsync=False,
+                warn=lambda message: None)
+            runner = BatchRunner(manifest, policy=policy, board=board,
+                                 backend=PoolBackend(2, crash_retries=1),
+                                 journal=journal, sleeper=lambda ms: None)
+            real = runner._attempt
+
+            def attempt(task, outcome):
+                if task.id == "corpus-0001":
+                    if outcome.attempts == 1:
+                        raise InjectedFault("test.once", "exception")
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(task, outcome)
+
+            # Fork shares the patched method with the workers.
+            runner._attempt = attempt
+            try:
+                return runner.run()
+            finally:
+                journal.close()
+
+        summary = run(resume=False)
+        [letter] = summary["dead_letters"]
+        assert letter["reason"] == REASON_WORKER_CRASH
+        assert letter["attempts"] == 3
+        assert [failure["signature"] for failure in letter["failures"]] \
+            == ["site:test.once"] + ["crash:signal:SIGKILL"] * 2
+        assert summary["breakers"]["site:test.once"]["state"] == "closed"
+        assert json.dumps(run(resume=True), sort_keys=True) \
+            == json.dumps(summary, sort_keys=True)
+
     def test_recovered_crash_is_invisible_in_the_summary(self):
         chaos = {"corpus-0002": {0: ("sigkill", "pre")}}
         serial = _runner(corpus.stream_manifest(6, seed=9)).run()
@@ -333,7 +387,7 @@ def _flaky_runner(threshold, backend=None, count=16, head_s=0.0):
     breakers at ``threshold`` trip, skip and probe all run long, so the
     order in which failures reach the board decides every outcome.
     The first task takes ``head_s`` longer, so on a pool every task
-    dispatched meanwhile reads a board nothing has settled on yet."""
+    dispatched meanwhile fails before anything has settled."""
     runner = BatchRunner(
         corpus.stream_manifest(count, seed=5),
         policy=RetryPolicy(retries=2, backoff_base_ms=0),
@@ -355,10 +409,9 @@ def _flaky_runner(threshold, backend=None, count=16, head_s=0.0):
 
 
 class TestOrderedCommit:
-    """Tasks commit in index order through the reorder buffer, and
-    settle repairs every refused set that lagged the board, so the
-    pool's bytes equal serial's even while breakers trip, skip and
-    probe."""
+    """Tasks commit in index order through the reorder buffer, and a
+    retry is decided only for the head of that order, so the pool's
+    bytes equal serial's even while breakers trip, skip and probe."""
 
     @pytest.mark.parametrize("threshold", [1, 2])
     def test_tripping_breakers_match_serial_bytes(self, threshold):
@@ -431,27 +484,41 @@ class TestOrderedCommit:
         assert committed == list(range(60))
         assert max(held) < pool_mod.WINDOW * 2
 
-    def test_wasted_attempts_are_counted_and_stats_match_summary(self):
+    def test_slow_head_runs_each_attempt_once(self, tmp_path):
+        """Behind a slow head, the pool runs exactly the serial run's
+        attempts: one ``_execute`` line each in a log the forked
+        workers append to, as many as the summary's ``attempts``.  Its
+        ``--stats`` agree with the summary and with serial's breaker
+        counters."""
         from repro import obs
 
-        def stats(backend):
+        def run(backend):
+            log = tmp_path / f"{'serial' if backend is None else 'pool'}"
+            runner = _flaky_runner(1, backend, head_s=0.3)
+            execute = runner._execute
+
+            def logged(task):
+                with open(log, "a") as stream:
+                    stream.write(f"{task.id}\n")
+                return execute(task)
+
+            runner._execute = logged
             obs.enable()
             obs.reset()
             try:
-                summary = _flaky_runner(1, backend, head_s=0.3).run()
-                return summary, obs.snapshot()["counters"]
+                summary = runner.run()
+                return (summary, obs.snapshot()["counters"],
+                        sorted(log.read_text().splitlines()))
             finally:
                 obs.reset()
                 obs.disable()
 
-        summary, serial = stats(None)
-        # Settle never cuts short or sends back a serial task.
-        assert "runtime.pool.wasted_attempts" not in serial
-        parallel_summary, parallel = stats(PoolBackend(2))
+        summary, serial, serial_lines = run(None)
+        parallel_summary, parallel, parallel_lines = run(PoolBackend(2))
         assert parallel_summary == summary
-        # Every task dispatched behind the slow head retried in full.
-        assert parallel["runtime.pool.wasted_attempts"] > 0
         attempts = sum(task["attempts"] for task in summary["tasks"])
+        assert parallel_lines == serial_lines
+        assert len(parallel_lines) == attempts
         for counters in (serial, parallel):
             assert counters["runtime.tasks"] == 16
             assert counters["runtime.attempts"] == attempts
