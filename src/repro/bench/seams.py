@@ -26,8 +26,8 @@ The gates, each a seam per unit of work:
   ``on_task_done`` hook attached, per corpus task;
 * ``ledger`` — the measurement around one attempt
   (``BatchRunner._run_attempt``), per corpus task;
-* ``journal`` — the skip-set test and ``commit`` without a journal,
-  per corpus task;
+* ``journal`` — the skip-set test, ``commit`` and ``sync`` without a
+  journal, per corpus task;
 * ``serve`` — two clock reads, one admission round trip and the
   disabled ``account`` call, per warm cache-hit query on a keep-alive
   connection.
@@ -147,10 +147,10 @@ def obs_export_gate(loops: int, repeats: int,
 
 def ledger_gate(loops: int, repeats: int,
                 tasks: int = 30) -> tuple[float, float]:
+    from repro.runtime.batch import TaskOutcome
     runner, task, direct = _corpus(tasks)
     runner._fold_attempt = lambda outcome: None
-    # The outcome the serial loop leaves with the stubbed attempt.
-    outcome = runner._run_task(task)
+    outcome = TaskOutcome(task=task)
 
     def wrapper(loops: int) -> None:
         for _ in range(loops):
@@ -171,6 +171,7 @@ def journal_gate(loops: int, repeats: int,
             if index in skip:
                 continue
             runner.commit(0, outcome, outcomes)
+            runner.sync()
 
     return measure(direct, tasks, [(seam, 1)], loops, repeats)
 

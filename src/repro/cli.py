@@ -63,7 +63,8 @@ is the ``--metrics-port`` scrape: ``runtime_tasks_total`` and its
 (``docs/OBSERVABILITY.md``).  ``--workers N`` runs the tasks on a
 supervised process pool whose summary is byte-identical to a serial
 run's.  ``--journal FILE`` journals the run (a meta record, then one
-fsync'd result record per task as it commits, in index order); after
+result record per task as it commits, in index order, fsynced after
+each commit serially and once per supervision pass on the pool); after
 a supervisor death — SIGKILL, OOM, power loss — re-running with
 ``--resume`` skips the tasks that have a result, runs the rest, and
 produces a summary byte-identical to an uninterrupted serial run (the
@@ -727,10 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "cost; by default ledger durability is "
                      "flush-only — docs/OBSERVABILITY.md)")
     bat.add_argument("--journal", metavar="FILE",
-                     help="journal the run: append an fsync'd result "
-                     "record as each task commits, in index order, so "
-                     "a killed supervisor can --resume without redoing "
-                     "or losing any completed task")
+                     help="journal the run: append a result record as "
+                     "each task commits, in index order, fsynced after "
+                     "each commit (once per supervision pass with "
+                     "--workers), so a killed supervisor can --resume "
+                     "without redoing or losing any completed task (a "
+                     "power loss costs at most one pass of results)")
     bat.add_argument("--resume", action="store_true",
                      help="replay the --journal FILE: verify its meta "
                      "fingerprints (mismatch exits 2), skip the tasks "

@@ -1,10 +1,10 @@
 """Record files: the JSON-lines format of the batch journal, the run
 ledger and span traces, whose rules docs/ROBUSTNESS.md § "Record
 files" states.  :func:`append` writes a record to an open stream as
-one line in a single write; :func:`read` leaves out a torn last line
-(no newline, or does not parse); :func:`repair` cuts one off before a
-writer appends.  Records are ASCII, so a character offset is a byte
-offset.
+one line in a single write, and :func:`sync` makes what was appended
+durable; :func:`read` leaves out a torn last line (no newline, or does
+not parse); :func:`repair` cuts one off before a writer appends.
+Records are ASCII, so a character offset is a byte offset.
 
 :func:`check` is the one field check of every record a command reads
 back — journal results, ledger records, span traces, ``obs diff``
@@ -41,26 +41,41 @@ def fingerprint(text: str | None) -> str | None:
 
 def append(stream: IO[str], record: dict, *, fsync: bool = False,
            site: str | None = None) -> bool:
-    """Append ``record`` to ``stream``.  ``site``, a fault site, is
-    applied to the line before anything is touched; ``False`` means it
-    tore the line, and the caller must stop appending.  A failure
-    raises :class:`ReproError` and closes the stream (its buffer would
-    only fail again) unless it is stdout or stderr."""
+    """Append ``record`` to ``stream`` and flush it, then :func:`sync`
+    it under ``fsync``.  ``site``, a fault site, is applied to the line
+    before anything is touched; ``False`` means it tore the line, and
+    the caller must stop appending.  A failure raises
+    :class:`ReproError` and closes the stream (its buffer would only
+    fail again) unless it is stdout or stderr."""
     line = json.dumps(record, sort_keys=True) + "\n"
     if site is not None and _faults.active:
         line = _faults.mangle(site, line)
     try:
         stream.write(line)
         stream.flush()
-        if fsync:
-            os.fsync(stream.fileno())
     except OSError as error:
-        if stream not in (sys.stdout, sys.stderr):
-            with contextlib.suppress(OSError):
-                stream.close()
-        name = getattr(stream, "name", "<stream>")
-        raise ReproError(f"cannot append to {name}: {error}") from error
+        raise _failed(stream, error) from error
+    if fsync:
+        sync(stream)
     return line.endswith("\n")
+
+
+def sync(stream: IO[str]) -> None:
+    """fsync the file under ``stream``, whose appends are flushed: every
+    record appended so far survives a power loss.  A failure is handled
+    as :func:`append` handles one."""
+    try:
+        os.fsync(stream.fileno())
+    except OSError as error:
+        raise _failed(stream, error) from error
+
+
+def _failed(stream: IO[str], error: OSError) -> ReproError:
+    if stream not in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError):
+            stream.close()
+    name = getattr(stream, "name", "<stream>")
+    return ReproError(f"cannot append to {name}: {error}")
 
 
 def _intact(text: str) -> int:

@@ -255,6 +255,7 @@ class SerialBackend:
         outcomes = dict(runner.replayed_outcomes())
         for index, task in runner.pending_tasks():
             runner.commit(index, runner._run_task(task), outcomes)
+            runner.sync()
         return [outcomes[index] for index in sorted(outcomes)]
 
 
@@ -342,8 +343,9 @@ class BatchRunner:
         """The one commit path of a finished task, on every backend, in
         index order: :func:`settle` its terminal breaker event, count
         it, hand it to ``on_task_done`` (the ledger), journal it
-        durably, then merge it into ``outcomes``.  A write failure on
-        the way is a :class:`ReproError` that ends the batch.
+        (durable at the next :meth:`sync`), then merge it into
+        ``outcomes``.  A write failure on the way is a
+        :class:`ReproError` that ends the batch.
 
         The journal comes last because ``--resume`` skips exactly the
         tasks it holds: a run that stops between the two writes leaves
@@ -357,6 +359,14 @@ class BatchRunner:
         if self.journal is not None:
             self.journal.result(index, outcome)
         outcomes[index] = outcome
+
+    def sync(self) -> None:
+        """Make the journal's committed results durable (one fsync,
+        :meth:`~repro.runtime.journal.BatchJournal.sync`): the serial
+        loop calls this after each commit, the pool once per pass of its
+        supervision loop."""
+        if self.journal is not None:
+            self.journal.sync()
 
     # -- one task ------------------------------------------------------
 

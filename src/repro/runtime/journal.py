@@ -25,7 +25,14 @@ The journal file is JSON-lines::
 
 Design decisions, each load-bearing:
 
-* **A record file that fsyncs every append** (:mod:`repro.records`).
+* **A record file made durable in groups** (:mod:`repro.records`).
+  Each record is written and flushed as it commits, so a supervisor
+  killed by a signal loses nothing it wrote.  :meth:`BatchJournal.sync`
+  fsyncs whatever was appended since its last call: the meta record at
+  open, then each serial commit, each pass of the pool's supervision
+  loop (:mod:`repro.runtime.pool`), and :meth:`BatchJournal.close`.
+  A power loss therefore loses at most one pass of results (at most
+  ``WINDOW`` × workers), and those tasks run again on ``--resume``.
   Resume cuts a torn last record off with a counted warning
   (``runtime.journal.torn``); any other bad line raises
   :class:`~repro.errors.JournalError` (exit 2).
@@ -244,8 +251,9 @@ class BatchJournal:
     """The journal of one ``xnf batch`` run.
 
     Build via :func:`open_journal`.  The runner calls :meth:`result`
-    when a task's terminal outcome commits, which appends one fsync'd
-    line.  On resume, :attr:`completed_indices` /
+    when a task's terminal outcome commits, which appends and flushes
+    one line, and :meth:`sync` when its backend makes the lines so far
+    durable.  On resume, :attr:`completed_indices` /
     :meth:`completed_outcomes` carry the replayed state.
     """
 
@@ -257,6 +265,8 @@ class BatchJournal:
         self._fsync = fsync
         self._completed = dict(completed or {})
         self.appended = 0
+        #: :attr:`appended` as of the last :meth:`sync`.
+        self._synced = 0
         self.skipped = len(self._completed)
         if _obs.enabled and self.skipped:
             _obs.inc("runtime.journal.skipped", self.skipped)
@@ -264,8 +274,7 @@ class BatchJournal:
     # -- durability ----------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        if not records.append(self._stream, record, fsync=self._fsync,
-                              site=_SITE_APPEND):
+        if not records.append(self._stream, record, site=_SITE_APPEND):
             # The injected mid-append kill: the torn record is on disk
             # and this process must stop appending past the hole.
             raise _structural(
@@ -274,6 +283,19 @@ class BatchJournal:
         self.appended += 1
         if _obs.enabled:
             _obs.inc("runtime.journal.appended")
+
+    def sync(self) -> None:
+        """Make every record appended since the last call durable: one
+        fsync, none when there is nothing new or ``fsync`` is off.  A
+        stream that a failed append has closed is left alone: that
+        failure already ends the batch."""
+        if self._synced == self.appended or self._stream.closed:
+            return
+        if self._fsync:
+            records.sync(self._stream)
+            if _obs.enabled:
+                _obs.inc("runtime.journal.synced")
+        self._synced = self.appended
 
     # -- the runner-facing seam ----------------------------------------
 
@@ -309,7 +331,10 @@ class BatchJournal:
                       "payload": outcome.to_json()})
 
     def close(self) -> None:
-        self._stream.close()
+        try:
+            self.sync()
+        finally:
+            self._stream.close()
 
 
 def _open(path: str, mode: str) -> IO[str]:
@@ -362,4 +387,5 @@ def open_journal(path: str, *, manifest: Manifest,
         warn(f"journal {path} does not exist; starting fresh")
     journal = BatchJournal(path, _open(path, "w"), fsync=fsync)
     journal._append(expected)
+    journal.sync()
     return journal

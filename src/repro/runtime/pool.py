@@ -5,13 +5,16 @@ BatchRunner` and fans manifest tasks out to ``N`` forked worker
 processes.  The design goals, in priority order:
 
 1. **No task is ever lost.**  The parent is the single source of truth
-   for what is in flight: it hands each worker exactly one attempt of
-   one task at a time over a private duplex pipe, and keeps its own
-   copy of the task's outcome until the attempt returns.  A worker
-   that dies — non-zero exit, ``SIGKILL``, a corrupted result pipe, a
-   stall (no ping) — has its attempt requeued from that copy at the
-   front of the queue, where the next idle worker (a different one —
-   that is the work-stealing) picks it up.
+   for what is in flight: it keeps up to :data:`WINDOW` attempts
+   queued on each worker's private duplex pipe, which the worker runs
+   in the order they were sent, and keeps its own copy of each task's
+   outcome until the attempt returns.  A worker that dies — non-zero
+   exit, ``SIGKILL``, a corrupted result pipe, a stall (no ping) — was
+   running its first unreturned attempt: that attempt alone is charged
+   and requeued from the parent's copy at the front of the queue, and
+   the attempts queued behind it go back there uncharged, in index
+   order, where other workers pick them up (that is the
+   work-stealing).
 2. **The merged report matches the serial path's bytes.**  A worker
    runs attempts and never reads a breaker board; the runner decides
    every retry.  Returned attempts wait in a reorder buffer (at most
@@ -43,6 +46,17 @@ processes.  The design goals, in priority order:
    deterministically.  Its dead letter keeps the attempts it returned
    before the crashes.
 
+**Group commit.**  The supervisor journals and ledgers each task as it
+commits, and makes the journal durable once per pass of its
+supervision loop (:meth:`~repro.runtime.batch.BatchRunner.sync`), after
+the pass has refilled the workers' pipes and before it waits again: one
+fsync per pass, not per task, while the workers run.  A power loss
+loses at most one pass of results, which run again on ``--resume``.
+A dispatch is queued behind a running attempt only when it is small
+enough that the send cannot block while the worker blocks sending a
+result (:func:`_queued_message_bytes`); a larger one waits for a worker
+with nothing queued.
+
 Workers are forked (``multiprocessing.get_context("fork")``): the
 manifest, spec corpus, and runner configuration are shared
 copy-on-write, so a dispatch message carries only the task's outcome
@@ -73,6 +87,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -82,6 +97,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
+from multiprocessing.reduction import ForkingPickler
 from typing import Iterator
 
 from repro.errors import BREACH_EXITCODE, WorkerCrash
@@ -102,9 +118,11 @@ from repro.runtime.retry import RetryPolicy
 DEFAULT_CRASH_RETRIES = 3
 
 #: Dispatched-but-uncommitted tasks the reorder buffer holds, per
-#: worker.  Results commit in index order, so a slow task holds back
-#: the commits behind it; this many slots per worker keep the workers
-#: busy past a p99 task on the corpus workload.
+#: worker, and the most attempts queued on one worker's pipe.  Results
+#: commit in index order, so a slow task holds back the commits behind
+#: it; this many slots per worker keep the workers busy past a p99 task
+#: on the corpus workload, and a worker never waits for the parent
+#: between two tasks.
 WINDOW = 8
 
 #: Chaos actions :class:`PoolBackend` can inject into workers (test
@@ -335,17 +353,32 @@ class _Assignment:
     last_worker: int | None = None
 
 
+def _queued_message_bytes(conn: _mp_connection.Connection) -> int:
+    """The largest dispatch a busy worker is sent: :data:`WINDOW` of
+    them fit in half its pipe's send buffer, so queueing one never
+    blocks the supervisor while the worker blocks sending a result.  An
+    idle worker is reading its pipe, so it takes a dispatch of any
+    size."""
+    with socket.fromfd(conn.fileno(), socket.AF_UNIX,
+                       socket.SOCK_STREAM) as sock:
+        buffer = sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+    return buffer // (2 * WINDOW)
+
+
 class _Worker:
     """Parent-side handle of one worker process."""
 
-    __slots__ = ("id", "proc", "conn", "assignment", "last_seen",
-                 "kill_reason", "stopping")
+    __slots__ = ("id", "proc", "conn", "queue", "queued_message_bytes",
+                 "last_seen", "kill_reason", "stopping")
 
     def __init__(self, worker_id: int, proc, conn) -> None:
         self.id = worker_id
         self.proc = proc
         self.conn = conn
-        self.assignment: _Assignment | None = None
+        #: The attempts sent down this worker's pipe and not yet
+        #: returned, in the order it runs them: the first is running.
+        self.queue: deque[_Assignment] = deque()
+        self.queued_message_bytes = _queued_message_bytes(conn)
         self.last_seen = time.monotonic()
         #: Set by the parent before it SIGKILLs the worker, so the
         #: death handler can report *why* (stall, corrupt pipe).
@@ -475,8 +508,9 @@ class PoolBackend:
                     head.last_worker = None  # a retry is no steal
                     pending.appendleft(head)
                     return
-                # Durably journaled before the in-memory merge: a
-                # parent death after this costs nothing on resume.
+                # Journaled before the in-memory merge, so a killed
+                # parent loses nothing it committed; the pass's sync
+                # makes the record survive a power loss too.
                 runner.commit(head.index, head.outcome, outcomes)
                 window.popleft()
 
@@ -496,14 +530,14 @@ class PoolBackend:
         def handle_result(worker: _Worker, index: int,
                           outcome: TaskOutcome,
                           spans: list[dict]) -> None:
-            assignment = worker.assignment
-            worker.assignment = None
-            if assignment is None or assignment.index != index:
-                # A result for a task this worker no longer owns can
-                # only mean supervisor state corruption; fail loudly.
+            if not worker.queue or worker.queue[0].index != index:
+                # Results come back in the order the attempts were
+                # sent; any other can only mean supervisor state
+                # corruption, so fail loudly.
                 raise RuntimeError(
                     f"pool protocol violation: worker {worker.id} "
-                    f"returned task index {index} it does not own")
+                    f"returned task index {index} out of turn")
+            assignment = worker.queue.popleft()
             if _obs.enabled:
                 # The delta is the task's running total, so the
                 # registry takes what this attempt added.  Unpickling
@@ -591,25 +625,35 @@ class PoolBackend:
                 _obs.inc("runtime.pool.crashed")
             print(f"xnf batch: worker {worker.id} died ({detail})",
                   file=sys.stderr)
-            assignment = worker.assignment
-            worker.assignment = None
-            if assignment is not None:
+            # Only the first unreturned attempt was running, so only it
+            # is charged; the ones queued behind it never started.
+            running = worker.queue.popleft() if worker.queue else None
+            back = list(worker.queue)
+            worker.queue.clear()
+            spent = None
+            if running is not None:
                 error = WorkerCrash(detail, worker=worker.id)
                 sig = failure_signature(error)
-                assignment.crash_failures.append(
-                    {"attempt": assignment.crash_attempts,
+                running.crash_failures.append(
+                    {"attempt": running.crash_attempts,
                      "signature": sig, "transient": True,
                      "chain": error_chain(error)})
-                assignment.crash_signature = sig
+                running.crash_signature = sig
                 if crash_policy.should_retry(
-                        error, assignment.crash_attempts):
-                    assignment.crash_attempts += 1
-                    pending.appendleft(assignment)
+                        error, running.crash_attempts):
+                    running.crash_attempts += 1
+                    back.append(running)
                     self.stats.requeued += 1
                     if _obs.enabled:
                         _obs.inc("runtime.pool.requeued")
                 else:
-                    dead_letter(assignment)
+                    spent = running
+            # Back to the front of the queue in index order, ahead of a
+            # retry that the dead letter's commit may decide.
+            pending.extendleft(sorted(back, key=lambda queued: queued.index,
+                                      reverse=True))
+            if spent is not None:
+                dead_letter(spent)
             # Keep the pool at strength while there is work left.
             if len(outcomes) < total:
                 spawn()
@@ -639,30 +683,46 @@ class PoolBackend:
                                len(self._live))
 
         def dispatch() -> None:
-            for worker in list(self._live.values()):
-                if worker.assignment is not None or worker.stopping:
-                    continue
+            """Feed the workers: each next attempt goes down the pipe of
+            the worker with the fewest queued, until every worker holds
+            :data:`WINDOW` or nothing is left to send."""
+            feedable = [worker for worker in self._live.values()
+                        if not worker.stopping
+                        and worker.kill_reason is None]
+            while feedable:
+                worker = min(feedable, key=lambda live: len(live.queue))
+                if len(worker.queue) >= WINDOW:
+                    return
                 assignment = next_assignment()
                 if assignment is None:
                     return
                 chaos = self.chaos.get(assignment.outcome.task.id,
                                        {}).get(assignment.crash_attempts)
+                message = ForkingPickler.dumps(
+                    ("task", assignment.index, assignment.outcome, chaos))
+                if worker.queue \
+                        and len(message) > worker.queued_message_bytes:
+                    # Too large to queue behind a running attempt: it
+                    # waits for a worker that is reading its pipe.
+                    pending.appendleft(assignment)
+                    return
+                try:
+                    worker.conn.send_bytes(message)
+                except OSError:
+                    # Died between wait() and send(): put the task
+                    # back; the sentinel wakes us to handle the death.
+                    pending.appendleft(assignment)
+                    feedable.remove(worker)
+                    continue
                 if assignment.last_worker is not None \
                         and assignment.last_worker != worker.id:
                     self.stats.stolen += 1
                     if _obs.enabled:
                         _obs.inc("runtime.pool.stolen")
-                try:
-                    worker.conn.send(("task", assignment.index,
-                                      assignment.outcome, chaos))
-                except OSError:
-                    # Died between wait() and send(): put the task
-                    # back; the sentinel wakes us to handle the death.
-                    pending.appendleft(assignment)
-                    continue
                 assignment.last_worker = worker.id
-                worker.assignment = assignment
-                worker.last_seen = time.monotonic()
+                if not worker.queue:  # its stall clock starts now
+                    worker.last_seen = time.monotonic()
+                worker.queue.append(assignment)
 
         breach: str | None = None
         try:
@@ -676,6 +736,10 @@ class PoolBackend:
                     raise RuntimeError(
                         "pool lost all workers with "
                         f"{total - len(outcomes)} tasks unfinished")
+                # Group commit: the results this pass committed become
+                # durable in one fsync, after dispatch() has refilled
+                # the workers, so they run while the disk syncs.
+                runner.sync()
                 conns = {worker.conn: worker
                          for worker in self._live.values()}
                 sentinels = {worker.proc.sentinel: worker
@@ -714,13 +778,14 @@ class PoolBackend:
                 if self.stall_timeout > 0:
                     now = time.monotonic()
                     for worker in list(self._live.values()):
-                        if worker.assignment is not None \
+                        if worker.queue \
                                 and worker.kill_reason is None \
                                 and now - worker.last_seen \
                                 > self.stall_timeout:
                             self.stats.stalls += 1
                             self._kill(worker, "stall")
                 dispatch()
+            runner.sync()
             self._shutdown_graceful()
         except _BreachSignal:
             raise RuntimeError(

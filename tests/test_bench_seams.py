@@ -22,9 +22,9 @@ def test_gate_measures_a_seam_and_positive_work(name):
 
 
 @pytest.mark.parametrize("name, methods", [
-    ("journal", ("commit",)),
+    ("journal", ("commit", "sync")),
     ("obs-export", ("commit",)),
-    ("ledger", ("_run_task",)),
+    ("ledger", ("_run_attempt",)),
     ("runtime", ("_run_task", "_attempt", "summarize")),
 ])
 def test_gate_goes_through_the_batch_runner(monkeypatch, name, methods):

@@ -122,3 +122,56 @@ def test_a_resumed_run_ledgers_every_task(tmp_path, workers):
     assert len({record["run"] for record in records}) == 2
     assert sorted({record["task"] for record in records}) \
         == [f"t{index}" for index in range(8)]
+
+
+#: Runs ``xnf`` with ``os.fsync`` failing from its second call on: the
+#: journal's meta record syncs at open, its first result sync fails.
+FSYNC_FAILS = """
+import errno, os, sys
+calls = []
+
+def fsync(fd):
+    calls.append(fd)
+    if len(calls) > 1:
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+os.fsync = fsync
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_a_failed_fsync_ends_the_batch(tmp_path, workers):
+    manifest = _manifest(tmp_path / "m.json", [
+        {"id": f"t{index}", "op": "check", "dtd_text": DTD,
+         "fds_text": "db.r.@a -> db.r.@b"} for index in range(8)])
+    run = _xnf(["batch", manifest, "--journal", tmp_path / "journal",
+                "--workers", workers], script=FSYNC_FAILS)
+    assert run.returncode == 3, run.stderr
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) == 1, run.stderr
+    assert lines[0].startswith("error: ")
+    assert "Input/output error" in lines[0]
+    assert run.stdout == ""
+
+
+@pytest.mark.skipif(not pool_available(),
+                    reason="fork start method unavailable")
+def test_dispatches_larger_than_the_pipe_buffer_complete(tmp_path):
+    """Each task's DTD carries a 1 MiB comment, so every dispatch and
+    every result outgrows the socket buffer of a worker's pipe.  The
+    supervisor must never block sending to a worker that is blocked
+    sending it a result: the traced pool run finishes, with serial's
+    bytes."""
+    pad = "<!-- " + "x" * (1 << 20) + " -->\n"
+    manifest = _manifest(tmp_path / "m.json", [
+        {"id": f"t{index}", "op": "check", "dtd_text": pad + DTD,
+         "fds_text": "db.r.@a -> db.r.@b"} for index in range(8)])
+    runs = {}
+    for workers in (1, 2):
+        run = _xnf(["--trace", tmp_path / f"trace{workers}", "batch",
+                    manifest, "--workers", workers], timeout=120)
+        assert run.returncode == 0, run.stderr
+        runs[workers] = run.stdout
+    assert runs[2] == runs[1]

@@ -547,3 +547,67 @@ class TestPoolResume:
                                           resume=True)
                 assert _dumps(resumed) == _dumps(base), \
                     f"threshold {threshold}, cut at {cut}"
+
+
+class TestGroupCommit:
+    """Each result is written and flushed as it commits; ``sync``
+    fsyncs what was appended since its last call.  The serial loop syncs
+    after every commit, the pool once per pass of its supervision loop,
+    before it waits, and ``close`` last."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_result_waits_unsynced(self, tmp_path, monkeypatch,
+                                      workers):
+        """With ``os.fsync`` and ``multiprocessing.connection.wait``
+        spied in the parent: at every wait that can block, and after
+        ``close``, the journal file holds no byte that the last fsync
+        did not cover.  The pool fsyncs fewer times than it appends,
+        serial once per append, and ``runtime.journal.synced`` counts
+        each fsync."""
+        import os
+        from multiprocessing import connection
+
+        from repro.runtime.pool import PoolBackend, pool_available
+        if workers > 1 and not pool_available():
+            pytest.skip("fork start method unavailable")
+        path = tmp_path / "j.journal"
+        synced, unsynced_waits = [], []
+        real_fsync, real_wait = os.fsync, connection.wait
+
+        def fsync(fd):
+            real_fsync(fd)
+            synced.append(os.fstat(fd).st_size)
+
+        def wait(object_list, timeout=None):
+            if timeout != 0 and path.stat().st_size != synced[-1]:
+                unsynced_waits.append(path.stat().st_size - synced[-1])
+            return real_wait(object_list, timeout)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(connection, "wait", wait)
+        manifest = _manifest(_tasks(count=40))
+        kwargs = _fresh()
+        metrics.enable()
+        metrics.reset()
+        try:
+            journal = _open(path, manifest, kwargs, fsync=True)
+            try:
+                summary = run_batch(
+                    manifest, journal=journal, **kwargs,
+                    backend=PoolBackend(workers) if workers > 1 else None)
+            finally:
+                journal.close()
+            counters = metrics.snapshot()["counters"]
+        finally:
+            metrics.reset()
+            metrics.disable()
+        assert summary["counts"]["total"] == 40
+        assert unsynced_waits == []
+        assert synced[-1] == path.stat().st_size
+        assert journal.appended == 41
+        assert counters["runtime.journal.appended"] == 41
+        assert counters["runtime.journal.synced"] == len(synced)
+        if workers > 1:
+            assert len(synced) < journal.appended
+        else:
+            assert len(synced) == journal.appended

@@ -322,6 +322,50 @@ class TestCrashBookkeeping:
         assert summary["counts"]["ok"] == 6
         assert pool.stats.stolen >= 1
 
+    @pytest.mark.parametrize("crash_retries", [0, 3])
+    def test_a_death_charges_only_the_attempt_it_was_running(
+            self, crash_retries):
+        """Each worker starts on a napping task with more queued behind
+        it, and corpus-0002's dispatch kills the worker that reaches it.
+        Only corpus-0002 is charged: without a crash budget it alone
+        dead-letters, with one the bytes are serial's.  The attempts
+        queued behind it go back uncharged and other workers run them
+        (``stolen``)."""
+        def runner(backend=None):
+            runner = _runner(corpus.stream_manifest(12, seed=9),
+                             backend=backend)
+            real = runner._execute
+
+            def execute(task):
+                if task.id in ("corpus-0000", "corpus-0001"):
+                    time.sleep(0.2)
+                return real(task)
+
+            # Fork shares the patched method with the workers.
+            runner._execute = execute
+            return runner
+
+        serial = runner().run()
+        pool = PoolBackend(2, crash_retries=crash_retries, chaos={
+            "corpus-0002": {0: ("sigkill", "pre")}})
+        parallel = runner(pool).run()
+        assert pool.stats.crashed == 1
+        assert pool.stats.stolen >= 1
+        assert all(task["attempts"] == 1 for task in parallel["tasks"])
+        if crash_retries:
+            assert pool.stats.requeued == 1
+            assert json.dumps(parallel, sort_keys=True) \
+                == json.dumps(serial, sort_keys=True)
+            return
+        [letter] = parallel["dead_letters"]
+        assert letter["id"] == "corpus-0002"
+        assert [failure["signature"] for failure in letter["failures"]] \
+            == ["crash:signal:SIGKILL"]
+        assert [task for task in parallel["tasks"]
+                if task["id"] != "corpus-0002"] \
+            == [task for task in serial["tasks"]
+                if task["id"] != "corpus-0002"]
+
     def test_crash_spawns_a_replacement_worker(self):
         chaos = {"corpus-0003": {0: ("sigkill", "pre")}}
         _, _, pool = _corpus_summaries(8, 1, workers=2, chaos=chaos)
