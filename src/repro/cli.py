@@ -144,7 +144,12 @@ def _read(path: str) -> str:
 
 def _write(path: str, mode: str = "w") -> IO[str]:
     """A file argument opened for output; one that cannot be opened is
-    a usage error (exit 2), the twin of :func:`_read`."""
+    a usage error (exit 2), the twin of :func:`_read`.  So is ``-``,
+    which everywhere else in ``xnf`` names a standard stream, never a
+    file."""
+    if path == "-":
+        raise UsageError("cannot write -: this option takes a file "
+                         "name, and '-' names a standard stream")
     try:
         return open(path, mode, encoding="utf-8")
     except OSError as error:
@@ -605,12 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     obs_fla.add_argument("-o", "--out", metavar="FILE",
                          help="write to FILE instead of stdout")
     obs_dif = obs_sub.add_parser(
-        "diff", help="gate two traces (or stats snapshots) on "
-        "counter deltas")
-    obs_dif.add_argument("baseline", help="baseline trace or snapshot "
-                         "JSON, or - for stdin")
-    obs_dif.add_argument("current", help="current trace or snapshot "
-                         "JSON, or - for stdin")
+        "diff", help="gate two traces on counter deltas")
+    obs_dif.add_argument("baseline",
+                         help="baseline trace file, or - for stdin")
+    obs_dif.add_argument("current",
+                         help="current trace file, or - for stdin")
     obs_dif.add_argument("--tolerance", type=float, metavar="PCT",
                          default=5.0,
                          help="allowed counter growth in percent "

@@ -8,14 +8,13 @@ alias of ``xnf obs ARGS``.
 deterministic profile of :mod:`repro.obs.profile` (``--by-task`` adds
 the per-manifest-task rollup for stitched batch traces); ``flame``
 emits folded stacks for flamegraph tools; ``diff`` compares two traces
-or two ``--stats``-style snapshot JSON files under the benchmark
-comparator's conventions.  ``history`` and ``regress`` read the
+under the benchmark comparator's conventions.  ``history`` and ``regress`` read the
 ``--ledger FILE`` batch run ledger (:mod:`repro.obs.ledger`): history
 summarises past runs, regress gates the latest run against baselines.
 
 Every positional file argument accepts ``-`` for standard input, so
-traces and ledgers pipe straight through (``xnf ... --trace - | xnf
-obs report -``).
+traces and ledgers pipe straight through (``gzip -dc run.jsonl.gz |
+xnf obs report -``).
 
 Exit codes follow the repository-wide contract: 0 success / no
 regression, 1 regression beyond tolerance (``diff`` / ``regress``), 2

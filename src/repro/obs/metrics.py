@@ -265,7 +265,8 @@ def reset() -> None:
 # renders a snapshot under it) at the instant of the fork, leaving the
 # child's copy locked forever.  Workers therefore call
 # :func:`reinit_after_fork` first thing, then record into their own
-# registry; the parent folds the results back with :func:`merge_raw`.
+# registry; the parent folds each attempt's dump back with
+# :func:`merge_raw` as its result arrives.
 
 def reinit_after_fork() -> None:
     """Make this module safe to use in a freshly forked child.
@@ -304,6 +305,12 @@ def dump_raw() -> dict:
 
 
 def _merge_histogram(histogram: _Histogram, state: dict) -> None:
+    if state["stride"] == 1:
+        # Every observation is in the sample: record each one, so many
+        # small merges decimate exactly as recording here would have.
+        for value in state["samples"]:
+            histogram.observe(value)
+        return
     histogram.count += state["count"]
     histogram.total += state["total"]
     histogram.min = min(histogram.min, state["min"])
@@ -319,11 +326,14 @@ def merge_raw(state: dict) -> None:
     """Fold a :func:`dump_raw` dump from another process into this
     one's registry.
 
-    Counters and histogram counts/totals add exactly; percentiles are
-    computed over the concatenated retained samples (an approximation
-    with the same guarantees as the per-process decimation); gauges
-    take the incoming value (point-in-time semantics — last write
-    wins).  No-op while disabled.
+    Counters and histogram counts/totals add exactly.  A histogram
+    dumped before its first decimation holds every observation, and
+    each is recorded as if observed here, so a pool worker's
+    per-result dumps leave it exactly as in-process recording would;
+    decimated samples are concatenated (an approximation with the same
+    guarantees as the per-process decimation).  Gauges take the
+    incoming value (point-in-time semantics — last write wins).  No-op
+    while disabled.
     """
     if not enabled:
         return

@@ -20,8 +20,8 @@ bytes always produce the same report bytes, independent of
 different timings; determinism here means the profiler adds no noise
 of its own, so profiles are diffable artifacts.)
 
-:func:`diff` compares two profiles — or two ``obs.snapshot()`` JSON
-files — under the benchmark comparator's conventions
+:func:`diff` compares two traces' profiles under the benchmark
+comparator's conventions
 (:mod:`repro.bench.compare`): counter movement beyond the tolerance is
 a gating *regression*, wall-time movement is *advisory*, and the exit
 code contract is 0 pass / 1 regression / 2 unreadable input.
@@ -29,7 +29,6 @@ code contract is 0 pass / 1 regression / 2 unreadable input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,8 +40,7 @@ from repro.errors import UsageError
 
 
 class TraceError(UsageError):
-    """A trace (or snapshot) file is unreadable or malformed (exit
-    code 2)."""
+    """A trace file is unreadable or malformed (exit code 2)."""
 
 
 # -- loading -----------------------------------------------------------
@@ -433,45 +431,14 @@ def folded_stacks(profile: Profile) -> str:
 # -- diffing (bench-comparator conventions) ----------------------------
 
 
-def load_comparable(path: str | Path) -> tuple[str, dict]:
-    """Load a trace *or* a stats-snapshot JSON file for diffing.
-
-    Returns ``(kind, {"counters": ..., "times_ms": ...})`` where kind
-    is ``"trace"`` or ``"snapshot"``.  Counters gate, times are
-    advisory — the same split the benchmark comparator uses.
-    """
-    source, text = records.read_text(path, error=TraceError)
-    stripped = text.strip()
-    if not stripped:
-        raise TraceError(f"{source}: empty file")
-    try:
-        whole = json.loads(stripped)
-    except ValueError:
-        whole = None
-    # A stats snapshot has a top-level "counters" mapping; a one-line
-    # trace can *also* parse as a single dict with a "counters" field,
-    # but it carries span keys ("id", "duration_ms") a snapshot never
-    # does.
-    if isinstance(whole, dict) and "counters" in whole \
-            and "duration_ms" not in whole:
-        where = f"{source}: snapshot"
-        records.check(whole, (("counters", dict, True),
-                              ("timers", dict, False)),
-                      where=where, error=TraceError)
-        times = {}
-        for name, stats in whole.get("timers", {}).items():
-            records.check(stats, (("total", records.NUMBER, False),),
-                          where=f"{where}: timer {name!r}",
-                          error=TraceError)
-            times[name] = float(stats.get("total", 0.0)) * 1e3
-        return "snapshot", {
-            "counters": dict(_check_counters(whole["counters"], where)),
-            "times_ms": times}
-    profile = build_profile(_parse_trace(source, text))
-    times = {name: stat.total_ms
-             for name, stat in profile.by_name.items()}
-    return "trace", {"counters": profile.total_counters(),
-                     "times_ms": times}
+def load_comparable(path: str | Path) -> dict:
+    """A trace's ``{"counters": ..., "times_ms": ...}`` for diffing:
+    counters gate, times are advisory — the same split the benchmark
+    comparator uses."""
+    profile = load_profile(path)
+    return {"counters": profile.total_counters(),
+            "times_ms": {name: stat.total_ms
+                         for name, stat in profile.by_name.items()}}
 
 
 def diff_comparables(base: dict, curr: dict, *,
@@ -507,17 +474,10 @@ def diff_comparables(base: dict, curr: dict, *,
 
 def diff(base_path: str | Path, curr_path: str | Path, *,
          tolerance: float = 0.05) -> tuple[str, int]:
-    """Compare two trace/snapshot files; returns (report text, exit
-    code) under the bench comparator's 0-pass / 1-regression
-    contract.  Unreadable or malformed input raises
-    :class:`TraceError` (exit code 2)."""
-    base_kind, base = load_comparable(base_path)
-    curr_kind, curr = load_comparable(curr_path)
-    findings = diff_comparables(base, curr, tolerance=tolerance)
-    header = ""
-    if base_kind != curr_kind:
-        header = (f"note: comparing a {base_kind} against a "
-                  f"{curr_kind} (counters are comparable; wall-time "
-                  f"rows only overlap where names match)\n")
-    return (header + render_findings(findings, tolerance=tolerance),
-            gate(findings))
+    """Compare two trace files; returns (report text, exit code) under
+    the bench comparator's 0-pass / 1-regression contract.  Unreadable
+    or malformed input raises :class:`TraceError` (exit code 2)."""
+    findings = diff_comparables(load_comparable(base_path),
+                                load_comparable(curr_path),
+                                tolerance=tolerance)
+    return render_findings(findings, tolerance=tolerance), gate(findings)

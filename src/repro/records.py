@@ -7,8 +7,8 @@ not parse); :func:`repair` cuts one off before a writer appends.
 Records are ASCII, so a character offset is a byte offset.
 
 :func:`check` is the one field check of every record a command reads
-back — journal results, ledger records, span traces, ``obs diff``
-snapshots and benchmark reports — so a missing or mistyped field
+back — journal results, ledger records, span traces and benchmark
+reports — so a missing or mistyped field
 raises the reader's own :class:`ReproError` naming the file, the line
 and the field (exit 2), never a traceback.  :func:`check_time` does
 the same for a Unix time a reader renders as a date.

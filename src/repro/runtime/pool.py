@@ -57,24 +57,31 @@ enough that the send cannot block while the worker blocks sending a
 result (:func:`_queued_message_bytes`); a larger one waits for a worker
 with nothing queued.
 
-Workers are forked (``multiprocessing.get_context("fork")``): the
-manifest, spec corpus, and runner configuration are shared
-copy-on-write, so a dispatch message carries only the task's outcome
-so far.  Each worker re-initializes the metrics registry first thing
+**One message per attempt.**  Workers are forked
+(``multiprocessing.get_context("fork")``): the manifest, spec corpus,
+and runner configuration are shared copy-on-write, so a dispatch
+message carries only the task's outcome so far.  Each worker
+re-initializes the metrics registry first thing
 (:func:`repro.obs.metrics.reinit_after_fork` — the inherited lock may
 have been held by a parent exporter thread at the instant of the
-fork) and resets the tracing module (sinks and span stack); each
-attempt's counters ship back once, in its outcome's running
-``counter_delta``, and the histograms as one raw dump at shutdown, so
-the parent's merged snapshot covers the whole pool.  When the parent
-is tracing, each worker buffers every finished span record and ships
-the buffer alongside each result; the supervisor stitches them into
-its own trace (:func:`repro.obs.trace.ingest_records`), stamping each
-with the ``worker`` that ran it, so ``xnf batch --workers N --trace
-FILE`` captures every worker's ``runtime.task`` spans in one coherent
-forest.  Span starts need no rebase: ``time.perf_counter`` is a
-system-wide clock, so a forked worker reads the same clock as its
-parent.
+fork) and resets the tracing module (sinks and span stack).  Its
+``result`` message carries everything the attempt produced: the
+outcome without its task, which the parent holds and re-attaches;
+the attempt's counters, in the outcome's running ``counter_delta``;
+with obs on, the gauges, histograms and timers it recorded, as one raw
+dump after which the worker resets its registry; and, when the parent
+is tracing, the attempt's finished span records.  The parent merges
+the metrics as the result arrives, so they are live on ``/metrics``
+and a worker that dies loses only the attempt it was running, counters
+and timers alike.  It stitches the spans into its own trace
+(:func:`repro.obs.trace.ingest_records`), stamping each with the
+``worker`` that ran it, so ``xnf batch --workers N --trace FILE``
+captures every worker's ``runtime.task`` spans in one coherent forest.
+Span starts need no rebase: ``time.perf_counter`` is a system-wide
+clock, so a forked worker reads the same clock as its parent.  With
+nothing left to collect at the end, the pool ends the same way on
+every path, success, breach or error: the parent SIGKILLs whatever
+worker is left (:meth:`PoolBackend._shutdown_force`).
 
 A non-:class:`~repro.errors.ReproError` escaping a task inside a
 worker is the same exception-safety breach it is on the serial path:
@@ -152,7 +159,7 @@ def resolve_workers(value: str | int, *,
     affinity mask, where the platform has one, so ``taskset`` and
     cpusets count), never more than there are tasks; an explicit
     integer is respected as-is (still capped by the task count — idle
-    workers would only be forked to be told to stop).  A resolved
+    workers would only be forked to be killed).  A resolved
     count of 1 is the caller's cue to use the serial backend instead.
     """
     if isinstance(value, str):
@@ -255,7 +262,8 @@ def _worker_main(runner: "BatchRunner",
                  conn: _mp_connection.Connection, ping_interval: float,
                  parent_ends: tuple = ()) -> None:
     """The forked worker entrypoint: recv an outcome, run its task's
-    next attempt, send the outcome back.
+    next attempt, send back the outcome without its task and what the
+    attempt recorded.
 
     Fork hygiene first: close ``parent_ends`` — the parent-side ends of
     this worker's own pipe and of every older sibling's, all inherited
@@ -270,10 +278,14 @@ def _worker_main(runner: "BatchRunner",
     the parent's retry decision planned; it never reads a breaker
     board, so per-task records are backend-independent.
 
-    When the parent is tracing (a sink registered when it forked), the
-    worker buffers every finished span's record and ships the buffer
-    back with each result, where the supervisor stitches it into the
-    parent trace under this worker's id.
+    With obs on, each result carries the gauges, histograms and timers
+    the attempt recorded (:func:`repro.obs.metrics.dump_raw` less the
+    counters, which cross in ``counter_delta``), and the registry is
+    reset for the next attempt.  When the parent is tracing (a sink
+    registered when it forked), the worker buffers every finished
+    span's record and ships the buffer back with each result, where the
+    supervisor stitches it into the parent trace under this worker's
+    id.
     """
     for end in parent_ends:
         end.close()
@@ -296,17 +308,7 @@ def _worker_main(runner: "BatchRunner",
             message = conn.recv()
         except (EOFError, OSError):  # parent died: nothing to do
             os._exit(1)
-        if message[0] == "stop":
-            dump = _obs.dump_raw()
-            # Every counter arrived with its task's outcome; the bye
-            # carries the histograms and timers, which ship nowhere
-            # else.
-            del dump["counters"]
-            with send_lock:
-                conn.send(("bye", dump))
-            conn.close()
-            os._exit(0)
-        _kind, index, outcome, chaos = message
+        index, outcome, chaos = message
         if chaos is not None and chaos[1] == "pre":
             _chaos_act(chaos[0], conn, send_lock)
         try:
@@ -323,10 +325,16 @@ def _worker_main(runner: "BatchRunner",
             os._exit(BREACH_EXITCODE)
         if chaos is not None and chaos[1] == "post":
             _chaos_act(chaos[0], conn, send_lock)
+        outcome.task = None  # the parent holds it
+        dump = None
+        if _obs.enabled:
+            dump = _obs.dump_raw()
+            del dump["counters"]  # they cross in counter_delta
+            _obs.reset()
         spans = span_buffer[:]
         span_buffer.clear()
         with send_lock:
-            conn.send(("result", index, outcome, spans))
+            conn.send(("result", index, outcome, spans, dump))
 
 
 # -- parent side -------------------------------------------------------
@@ -369,7 +377,7 @@ class _Worker:
     """Parent-side handle of one worker process."""
 
     __slots__ = ("id", "proc", "conn", "queue", "queued_message_bytes",
-                 "last_seen", "kill_reason", "stopping")
+                 "last_seen", "kill_reason")
 
     def __init__(self, worker_id: int, proc, conn) -> None:
         self.id = worker_id
@@ -383,7 +391,6 @@ class _Worker:
         #: Set by the parent before it SIGKILLs the worker, so the
         #: death handler can report *why* (stall, corrupt pipe).
         self.kill_reason: str | None = None
-        self.stopping = False
 
 
 class PoolBackend:
@@ -528,8 +535,8 @@ class PoolBackend:
             advance()
 
         def handle_result(worker: _Worker, index: int,
-                          outcome: TaskOutcome,
-                          spans: list[dict]) -> None:
+                          outcome: TaskOutcome, spans: list[dict],
+                          dump: dict | None) -> None:
             if not worker.queue or worker.queue[0].index != index:
                 # Results come back in the order the attempts were
                 # sent; any other can only mean supervisor state
@@ -538,6 +545,7 @@ class PoolBackend:
                     f"pool protocol violation: worker {worker.id} "
                     f"returned task index {index} out of turn")
             assignment = worker.queue.popleft()
+            outcome.task = assignment.outcome.task
             if _obs.enabled:
                 # The delta is the task's running total, so the
                 # registry takes what this attempt added.  Unpickling
@@ -550,6 +558,8 @@ class PoolBackend:
                     for name, value in outcome.counter_delta.items()}
                 for name, value in outcome.counter_delta.items():
                     _obs.inc(name, value - held.get(name, 0))
+                if dump is not None:
+                    _obs.merge_raw(dump)
                 if spans:
                     # Stitch the worker's finished spans into this
                     # process's trace: fresh ids, shipment tops
@@ -580,7 +590,7 @@ class PoolBackend:
             self._live.pop(worker.id, None)
             worker.proc.join()
             breach_report: str | None = None
-            if worker.kill_reason is None and not worker.stopping:
+            if worker.kill_reason is None:
                 # Natural death: a result or a breach report may be
                 # sitting in the pipe (the worker died
                 # between send and our next recv) — drain it before
@@ -595,8 +605,6 @@ class PoolBackend:
                 worker.conn.close()
             except OSError:
                 pass
-            if worker.stopping:
-                return
             exitcode = worker.proc.exitcode
             if worker.kill_reason is None and (
                     breach_report is not None
@@ -687,8 +695,7 @@ class PoolBackend:
             the worker with the fewest queued, until every worker holds
             :data:`WINDOW` or nothing is left to send."""
             feedable = [worker for worker in self._live.values()
-                        if not worker.stopping
-                        and worker.kill_reason is None]
+                        if worker.kill_reason is None]
             while feedable:
                 worker = min(feedable, key=lambda live: len(live.queue))
                 if len(worker.queue) >= WINDOW:
@@ -699,7 +706,7 @@ class PoolBackend:
                 chaos = self.chaos.get(assignment.outcome.task.id,
                                        {}).get(assignment.crash_attempts)
                 message = ForkingPickler.dumps(
-                    ("task", assignment.index, assignment.outcome, chaos))
+                    (assignment.index, assignment.outcome, chaos))
                 if worker.queue \
                         and len(message) > worker.queued_message_bytes:
                     # Too large to queue behind a running attempt: it
@@ -786,16 +793,15 @@ class PoolBackend:
                             self._kill(worker, "stall")
                 dispatch()
             runner.sync()
-            self._shutdown_graceful()
         except _BreachSignal:
             raise RuntimeError(
                 "worker exception-safety contract breach "
                 "(non-ReproError escaped a task):\n"
                 + (breach or "<no traceback>")) from None
         finally:
-            # Inside the finally so the drained-pool gauge state is
-            # honest even when a breach (or any other error) unwinds
-            # the supervision loop: once _shutdown_force returns, no
+            # The one teardown, after success, a breach or any other
+            # error: every result has shipped its metrics, so nothing
+            # is left to collect.  Once _shutdown_force returns no
             # worker is alive, and a lingering exporter scrape must
             # see zero.
             self._shutdown_force()
@@ -812,46 +818,8 @@ class PoolBackend:
         except (OSError, TypeError):  # pragma: no cover - already gone
             pass
 
-    def _shutdown_graceful(self) -> None:
-        """Stop idle workers, collecting their metrics dumps (the
-        ``bye`` message).
-
-        A worker with stall pings enabled may have ``hb`` pings queued
-        ahead of its bye, so each pipe is drained until the bye, EOF,
-        or the deadline — one blind recv would swallow the dump.
-        """
-        for worker in list(self._live.values()):
-            worker.stopping = True
-            try:
-                worker.conn.send(("stop",))
-            except OSError:
-                continue
-        deadline = time.monotonic() + 10.0
-        for worker in list(self._live.values()):
-            try:
-                while True:
-                    remaining = max(0.0, deadline - time.monotonic())
-                    if not worker.conn.poll(remaining):
-                        break
-                    message = worker.conn.recv()
-                    if message[0] == "bye":
-                        _obs.merge_raw(message[1])
-                        # Free this dump before the next one arrives:
-                        # two at once set the run's peak RSS.
-                        del message
-                        break
-            except (EOFError, OSError):
-                pass
-            worker.proc.join(
-                timeout=max(0.1, deadline - time.monotonic()))
-            self._live.pop(worker.id, None)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-
     def _shutdown_force(self) -> None:
-        """Last-resort teardown: SIGKILL anything still alive."""
+        """The pool's one teardown: SIGKILL anything still alive."""
         for worker in list(self._live.values()):
             try:
                 if worker.proc.is_alive():

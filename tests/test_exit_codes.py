@@ -215,9 +215,9 @@ class TestExit2:
         ("trace", {"duration_ms": "abc"}, "duration_ms"),
         ("trace", {"counters": "x"}, "counters"),
         ("trace", {"id": [1]}, "id"),
-        ("snapshot", {"counters": 5}, "counters"),
-        ("snapshot", {"counters": {"a": "x"}}, "a"),
-        ("snapshot", {"timers": {"t": {"total": "x"}}}, "total"),
+        ("diff", {"counters": 5}, "counters"),
+        ("diff", {"counters": {"a": "x"}}, "a"),
+        ("diff", {"duration_ms": "abc"}, "duration_ms"),
         ("bench", {"counters": 5}, "counters"),
         ("bench", {"points": 7}, "points"),
         ("trace", {"parent": 2}, "parent"),     # 1 -> 2 -> 1
@@ -234,28 +234,27 @@ class TestExit2:
     ])
     def test_mistyped_record_read_back(self, tmp_path, capsys, kind,
                                        change, field):
-        """A mistyped field in a trace (``obs report``), a snapshot
-        (``obs diff``), a benchmark report (``bench compare`` and
-        ``bench report``), a journal result (``batch --resume``) or a
-        ledger record (``obs history``) is named on stderr with exit 2,
-        never a traceback.  So are a trace whose parent links loop, a
+        """A mistyped field in a trace (``obs report`` and ``obs
+        diff``), a benchmark report (``bench compare`` and ``bench
+        report``), a journal result (``batch --resume``) or a ledger
+        record (``obs history``) is named on stderr with exit 2, never a
+        traceback.  So are a trace whose parent links loop, a
         claim without its ``statement``, a result whose status or
         failures replay cannot rebuild, and a time no date has."""
         from repro.bench.schema import envelope
         good = tmp_path / "good.json"
         bad = tmp_path / "bad.json"
-        if kind == "trace":
+        if kind in ("trace", "diff"):
             record = {"id": 1, "parent": None, "name": "root",
-                      "start": 0.0, "duration_ms": 8.0, **change}
+                      "start": 0.0, "duration_ms": 8.0}
             child = {"id": 2, "parent": 1, "name": "child",
                      "start": 1.0, "duration_ms": 2.0}
-            bad.write_text(json.dumps(record) + "\n"
+            good.write_text(json.dumps(record) + "\n"
+                            + json.dumps(child) + "\n")
+            bad.write_text(json.dumps({**record, **change}) + "\n"
                            + json.dumps(child) + "\n")
-            code = main(["obs", "report", str(bad)])
-        elif kind == "snapshot":
-            good.write_text(json.dumps({"counters": {"a": 1}}))
-            bad.write_text(json.dumps({"counters": {"a": 1}, **change}))
-            code = main(["obs", "diff", str(good), str(bad)])
+            code = main(["obs", "report", str(bad)] if kind == "trace"
+                        else ["obs", "diff", str(good), str(bad)])
         elif kind == "journal":
             manifest = _manifest_file(
                 tmp_path, [_good_task(f"g{index}") for index in range(3)])
@@ -399,31 +398,36 @@ class TestExit2:
 
     @pytest.mark.parametrize("case", [
         "bench-run-out", "obs-flame-out", "trace", "batch-ledger",
+        "bench-run-out-dash", "trace-dash", "batch-ledger-dash",
     ])
     def test_unusable_output_file(self, university, tmp_path, capsys,
                                   monkeypatch, case):
         """An output file that cannot be opened is a usage error: exit
         2 naming it, before any work runs — ``bench run`` never starts
-        its suite."""
+        its suite.  So is ``-``, a standard stream everywhere else in
+        ``xnf``: no file named ``-`` appears."""
         from repro.bench import runner
         monkeypatch.setattr(runner, "run_suite", lambda **options:
                             pytest.fail("the suite ran"))
+        monkeypatch.chdir(tmp_path)
         dtd, fds = university
         trace = str(tmp_path / "t.jsonl")
         assert main(["--trace", trace, "classify", dtd]) == 0
         manifest = _manifest_file(tmp_path, [_good_task()])
-        path = str(tmp_path / "absent" / "out")
+        path = "-" if case.endswith("-dash") \
+            else str(tmp_path / "absent" / "out")
         argv = {
             "bench-run-out": ["bench", "run", "--quick", "--out", path],
             "obs-flame-out": ["obs", "flame", trace, "-o", path],
             "trace": ["--trace", path, "check", dtd, fds],
             "batch-ledger": ["batch", manifest, "--ledger", path],
-        }[case]
+        }[case.removesuffix("-dash")]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"cannot write {path}: " in err, err
         assert "Traceback" not in err
+        assert not (tmp_path / "-").exists()
 
 
 class TestExit3:

@@ -161,6 +161,39 @@ class TestGaugesAndHistograms:
         assert merged.stride > reference.stride
         assert obs.snapshot()["histograms"]["h"] == merged.as_dict()
 
+    def test_many_small_merges_equal_observing_directly(self):
+        """A pool worker ships each attempt's histograms and timers
+        before they decimate, then resets: merged one dump at a time
+        far past the cap, they summarize exactly as the same values
+        observed here."""
+        rng = random.Random(11)
+        chunks = [[rng.lognormvariate(0.0, 1.0) for _ in range(500)]
+                  for _ in range(40)]
+
+        def record(chunk):
+            for value in chunk:
+                obs.observe("h", value)
+                metrics.observe_seconds("t", value)
+
+        obs.enable()
+        dumps = []
+        for chunk in chunks:
+            record(chunk)
+            dumps.append(metrics.dump_raw())
+            obs.reset()
+        assert all(dump["histograms"]["h"]["stride"] == 1
+                   for dump in dumps)
+        for dump in dumps:
+            metrics.merge_raw(dump)
+        merged = obs.snapshot()
+        obs.reset()
+        for chunk in chunks:
+            record(chunk)
+        direct = obs.snapshot()
+        assert metrics._histograms["h"].stride > 1
+        assert merged["histograms"] == direct["histograms"]
+        assert merged["timers"] == direct["timers"]
+
 
 class TestSnapshotReset:
     def test_snapshot_is_a_copy(self):

@@ -245,16 +245,6 @@ class TestDiff:
         assert code == 0
         assert "advisory" in report
 
-    def test_snapshot_vs_trace(self, tmp_path):
-        snapshot = tmp_path / "stats.json"
-        snapshot.write_text(json.dumps(
-            {"counters": {"closure.iterations": 100},
-             "gauges": {}, "histograms": {}, "timers": {}}))
-        trace = self._trace_file(tmp_path, "t.jsonl", 160)
-        report, code = prof.diff(snapshot, trace)
-        assert code == 1
-        assert "comparing a snapshot against a trace" in report
-
     def test_unreadable_input_raises_trace_error(self, tmp_path):
         with pytest.raises(TraceError):
             prof.diff(tmp_path / "missing.json",
@@ -263,5 +253,5 @@ class TestDiff:
     def test_empty_file_raises(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")
-        with pytest.raises(TraceError, match="empty file"):
+        with pytest.raises(TraceError, match="no span records"):
             prof.load_comparable(empty)

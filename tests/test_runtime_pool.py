@@ -576,48 +576,6 @@ class TestOrderedCommit:
                     if name.startswith("runtime.breaker.")}
 
 
-class TestGracefulShutdown:
-    def test_heartbeats_ahead_of_the_bye_do_not_swallow_the_dump(self):
-        # With --stall-timeout > 0 a worker's ping thread keeps
-        # pinging until the stop is processed, so 'hb' messages can
-        # sit in the pipe ahead of the 'bye'; the drain must skip
-        # them rather than discard the metrics dump.
-        from multiprocessing import Pipe
-
-        from repro import obs
-        from repro.runtime.pool import _Worker
-
-        class _StubProc:
-            exitcode = 0
-
-            def join(self, timeout=None):
-                pass
-
-            def is_alive(self):
-                return False
-
-        pool = PoolBackend(2)
-        parent_conn, child_conn = Pipe(duplex=True)
-        pool._live[0] = _Worker(0, _StubProc(), parent_conn)
-        child_conn.send(("hb",))
-        child_conn.send(("hb",))
-        child_conn.send(("bye", {"counters": {"test.pool.drained": 3},
-                                 "gauges": {}, "histograms": {},
-                                 "timers": {}}))
-        was_enabled = obs.is_enabled()
-        obs.enable()
-        obs.reset()
-        try:
-            pool._shutdown_graceful()
-            assert obs.snapshot()["counters"]["test.pool.drained"] == 3
-        finally:
-            obs.reset()
-            if not was_enabled:
-                obs.disable()
-        assert not pool._live
-        child_conn.close()
-
-
 def _child_pids(pid: int) -> list[int]:
     """Live processes whose parent is ``pid`` (from ``/proc``)."""
     children = []
